@@ -115,13 +115,15 @@ def _parse_timestamp(text: str, context: str) -> datetime:
 def read_series(path: str | Path) -> list[Observation]:
     """Parse a series file into time-ordered observations.
 
-    Duplicate timestamps are accepted in order; a decreasing timestamp
-    or a non-finite value is a ``DataError`` carrying the line number.
+    Duplicate timestamps are accepted in order; a decreasing timestamp,
+    a timestamp whose timezone awareness differs from the first one, or a
+    non-finite value is a ``DataError`` carrying the line number. A UTF-8
+    byte-order mark before the header is skipped.
     A ``UserWarning`` is emitted when intervals deviate from the file's
     modal cadence (the detector treats points as equally spaced).
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -150,6 +152,11 @@ def read_series(path: str | Path) -> list[Observation]:
                 ) from None
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: non-finite value {value}")
+            if observations and (ts.tzinfo is None) != (observations[0].timestamp.tzinfo is None):
+                raise DataError(
+                    f"{path}:{lineno}: timestamp {ts} mixes timezone-aware and naive "
+                    f"timestamps (first was {observations[0].timestamp})"
+                )
             if observations and ts < observations[-1].timestamp:
                 raise DataError(
                     f"{path}:{lineno}: timestamp {ts} precedes previous "

@@ -13,6 +13,7 @@ Gate layout: weight and bias vectors stack the four gates in the order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -134,59 +135,59 @@ def denormalize(values: np.ndarray, mean: float, std: float) -> np.ndarray:
     return np.asarray(values, dtype=float) * std + mean
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # evaluated per sign so exp never overflows, whatever the drift between
-    # a model's stored statistics and the window it is asked to score
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+@lru_cache(maxsize=8)
+def _gate_affine(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(scale, offset)`` of the fused gate activation.
+
+    ``scale`` is 1/2 on the sigmoid gates (i, f, o) and 1 on the
+    candidate g; ``offset`` is ``1 - scale``. Then
+    ``offset + scale * tanh(scale * z)`` is ``sigmoid(z) = (1 + tanh(z/2)) / 2``
+    on the sigmoid gates and ``tanh(z)`` on g, and nothing can overflow.
+    """
+    scale = np.full(4 * h, 0.5)
+    scale[3 * h :] = 1.0
+    offset = 1.0 - scale
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
 
 
-def _run(model: LstmModel, inputs: np.ndarray) -> dict:
-    """Forward recurrence from zero state, caching per-step activations."""
+def _step(model: LstmModel, x: float, h_prev: np.ndarray, c_prev: np.ndarray):
+    """One recurrence step with one ``tanh`` over all four gates.
+
+    Returns the activations (i, f, o, g) stacked like the weights, the
+    cell state, its tanh and the hidden state.
+    """
+    h = model.hidden_units
+    scale, offset = _gate_affine(h)
+    act = model.w_x * x + model.w_h @ h_prev + model.b
+    act *= scale
+    np.tanh(act, out=act)
+    act *= scale
+    act += offset
+    c = act[h : 2 * h] * c_prev + act[:h] * act[3 * h :]
+    tc = np.tanh(c)
+    return act, c, tc, act[2 * h : 3 * h] * tc
+
+
+def _run(model: LstmModel, inputs: np.ndarray):
+    """Forward recurrence from zero state, caching per-step activations.
+
+    Returns ``(acts, cells, tanh_cells, hiddens, outputs)``. ``cells`` and
+    ``hiddens`` have a leading zero row, so row ``k`` is the state that
+    step ``k`` starts from and row ``k + 1`` the state it produces.
+    """
     h = model.hidden_units
     steps = inputs.size
-    gates = np.zeros((steps, 4 * h))  # post-activation i, f, o, g
-    cells = np.zeros((steps, h))
-    tanh_cells = np.zeros((steps, h))
-    hiddens = np.zeros((steps, h))
-    outputs = np.zeros(steps)
-
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
+    acts = np.empty((steps, 4 * h))
+    cells = np.zeros((steps + 1, h))
+    tanh_cells = np.empty((steps, h))
+    hiddens = np.zeros((steps + 1, h))
     for k in range(steps):
-        z = model.w_x * inputs[k] + model.w_h @ h_prev + model.b
-        i_g = _sigmoid(z[:h])
-        f_g = _sigmoid(z[h : 2 * h])
-        o_g = _sigmoid(z[2 * h : 3 * h])
-        g_g = np.tanh(z[3 * h :])
-        c = f_g * c_prev + i_g * g_g
-        tc = np.tanh(c)
-        h_t = o_g * tc
-
-        gates[k, :h] = i_g
-        gates[k, h : 2 * h] = f_g
-        gates[k, 2 * h : 3 * h] = o_g
-        gates[k, 3 * h :] = g_g
-        cells[k] = c
-        tanh_cells[k] = tc
-        hiddens[k] = h_t
-        outputs[k] = model.w_out @ h_t + model.b_out
-
-        h_prev = h_t
-        c_prev = c
-
-    return {
-        "inputs": inputs,
-        "gates": gates,
-        "cells": cells,
-        "tanh_cells": tanh_cells,
-        "hiddens": hiddens,
-        "outputs": outputs,
-    }
+        acts[k], cells[k + 1], tanh_cells[k], hiddens[k + 1] = _step(
+            model, inputs[k], hiddens[k], cells[k]
+        )
+    outputs = hiddens[1:] @ model.w_out + model.b_out
+    return acts, cells, tanh_cells, hiddens, outputs
 
 
 def forward(model: LstmModel, inputs: Sequence[float]) -> np.ndarray:
@@ -201,59 +202,50 @@ def forward(model: LstmModel, inputs: Sequence[float]) -> np.ndarray:
         raise ValueError("inputs must be a non-empty one-dimensional sequence")
     if not np.isfinite(arr).all():
         raise DataError("inputs must be finite")
-    return _run(model, arr)["outputs"]
+    return _run(model, arr)[-1]
 
 
 def _loss_and_grads(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
-    """Mean squared error and its analytic gradients via BPTT."""
+    """Mean squared error and its analytic gradients via BPTT.
+
+    The backward loop only carries the recurrent error; the parameter
+    gradients are matrix products over the stacked gate errors ``dz``.
+    """
     h = model.hidden_units
     steps = inputs.size
-    cache = _run(model, inputs)
-    gates = cache["gates"]
-    cells = cache["cells"]
-    tanh_cells = cache["tanh_cells"]
-    hiddens = cache["hiddens"]
+    acts, cells, tanh_cells, hiddens, outputs = _run(model, inputs)
 
-    err = cache["outputs"] - targets
-    loss = float(np.mean(err**2))
+    err = outputs - targets
+    loss = float((err**2).sum() / steps)
     d_out = 2.0 * err / steps
 
-    g_w_x = np.zeros_like(model.w_x)
-    g_w_h = np.zeros_like(model.w_h)
-    g_b = np.zeros_like(model.b)
-    g_w_out = np.zeros_like(model.w_out)
-    g_b_out = 0.0
+    # d act / d z: s(1 - s) on the sigmoid gates i, f, o and 1 - g^2 on g
+    deriv = acts * (1.0 - acts)
+    deriv[:, 3 * h :] = 1.0 - acts[:, 3 * h :] ** 2
+    # dz = deriv * partner * (dc on i, f, g; dh on o), where a gate's partner
+    # is what it multiplies: g for i, c_prev for f, tanh(c) for o, i for g
+    partner = deriv * np.concatenate(
+        (acts[:, 3 * h :], cells[:-1], tanh_cells, acts[:, :h]), axis=1
+    )
+    dc_of_dh = acts[:, 2 * h : 3 * h] * (1.0 - tanh_cells**2)
 
+    dz = np.empty((steps, 4 * h))
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
     for k in range(steps - 1, -1, -1):
-        i_g = gates[k, :h]
-        f_g = gates[k, h : 2 * h]
-        o_g = gates[k, 2 * h : 3 * h]
-        g_g = gates[k, 3 * h :]
-        c_prev = cells[k - 1] if k > 0 else np.zeros(h)
-        h_prev = hiddens[k - 1] if k > 0 else np.zeros(h)
-
-        g_w_out += d_out[k] * hiddens[k]
-        g_b_out += d_out[k]
-
         dh = d_out[k] * model.w_out + dh_next
-        dc = dh * o_g * (1.0 - tanh_cells[k] ** 2) + dc_next
+        dc = dh * dc_of_dh[k] + dc_next
+        np.multiply(partner[k], np.concatenate((dc, dc, dh, dc)), out=dz[k])
+        dh_next = model.w_h.T @ dz[k]
+        dc_next = dc * acts[k, h : 2 * h]
 
-        dz = np.empty(4 * h)
-        dz[:h] = dc * g_g * i_g * (1.0 - i_g)
-        dz[h : 2 * h] = dc * c_prev * f_g * (1.0 - f_g)
-        dz[2 * h : 3 * h] = dh * tanh_cells[k] * o_g * (1.0 - o_g)
-        dz[3 * h :] = dc * i_g * (1.0 - g_g**2)
-
-        g_w_x += dz * inputs[k]
-        g_w_h += np.outer(dz, h_prev)
-        g_b += dz
-
-        dh_next = model.w_h.T @ dz
-        dc_next = dc * f_g
-
-    return loss, {"w_x": g_w_x, "w_h": g_w_h, "b": g_b, "w_out": g_w_out, "b_out": g_b_out}
+    return loss, {
+        "w_x": inputs @ dz,
+        "w_h": dz.T @ hiddens[:-1],
+        "b": dz.sum(axis=0),
+        "w_out": d_out @ hiddens[1:],
+        "b_out": float(d_out.sum()),
+    }
 
 
 def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
@@ -315,13 +307,17 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
 
     The window is normalized with the model's stored statistics, run
     through the full recurrence, and the final step's output is mapped
-    back to the raw scale.
+    back to the raw scale. Nothing but the running state is kept.
     """
     raw = np.asarray(window, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("prediction window must be non-empty")
-    if not np.isfinite(raw).all():
-        raise DataError("prediction window contains non-finite values")
-    normed = normalize(raw, model.norm_mean, model.norm_std)
-    outputs = forward(model, normed)
-    return float(denormalize(outputs[-1], model.norm_mean, model.norm_std))
+    normed = (raw - model.norm_mean) / model.norm_std
+    if not np.isfinite(normed).all():
+        raise DataError("prediction window contains non-finite values, raw or normalized")
+    h = model.hidden_units
+    hidden = np.zeros(h)
+    cell = np.zeros(h)
+    for x in normed:
+        _, cell, _, hidden = _step(model, x, hidden, cell)
+    return float(model.w_out @ hidden + model.b_out) * model.norm_std + model.norm_mean

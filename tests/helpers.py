@@ -122,6 +122,30 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
     return grads
 
 
+def reference_forward(model, inputs):
+    """Textbook LSTM recurrence, one gate at a time, as the forecaster's oracle.
+
+    Gates use ``1 / (1 + exp(-z))`` directly; ``exp`` may overflow to inf
+    for very negative ``z``, which still gives the right limit 0.
+    """
+    h = model.hidden_units
+
+    def sigmoid(z):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
+
+    hidden = np.zeros(h)
+    cell = np.zeros(h)
+    outputs = []
+    for x in inputs:
+        z = model.w_x * x + model.w_h @ hidden + model.b
+        i_g, f_g, o_g = sigmoid(z[:h]), sigmoid(z[h : 2 * h]), sigmoid(z[2 * h : 3 * h])
+        cell = f_g * cell + i_g * np.tanh(z[3 * h :])
+        hidden = o_g * np.tanh(cell)
+        outputs.append(float(model.w_out @ hidden + model.b_out))
+    return np.array(outputs)
+
+
 def max_relative_gradient_error(analytic: dict, numeric: dict) -> float:
     worst = 0.0
     for name, num in numeric.items():

@@ -224,6 +224,25 @@ def test_criterion_7_gradients_and_epoch_bounds():
     )
 
 
+def test_criterion_7_gradients_on_long_windows_and_single_unit():
+    # the default look-back trains on 2 steps; 12 steps exercise the
+    # stacked gate-error accumulation across many steps
+    rng = np.random.default_rng(78)
+    worst = 0.0
+    for hidden_units, steps in ((1, 2), (1, 12), (3, 12), (10, 12)):
+        model = random_model(rng, hidden_units=hidden_units)
+        inputs = rng.normal(size=steps)
+        targets = rng.normal(size=steps)
+        _, analytic = _loss_and_grads(model, inputs, targets)
+        numeric = finite_difference_grads(model, inputs, targets, step=1e-5)
+        worst = max(worst, max_relative_gradient_error(analytic, numeric))
+    assert worst <= 1e-4
+    print(
+        f"\n[PASS] criterion 7: worst gradient error {worst:.2e} on 12-step windows "
+        "and hidden_units=1"
+    )
+
+
 @requires_cpu_b3b
 def test_criterion_8_cpu_b3b_determinism(tmp_path):
     reports = []

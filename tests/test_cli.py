@@ -83,6 +83,17 @@ class TestDetect:
         assert not report.exists()
         assert "error" in capsys.readouterr().err
 
+    def test_mixed_timezones_exit_one_without_traceback(self, tmp_path, capsys):
+        series = tmp_path / "mixed.csv"
+        series.write_text(
+            "timestamp,value\n2020-01-01 00:00:00+00:00,1.0\n2020-01-01 00:05:00,2.0\n"
+        )
+        code = main(detect_args(series, tmp_path / "report.csv"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "mixed.csv:3" in err and "timezone" in err
+        assert "Traceback" not in err
+
     def test_unsupported_horizon_is_a_usage_error(self, tmp_path, spike_csv):
         with pytest.raises(SystemExit) as exc:
             main(detect_args(spike_csv, tmp_path / "r.csv", ["--predict-forward", "2"]))

@@ -96,6 +96,27 @@ class TestReadSeries:
         with pytest.raises(DataError, match=":3"):
             read_series(path)
 
+    def test_byte_order_mark_before_header_is_skipped(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        write_series_csv(plain, [10.0, 10.5, 11.25])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_series(bom) == read_series(plain)
+
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ("2020-01-01 00:00:00+00:00", "2020-01-01 00:05:00"),
+            ("2020-01-01 00:00:00", "2020-01-01 00:05:00+01:00"),
+        ],
+    )
+    def test_mixed_timezone_awareness_reports_line(self, tmp_path, stamps):
+        path = tmp_path / "mixed.csv"
+        first, second = stamps
+        path.write_text(f"timestamp,value\n{first},1.0\n{first},1.5\n{second},2.0\n")
+        with pytest.raises(DataError, match=":4.*timezone"):
+            read_series(path)
+
     def test_duplicate_timestamps_accepted_in_order(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

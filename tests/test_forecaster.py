@@ -14,7 +14,7 @@ from presage.forecaster import (
     _loss_and_grads,
 )
 
-from helpers import finite_difference_grads, max_relative_gradient_error
+from helpers import finite_difference_grads, max_relative_gradient_error, reference_forward
 
 
 def models_equal(a: LstmModel, b: LstmModel) -> bool:
@@ -39,14 +39,35 @@ def zero_model(hidden_units=4) -> LstmModel:
     )
 
 
-def random_model(rng, hidden_units=6) -> LstmModel:
+def random_model(rng, hidden_units=6, weight=0.5) -> LstmModel:
     return LstmModel(
-        w_x=rng.uniform(-0.5, 0.5, 4 * hidden_units),
-        w_h=rng.uniform(-0.5, 0.5, (4 * hidden_units, hidden_units)),
-        b=rng.uniform(-0.5, 0.5, 4 * hidden_units),
-        w_out=rng.uniform(-0.5, 0.5, hidden_units),
-        b_out=float(rng.uniform(-0.5, 0.5)),
+        w_x=rng.uniform(-weight, weight, 4 * hidden_units),
+        w_h=rng.uniform(-weight, weight, (4 * hidden_units, hidden_units)),
+        b=rng.uniform(-weight, weight, 4 * hidden_units),
+        w_out=rng.uniform(-weight, weight, hidden_units),
+        b_out=float(rng.uniform(-weight, weight)),
     )
+
+
+# (hidden units, weight bound, model norm stats, window centre, window spread).
+# The last two put saturating weights on windows millions of model-stds away.
+EXTREME_CASES = [
+    (1, 0.5, (0.0, 1.0), 0.0, 1.0),
+    (4, 0.5, (33.0, 4.5), 30.0, 5.0),
+    (10, 5.0, (50.0, 2.0), 50.0, 3.0),
+    (10, 50.0, (0.0, 1e-3), 1e6, 1e4),
+    (32, 20.0, (-7.0, 0.01), -1e5, 10.0),
+]
+
+
+def extreme_cases(seed=31):
+    """(model, raw window) pairs over EXTREME_CASES, windows of 3 and 12 points."""
+    rng = np.random.default_rng(seed)
+    for hidden_units, weight, (mean, std), centre, spread in EXTREME_CASES:
+        for length in (3, 12):
+            model = random_model(rng, hidden_units, weight)
+            model.norm_mean, model.norm_std = mean, std
+            yield model, centre + spread * rng.standard_normal(length)
 
 
 class TestConfig:
@@ -123,6 +144,13 @@ class TestForward:
     def test_non_finite_input_rejected(self):
         with pytest.raises(DataError):
             forward(zero_model(), [0.0, float("nan")])
+
+    def test_matches_textbook_recurrence(self):
+        for model, window in extreme_cases():
+            normed = normalize(window, model.norm_mean, model.norm_std)
+            np.testing.assert_allclose(
+                forward(model, normed), reference_forward(model, normed), rtol=1e-12, atol=1e-12
+            )
 
 
 class TestGradients:
@@ -213,6 +241,29 @@ class TestPredictNext:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             predict_next(zero_model(), [])
+
+    def test_non_finite_window_rejected(self):
+        with pytest.raises(DataError):
+            predict_next(zero_model(), [1.0, float("nan"), 2.0])
+
+    def test_equals_last_forward_output(self):
+        for model, window in extreme_cases():
+            mean, std = model.norm_mean, model.norm_std
+            expected = denormalize(forward(model, normalize(window, mean, std))[-1], mean, std)
+            assert predict_next(model, window) == pytest.approx(float(expected), rel=1e-12)
+
+    def test_no_floating_point_exceptions_on_extreme_inputs(self):
+        # the property an overflow-safe sigmoid exists for: saturating
+        # weights and far-away windows never overflow or produce NaN
+        windows = ([1e12, -3e12, 5e12, 7.0], [1e-9, 3e-9, 2e-9], [5.0, 5.0, 5.0], [-1e6, 0.0, 1e6])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for model, window in extreme_cases():
+                assert np.isfinite(predict_next(model, window))
+                normed = normalize(window, model.norm_mean, model.norm_std)
+                loss, grads = _loss_and_grads(model, normed[:-1], normed[1:])
+                assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+            for window in windows:
+                assert np.isfinite(train(window, LstmConfig(seed=3)).final_loss)
 
 
 class TestNormalization:
