@@ -71,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--look-back", type=_look_back_arg, default=3,
         help="number of recent points used for training and prediction (default 3)",
     )
-    detect.add_argument(
-        "--predict-forward", type=int, choices=[1], default=1,
-        help="forecast horizon in points; only 1 is supported",
-    )
     detect.add_argument("--seed", type=int, default=42, help="seed for model initialization")
     detect.add_argument(
         "--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
@@ -124,7 +120,6 @@ def run_detect(args: argparse.Namespace) -> int:
     observations = read_series(args.input)
     config = DetectorConfig(
         look_back=args.look_back,
-        predict_forward=args.predict_forward,
         epsilon=args.epsilon,
         lstm=LstmConfig(
             hidden_units=args.hidden_units,
@@ -197,10 +192,11 @@ def run_evaluate(args: argparse.Namespace) -> int:
                 f"  first report {result.first_report_timestamp.isoformat(sep=' ')}"
             )
         print(line)
-    eligible = len(records) - (2 * look_back - 1)
-    retrains = sum(1 for r in records if r.retrained)
     print(f"false warnings: {summary.false_warning_count}")
-    print(f"retraining ratio: {summary.retraining_ratio:.2%} ({retrains}/{eligible})")
+    print(
+        f"retraining ratio: {summary.retraining_ratio:.2%} "
+        f"({summary.retrain_count}/{summary.eligible_points})"
+    )
     print(
         f"decision time: avg {summary.avg_decision_time:.4f} s, "
         f"std {summary.std_decision_time:.4f} s"

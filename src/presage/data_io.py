@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .detector import DetectionRecord, DetectorConfig, Phase, Verdict
 from .errors import DataError, DatasetKeyError
-from .evaluation import timing_stats
+from .evaluation import retrain_accounting, timing_stats
 
 __all__ = [
     "Observation",
@@ -45,7 +46,6 @@ __all__ = [
     "read_report",
     "summarize_run",
     "write_summary",
-    "read_summary",
 ]
 
 REPORT_COLUMNS = [
@@ -90,19 +90,14 @@ class RunSummary:
 
     total_points: int
     retrain_count: int
+    eligible_points: int
     retraining_ratio: float
     avg_decision_time: float
     std_decision_time: float
     anomalies: list[AnomalyEvent]
     look_back: int
-    predict_forward: int
     seed: int
     epsilon: float
-
-    @property
-    def eligible_points(self) -> int:
-        """Points past the preparation ramp: total - (2*look_back - 1)."""
-        return max(0, self.total_points - (2 * self.look_back - 1))
 
 
 def _parse_timestamp(text: str, context: str) -> datetime:
@@ -112,18 +107,32 @@ def _parse_timestamp(text: str, context: str) -> datetime:
         raise DataError(f"{context}: unparsable timestamp {text!r}") from None
 
 
+@contextmanager
+def _open_text(path: Path, encoding: str = "utf-8"):
+    """Open ``path`` for reading; bytes that are not UTF-8 and CSV syntax
+    errors met anywhere in the ``with`` body are a ``DataError``."""
+    try:
+        with path.open(newline="", encoding=encoding) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def read_series(path: str | Path) -> list[Observation]:
     """Parse a series file into time-ordered observations.
 
     Duplicate timestamps are accepted in order; a decreasing timestamp,
     a timestamp whose timezone awareness differs from the first one, or a
-    non-finite value is a ``DataError`` carrying the line number. A UTF-8
-    byte-order mark before the header is skipped.
+    non-finite value is a ``DataError`` carrying the line number, and so
+    is a file that is not UTF-8. A UTF-8 byte-order mark before the header
+    is skipped.
     A ``UserWarning`` is emitted when intervals deviate from the file's
     modal cadence (the detector treats points as equally spaced).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path, "utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -193,6 +202,10 @@ def _parse_label_list(entries, context: str) -> list[datetime]:
         raise DataError(f"{context}: expected a list of timestamps, got {type(entries).__name__}")
     stamps = [_parse_timestamp(str(entry), context) for entry in entries]
     for earlier, later in zip(stamps, stamps[1:]):
+        if (later.tzinfo is None) != (earlier.tzinfo is None):
+            raise DataError(
+                f"{context}: label {later} mixes timezone-aware and naive timestamps"
+            )
         if later <= earlier:
             raise DataError(f"{context}: label timestamps must be strictly increasing")
     return stamps
@@ -208,8 +221,9 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> LabelSet:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        with _open_text(path) as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 
     if isinstance(payload, list):
@@ -252,7 +266,7 @@ class ReportWriter:
     so an interrupted run keeps every decided point."""
 
     def __init__(self, path: str | Path):
-        self._fh = open(path, "w", newline="")
+        self._fh = open(path, "w", newline="", encoding="utf-8")
         self._writer = csv.writer(self._fh)
         self._writer.writerow(REPORT_COLUMNS)
 
@@ -297,7 +311,7 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
     """Read a report back into the records it was written from."""
     path = Path(path)
     records = []
-    with path.open(newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != REPORT_COLUMNS:
@@ -334,10 +348,8 @@ def summarize_run(records: Sequence[DetectionRecord], config: DetectorConfig) ->
     past the preparation ramp; for runs too short to leave the ramp it
     is reported as 0.
     """
-    total = len(records)
-    retrains = sum(1 for r in records if r.retrained)
-    eligible = total - (2 * config.look_back - 1)
-    ratio = retrains / eligible if eligible > 0 else 0.0
+    retrains, eligible = retrain_accounting(records, config.look_back)
+    ratio = retrains / eligible if eligible else 0.0
     avg, std = timing_stats(records) if records else (0.0, 0.0)
     anomalies = [
         AnomalyEvent(r.time_index, r.timestamp)
@@ -345,14 +357,14 @@ def summarize_run(records: Sequence[DetectionRecord], config: DetectorConfig) ->
         if r.verdict is Verdict.ANOMALY
     ]
     return RunSummary(
-        total_points=total,
+        total_points=len(records),
         retrain_count=retrains,
+        eligible_points=eligible,
         retraining_ratio=ratio,
         avg_decision_time=avg,
         std_decision_time=std,
         anomalies=anomalies,
         look_back=config.look_back,
-        predict_forward=config.predict_forward,
         seed=config.lstm.seed,
         epsilon=config.epsilon,
     )
@@ -372,42 +384,10 @@ def write_summary(summary: RunSummary, path: str | Path):
         ],
         "config": {
             "look_back": summary.look_back,
-            "predict_forward": summary.predict_forward,
+            "predict_forward": 1,
             "seed": summary.seed,
             "epsilon": summary.epsilon,
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
-
-def read_summary(path: str | Path) -> RunSummary:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return RunSummary(
-            total_points=payload["total_points"],
-            retrain_count=payload["retrain_count"],
-            retraining_ratio=payload["retraining_ratio"],
-            avg_decision_time=payload["avg_decision_time_s"],
-            std_decision_time=payload["std_decision_time_s"],
-            anomalies=[
-                AnomalyEvent(
-                    index=entry["index"],
-                    timestamp=(
-                        _parse_timestamp(entry["timestamp"], str(path))
-                        if entry.get("timestamp")
-                        else None
-                    ),
-                )
-                for entry in payload["anomalies"]
-            ],
-            look_back=payload["config"]["look_back"],
-            predict_forward=payload["config"]["predict_forward"],
-            seed=payload["config"]["seed"],
-            epsilon=payload["config"]["epsilon"],
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: summary is missing field {exc}") from None

@@ -76,20 +76,15 @@ def phase_of(t: int, look_back: int) -> Phase:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detector parameters. ``predict_forward`` is fixed to 1."""
+    """Detector parameters. Forecasts are always one point ahead."""
 
     look_back: int = 3
-    predict_forward: int = 1
     epsilon: float = DEFAULT_EPSILON
     lstm: LstmConfig = field(default_factory=LstmConfig)
 
     def __post_init__(self):
         if self.look_back < 2:
             raise ConfigError(f"look_back must be >= 2, got {self.look_back}")
-        if self.predict_forward != 1:
-            raise ConfigError(
-                f"predict_forward is fixed to 1, got {self.predict_forward}"
-            )
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -152,11 +147,28 @@ class LstmEngine:
         return forecaster.predict_next(model, window)
 
 
+def _welford_add(state: tuple[int, float, float], x: float) -> tuple[int, float, float]:
+    """Running (count, mean, M2) with ``x`` added (Welford 1962)."""
+    count, mean, m2 = state
+    count += 1
+    delta = x - mean
+    mean += delta / count
+    return count, mean, m2 + delta * (x - mean)
+
+
+def _threshold(state: tuple[int, float, float]) -> float:
+    """``scoring.threshold`` of the scores a Welford state has seen."""
+    count, mean, m2 = state
+    return mean + 3.0 * math.sqrt(m2 / count)
+
+
 class Detector:
     """Sequential per-point anomaly detector over one stream.
 
     Call ``step`` once per observation, in time order. Instances are not
-    thread-safe; run one detector per stream.
+    thread-safe; run one detector per stream. The state is O(look_back):
+    the last b values, the forecasts made after each of them, and a
+    running mean and variance of the error scores.
     """
 
     def __init__(
@@ -168,14 +180,15 @@ class Detector:
         self.engine: ForecastEngine = (
             engine if engine is not None else LstmEngine(self.config.lstm)
         )
+        b = self.config.look_back
         self.model: object | None = None
         self.retrain_count = 0
         self._t = -1
-        self._buffer: deque[float] = deque(maxlen=self.config.look_back + 1)
-        self._predictions: dict[int, float] = {}
-        self._history: list[float] = []
-        self._hist_sum = 0.0
-        self._hist_sumsq = 0.0
+        self._buffer: deque[float] = deque(maxlen=b)
+        # _forecasts[i] is the forecast made after ingesting _buffer[i], so
+        # for the point after it; None while no model exists.
+        self._forecasts: deque[float | None] = deque([None] * b, maxlen=b)
+        self._welford: tuple[int, float, float] = (0, 0.0, 0.0)
         self._last_timestamp: datetime | None = None
 
     @property
@@ -183,17 +196,12 @@ class Detector:
         """Index of the most recently ingested point, -1 before any."""
         return self._t
 
-    @property
-    def aare_history(self) -> tuple[float, ...]:
-        """Stored error scores; entry k belongs to t = 2*look_back - 1 + k."""
-        return tuple(self._history)
-
     def step(self, value: float, timestamp: datetime | None = None) -> DetectionRecord:
         """Ingest one observation and return the decision for it.
 
-        Raises ``DataError`` for non-finite values and ``OrderingError``
-        for a timestamp behind the previous one; neither advances the
-        detector state.
+        All or nothing: ``DataError`` for a non-finite value,
+        ``OrderingError`` for a timestamp behind the previous one, and any
+        exception an engine raises leave the detector as it was.
         """
         value = float(value)
         if not math.isfinite(value):
@@ -208,57 +216,61 @@ class Detector:
             )
 
         started = time.perf_counter()
-        self._t += 1
-        t = self._t
+        t = self._t + 1
         b = self.config.look_back
-        self._buffer.append(value)
         phase = phase_of(t, b)
-
+        window = [*self._buffer, value][-b:]
+        forecasts = list(self._forecasts)  # made for points t-b+1 .. t
+        model = self.model
+        welford = self._welford
         aare_value: float | None = None
         thd: float | None = None
         verdict = Verdict.PENDING
         retrained = False
 
-        if phase is Phase.WARMUP:
-            self._train_and_forecast()
-        elif phase is Phase.BOOTSTRAP:
-            aare_value = self._score_window()
-            self._history_append(aare_value)
-            self._train_and_forecast()
+        if phase is Phase.BOOTSTRAP or phase is Phase.DETECTING:
+            aare_value = scoring.aare(window, forecasts, self.config.epsilon)
+            welford = _welford_add(self._welford, aare_value)
+        if phase is Phase.WARMUP or phase is Phase.BOOTSTRAP:
+            model = self.engine.train(window)
         elif phase is Phase.DETECTING:
-            aare_value = self._score_window()
-            self._history_append(aare_value)
-            thd = self._current_threshold()
+            thd = _threshold(welford)
             if aare_value <= thd:
                 verdict = Verdict.NORMAL
             else:
-                # Double check: retrain on the b points preceding t so the
-                # suspicious value stays out of its own training data.
+                # Double check: retrain on the b points preceding t (the
+                # buffer before t) so the suspicious value stays out of its
+                # own training data.
                 retrained = True
-                self.retrain_count += 1
-                previous_window = list(self._buffer)[:b]
+                previous_window = list(self._buffer)
                 candidate = self.engine.train(previous_window)
-                self._predictions[t] = self.engine.predict(candidate, previous_window)
-                aare_value = self._score_window()
-                self._history_replace_last(aare_value)
+                forecasts[-1] = self.engine.predict(candidate, previous_window)
+                aare_value = scoring.aare(window, forecasts, self.config.epsilon)
+                welford = _welford_add(self._welford, aare_value)
                 if aare_value <= thd:
                     verdict = Verdict.NORMAL
-                    self.model = candidate
+                    model = candidate
                 else:
                     verdict = Verdict.ANOMALY  # keep the previous model
-            self._forecast_next()
-
-        predicted = self._predictions.get(t)
-        self._prune_predictions()
+        forecast = None if phase is Phase.COLLECTING else self.engine.predict(model, window)
         decision_time = time.perf_counter() - started
 
+        # Commit point: nothing above changed the detector, so an exception
+        # raised there leaves it as it was.
+        self._t = t
+        self._buffer.append(value)
+        self._forecasts[-1] = forecasts[-1]
+        self._forecasts.append(forecast)
+        self._welford = welford
+        self.model = model
+        self.retrain_count += retrained
         if timestamp is not None:
             self._last_timestamp = timestamp
         return DetectionRecord(
             time_index=t,
             timestamp=timestamp,
             value=value,
-            predicted=predicted,
+            predicted=forecasts[-1],
             aare=aare_value,
             threshold=thd,
             phase=phase,
@@ -266,47 +278,3 @@ class Detector:
             retrained=retrained,
             decision_time=decision_time,
         )
-
-    # internal helpers ------------------------------------------------
-
-    def _window(self) -> list[float]:
-        return list(self._buffer)[-self.config.look_back :]
-
-    def _train_and_forecast(self):
-        window = self._window()
-        self.model = self.engine.train(window)
-        self._predictions[self._t + 1] = self.engine.predict(self.model, window)
-
-    def _forecast_next(self):
-        window = self._window()
-        self._predictions[self._t + 1] = self.engine.predict(self.model, window)
-
-    def _score_window(self) -> float:
-        t, b = self._t, self.config.look_back
-        observed = self._window()
-        predicted = [self._predictions[y] for y in range(t - b + 1, t + 1)]
-        return scoring.aare(observed, predicted, self.config.epsilon)
-
-    def _history_append(self, value: float):
-        self._history.append(value)
-        self._hist_sum += value
-        self._hist_sumsq += value * value
-
-    def _history_replace_last(self, value: float):
-        old = self._history[-1]
-        self._history[-1] = value
-        self._hist_sum += value - old
-        self._hist_sumsq += value * value - old * old
-
-    def _current_threshold(self) -> float:
-        # Running-sums form of scoring.threshold over the whole history;
-        # O(1) per step so long replays stay real-time.
-        n = len(self._history)
-        mu = self._hist_sum / n
-        variance = max(self._hist_sumsq / n - mu * mu, 0.0)
-        return mu + 3.0 * math.sqrt(variance)
-
-    def _prune_predictions(self):
-        horizon = self._t - self.config.look_back + 2
-        for y in [y for y in self._predictions if y < horizon]:
-            del self._predictions[y]

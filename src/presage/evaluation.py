@@ -26,6 +26,7 @@ __all__ = [
     "EvaluationSummary",
     "lead_time",
     "false_warnings",
+    "retrain_accounting",
     "retraining_ratio",
     "timing_stats",
     "evaluate_run",
@@ -55,15 +56,29 @@ class EvaluationSummary:
     lead_times: list[LeadTimeResult]
     false_warning_count: int
     retraining_ratio: float
+    retrain_count: int
+    eligible_points: int
     avg_decision_time: float
     std_decision_time: float
 
 
-def _anomaly_records(records: Sequence[DetectionRecord]) -> list[DetectionRecord]:
+def _anomaly_records(
+    records: Sequence[DetectionRecord], labels: Sequence[datetime]
+) -> list[DetectionRecord]:
+    # Aware and naive instants do not compare: the first label, or without
+    # labels the first timestamped record, fixes which kind the run uses.
+    naive = labels[0].tzinfo is None if labels else None
     previous = None
     anomalies = []
     for record in records:
         if record.timestamp is not None:
+            if naive is None:
+                naive = record.timestamp.tzinfo is None
+            elif (record.timestamp.tzinfo is None) != naive:
+                raise DataError(
+                    f"record at index {record.time_index} mixes timezone-aware and "
+                    "naive timestamps with the labels or the records before it"
+                )
             if previous is not None and record.timestamp < previous:
                 raise OrderingError(
                     f"records are not time-ordered at index {record.time_index}"
@@ -92,7 +107,7 @@ def _attribute(
     unmatched: list[DetectionRecord] = []
     ordered = sorted(range(len(labels)), key=lambda i: labels[i])
 
-    for record in _anomaly_records(records):
+    for record in _anomaly_records(records, labels):
         best = None
         best_distance = None
         for i in ordered:
@@ -149,15 +164,22 @@ def false_warnings(
     return len(unmatched)
 
 
+def retrain_accounting(records: Sequence[DetectionRecord], look_back: int) -> tuple[int, int]:
+    """Retrain count, and the points past the preparation ramp of
+    ``2*look_back - 1`` points (0 for a run that never left it)."""
+    eligible = max(0, len(records) - (2 * look_back - 1))
+    return sum(1 for r in records if r.retrained), eligible
+
+
 def retraining_ratio(records: Sequence[DetectionRecord], look_back: int) -> float:
     """Retrains divided by the points past the preparation ramp."""
-    eligible = len(records) - (2 * look_back - 1)
-    if eligible <= 0:
+    retrains, eligible = retrain_accounting(records, look_back)
+    if not eligible:
         raise StateError(
             f"run of {len(records)} points never left the preparation ramp "
             f"(needs more than {2 * look_back - 1})"
         )
-    return sum(1 for r in records if r.retrained) / eligible
+    return retrains / eligible
 
 
 def timing_stats(records: Sequence[DetectionRecord]) -> tuple[float, float]:
@@ -182,10 +204,13 @@ def evaluate_run(
     """Full scoreboard for one run: per-label lead times, false warnings,
     retraining ratio, and timing statistics."""
     avg, std = timing_stats(records)
+    retrains, eligible = retrain_accounting(records, look_back)
     return EvaluationSummary(
         lead_times=lead_time(records, labels, pre_window_minutes, grace_minutes),
         false_warning_count=false_warnings(records, labels, pre_window_minutes, grace_minutes),
         retraining_ratio=retraining_ratio(records, look_back),
+        retrain_count=retrains,
+        eligible_points=eligible,
         avg_decision_time=avg,
         std_decision_time=std,
     )

@@ -8,6 +8,7 @@ numpy) so they stay independent of the code paths they check.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 import statistics
@@ -223,6 +224,55 @@ class ScriptedEngine(PerfectEngine):
             if tuple(self._series[start : start + self._look_back]) == window:
                 return start
         raise KeyError(window)
+
+
+class LargeErrorEngine(PerfectEngine):
+    """PerfectEngine whose every forecast misses by a relative error of
+    ``1e4`` plus a jitter of at most ``8e-4``, so each error score is about
+    1e4 with a spread of about 3e-4: a variance that raw sums of squares
+    lose to cancellation."""
+
+    def __init__(self, series, look_back: int, seed: int = 7):
+        super().__init__(series, look_back)
+        rng = np.random.default_rng(seed)
+        self._miss = {window: 1e4 + rng.uniform(-8e-4, 8e-4) for window in self._next_value}
+
+    def predict(self, model, window):
+        window = tuple(float(v) for v in window)
+        return self._next_value[window] * (1.0 + self._miss[window])
+
+
+class EngineFailure(RuntimeError):
+    """Raised by ``FailingEngine`` on its chosen call."""
+
+
+class FailingEngine:
+    """Delegates to ``engine`` but raises ``EngineFailure`` on the
+    ``call``-th call (1-based) of ``method``, either "train" or "predict"."""
+
+    def __init__(self, engine, method: str, call: int):
+        self._engine = engine
+        self._method = method
+        self._call = call
+        self._calls = {"train": 0, "predict": 0}
+
+    def _count(self, method: str):
+        self._calls[method] += 1
+        if method == self._method and self._calls[method] == self._call:
+            raise EngineFailure(f"{method} call {self._call} failed")
+
+    def train(self, window):
+        self._count("train")
+        return self._engine.train(window)
+
+    def predict(self, model, window):
+        self._count("predict")
+        return self._engine.predict(model, window)
+
+
+def without_timing(records) -> list[DetectionRecord]:
+    """Records with ``decision_time`` zeroed, for comparing replays."""
+    return [dataclasses.replace(r, decision_time=0.0) for r in records]
 
 
 def make_record(

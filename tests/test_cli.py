@@ -1,5 +1,6 @@
 import csv
 import json
+from datetime import timezone
 
 import pytest
 
@@ -9,6 +10,7 @@ from presage.detector import Verdict
 
 from helpers import (
     SPIKE_SHIFT_INDEX,
+    SPIKE_START,
     spike_timestamps,
     spike_values,
     write_series_csv,
@@ -94,6 +96,15 @@ class TestDetect:
         assert "mixed.csv:3" in err and "timezone" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_input_exits_one_without_traceback(self, tmp_path, capsys):
+        series = tmp_path / "latin1.csv"
+        series.write_bytes("timestamp,value\n2020-01-01 00:00:00,1.0 \u00b0C\n".encode("latin-1"))
+        code = main(detect_args(series, tmp_path / "report.csv"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "latin1.csv" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
     def test_unsupported_horizon_is_a_usage_error(self, tmp_path, spike_csv):
         with pytest.raises(SystemExit) as exc:
             main(detect_args(spike_csv, tmp_path / "r.csv", ["--predict-forward", "2"]))
@@ -153,6 +164,20 @@ class TestEvaluate:
         assert payload["labels"] == []
         anomalies = [r for r in read_report(spike_report) if r.verdict is Verdict.ANOMALY]
         assert payload["false_warnings"] == len(anomalies)
+
+    def test_aware_report_against_naive_labels_exits_one(self, tmp_path, capsys):
+        series = tmp_path / "aware.csv"
+        write_series_csv(series, spike_values(), start=SPIKE_START.replace(tzinfo=timezone.utc))
+        report = tmp_path / "report.csv"
+        assert main(detect_args(series, report, ["--seed", "42"])) == 0
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([spike_timestamps()[SPIKE_SHIFT_INDEX].isoformat(sep=" ")]))
+        capsys.readouterr()
+        code = main(["evaluate", "--report", str(report), "--labels", str(labels)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "timezone" in err
+        assert "Traceback" not in err
 
     def test_missing_dataset_key_fails(self, tmp_path, spike_report, capsys):
         labels = tmp_path / "labels.json"

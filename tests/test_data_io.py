@@ -1,9 +1,13 @@
 import json
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from presage.data_io import (
+    REPORT_COLUMNS,
     LabelSet,
     read_labels,
     read_report,
@@ -12,7 +16,6 @@ from presage.data_io import (
     summarize_run,
     write_report,
     write_summary,
-    read_summary,
 )
 from presage.detector import DetectorConfig, Phase, Verdict
 from presage.errors import DataError, DatasetKeyError
@@ -188,6 +191,25 @@ class TestReadLabels:
         with pytest.raises(DataError):
             read_labels(path)
 
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(DataError):
+            read_labels(path)
+
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ["2020-01-01 00:00:00+00:00", "2020-01-02 00:00:00"],
+            ["2020-01-01 00:00:00", "2020-01-02 00:00:00+01:00"],
+        ],
+    )
+    def test_mixed_timezone_awareness(self, tmp_path, stamps):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"k": stamps}))
+        with pytest.raises(DataError, match="timezone"):
+            read_labels(path, "k")
+
 
 def sample_records():
     base = datetime(2022, 2, 2, 0, 0)
@@ -277,13 +299,6 @@ class TestSummary:
         assert summary.retraining_ratio == 0.0
         assert summary.eligible_points == 0
 
-    def test_round_trip(self, tmp_path):
-        records = sample_records()
-        summary = summarize_run(records, DetectorConfig())
-        path = tmp_path / "summary.json"
-        write_summary(summary, path)
-        assert read_summary(path) == summary
-
     def test_json_shape(self, tmp_path):
         summary = summarize_run(sample_records(), DetectorConfig())
         path = tmp_path / "summary.json"
@@ -297,3 +312,121 @@ class TestSummary:
         }
         assert payload["total_points"] == 10
         assert payload["anomalies"][0]["index"] == 8
+
+
+READERS = {
+    "series": read_series,
+    "labels": lambda path: read_labels(path, "k"),
+    "report": read_report,
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_bytes_that_are_not_utf8(self, tmp_path, reader):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("timestamp,value\n2020-01-01 00:00:00,1.0 \u00b0C\n".encode("latin-1"))
+        with pytest.raises(DataError, match="UTF-8"):
+            READERS[reader](path)
+
+    @pytest.mark.parametrize("reader", ["series", "report"])
+    def test_field_past_the_csv_size_limit(self, tmp_path, reader):
+        header = ",".join(REPORT_COLUMNS) if reader == "report" else "timestamp,value"
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{header}\n" + "9" * 200_000 + ",1.0\n")
+        with pytest.raises(DataError):
+            READERS[reader](path)
+
+
+# Fragments that reach past each reader's first checks: well-formed and
+# broken timestamps (naive and with offsets), numbers, and stray bytes.
+STAMPS = st.sampled_from(
+    [
+        "2020-01-01 00:00:00",
+        "2020-01-01 00:05:00",
+        "2020-01-01 00:05:00+00:00",
+        "2020-01-01 00:10:00+05:30",
+        "0001-01-01 00:00:00+23:59",
+        "9999-12-31 23:59:59-23:59",
+        "2020-13-01 00:00:00",
+        "",
+    ]
+)
+CELLS = st.one_of(
+    STAMPS,
+    st.sampled_from(["1.0", "-2.5e3", "nan", "inf", "1e999", "true", "false", "7"]),
+    st.sampled_from([p.value for p in Phase] + [v.value for v in Verdict]),
+    st.text(max_size=8),
+)
+TAILS = st.sampled_from([b"", b"\xff", b"\xc3", b"\x00", b"\r", b'"'])
+
+
+def _fuzz_file(data: bytes, suffix: str) -> Path:
+    handle = tempfile.NamedTemporaryFile(suffix=suffix, delete=False)
+    with handle:
+        handle.write(data)
+    return Path(handle.name)
+
+
+def _parses_or_data_error(read, data: bytes, suffix: str):
+    path = _fuzz_file(data, suffix)
+    try:
+        read(path)
+    except DataError:
+        pass
+    finally:
+        path.unlink()
+
+
+class TestReaderFuzz:
+    """Every input either parses or raises ``DataError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from(["timestamp,value", "value,timestamp", "Timestamp,Value,x", "t,v"]),
+        rows=st.lists(st.lists(CELLS, min_size=1, max_size=3), max_size=6),
+        tail=TAILS,
+    )
+    def test_read_series(self, header, rows, tail):
+        text = "\n".join([header] + [",".join(row) for row in rows])
+        _parses_or_data_error(read_series, text.encode() + tail, ".csv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.tuples(st.integers(-3, 30).map(str), STAMPS, *[CELLS] * 8).map(list),
+                st.lists(CELLS, max_size=12),
+            ),
+            max_size=5,
+        ),
+        tail=TAILS,
+    )
+    def test_read_report(self, rows, tail):
+        text = "\n".join([",".join(REPORT_COLUMNS)] + [",".join(row) for row in rows])
+        _parses_or_data_error(read_report, text.encode() + tail, ".csv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload=st.recursive(
+            st.one_of(STAMPS, st.none(), st.booleans(), st.integers(), st.floats()),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.dictionaries(st.sampled_from(["k", "anomalies", "signs", "x"]), inner, max_size=3),
+            ),
+            max_leaves=10,
+        ),
+        tail=TAILS,
+    )
+    def test_read_labels(self, payload, tail):
+        data = json.dumps(payload).encode() + tail
+        path = _fuzz_file(data, ".json")
+        try:
+            read_labels(path, "k")
+        except DataError:
+            pass
+        except DatasetKeyError:
+            # a well-formed map that merely lacks the requested key
+            assert isinstance(payload, dict) and "k" not in payload
+        finally:
+            path.unlink()

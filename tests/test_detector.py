@@ -15,7 +15,14 @@ from presage.detector import (
 from presage.errors import ConfigError, DataError, OrderingError
 from presage.forecaster import LstmConfig
 
-from helpers import PerfectEngine, ScriptedEngine
+from helpers import (
+    EngineFailure,
+    FailingEngine,
+    LargeErrorEngine,
+    PerfectEngine,
+    ScriptedEngine,
+    without_timing,
+)
 
 # Small network for tests that exercise the state machine rather than
 # the forecaster itself.
@@ -65,11 +72,7 @@ class TestPhaseOf:
 class TestConfig:
     def test_defaults(self):
         config = DetectorConfig()
-        assert (config.look_back, config.predict_forward) == (3, 1)
-
-    def test_predict_forward_fixed(self):
-        with pytest.raises(ConfigError):
-            DetectorConfig(predict_forward=2)
+        assert config.look_back == 3
 
     def test_look_back_minimum(self):
         with pytest.raises(ConfigError):
@@ -85,7 +88,6 @@ class TestPhaseSchedule:
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
         assert detector.time_index == -1
         assert detector.model is None
-        assert detector.aare_history == ()
 
     def test_records_follow_the_schedule(self):
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
@@ -119,9 +121,9 @@ class TestPhaseSchedule:
     def test_history_length_tracks_time(self):
         b = 3
         detector = Detector(DetectorConfig(look_back=b, lstm=FAST_LSTM))
-        for k in range(20):
-            detector.step(50.0 + 0.1 * k)
-        assert len(detector.aare_history) == detector.time_index - 2 * b + 2
+        records = [detector.step(50.0 + 0.1 * k) for k in range(20)]
+        scored = sum(1 for r in records if r.aare is not None)
+        assert scored == detector.time_index - 2 * b + 2
 
     def test_look_back_two_starts_detecting_at_five(self):
         detector = Detector(DetectorConfig(look_back=2, lstm=FAST_LSTM))
@@ -133,15 +135,19 @@ class TestPhaseSchedule:
 class TestStepValidation:
     def test_non_finite_value_rejected_without_state_change(self):
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        twin = Detector(DetectorConfig(lstm=FAST_LSTM))
         for v in [50.0, 51.0, 49.0, 50.5]:
             detector.step(v)
-        before = (detector.time_index, len(detector.aare_history), detector.retrain_count)
+            twin.step(v)
+        before = (detector.time_index, detector.retrain_count)
         with pytest.raises(DataError):
             detector.step(float("nan"))
-        assert (detector.time_index, len(detector.aare_history), detector.retrain_count) == before
-        # the stream continues with contiguous indices
-        record = detector.step(50.2)
-        assert record.time_index == before[0] + 1
+        assert (detector.time_index, detector.retrain_count) == before
+        # the stream continues with contiguous indices, as if the NaN never came
+        after = [50.2, 49.7, 50.9, 50.1, 49.6]
+        records = [detector.step(v) for v in after]
+        assert records[0].time_index == before[0] + 1
+        assert without_timing(records) == without_timing([twin.step(v) for v in after])
 
     def test_timestamp_regression_rejected(self):
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
@@ -171,7 +177,7 @@ class TestDoubleCheck:
         records = [detector.step(v) for v in series]
         assert detector.retrain_count == 0
         assert all(r.verdict is not Verdict.ANOMALY for r in records)
-        assert all(a == 0.0 for a in detector.aare_history)
+        assert all(r.aare is None or r.aare == 0.0 for r in records)
 
     def test_recovered_recheck_swaps_model_and_stores_recomputed_error(self):
         series = self._series()
@@ -192,8 +198,13 @@ class TestDoubleCheck:
         assert detector.retrain_count == 1
         # the candidate model replaced the old one
         assert detector.model is not model_before
-        # recomputed (perfect) error was stored in place of the bad one
-        assert detector.aare_history[record.time_index - (2 * self.B - 1)] == 0.0
+        # the recomputed (perfect) error is the point's score, and it entered
+        # every later threshold in place of the bad one
+        assert record.aare == 0.0
+        aares = [r.aare for r in records if r.aare is not None]
+        for later in records[self.SABOTAGE_T + 1 :]:
+            prefix = aares[: later.time_index - (2 * self.B - 1) + 1]
+            assert later.threshold == scoring.threshold(prefix)
         # the record carries the corrected forecast
         assert record.predicted == pytest.approx(series[self.SABOTAGE_T])
         assert all(r.verdict is not Verdict.ANOMALY for r in records)
@@ -247,7 +258,6 @@ class TestReplayDeterminism:
         first, det_a = run()
         second, det_b = run()
         assert det_a.retrain_count == det_b.retrain_count
-        assert det_a.aare_history == det_b.aare_history
         for rec_a, rec_b in zip(first, second):
             assert rec_a.verdict == rec_b.verdict
             assert rec_a.predicted == rec_b.predicted
@@ -256,21 +266,74 @@ class TestReplayDeterminism:
             assert rec_a.retrained == rec_b.retrained
 
 
+class TestEngineFailure:
+    """An engine that raises leaves the detector as if the point never came."""
+
+    B = 3
+    SPIKE_T = 20
+
+    def _series(self):
+        rng = np.random.default_rng(55)
+        series = 50 + 3 * np.sin(np.arange(30) / 4) + rng.normal(0, 0.3, 30)
+        series[self.SPIKE_T] += 200.0
+        return series
+
+    # Engine calls with b = 3: train at t = 2..6 (warm-up, bootstrap) and
+    # on each recheck; predict at every t >= 2, a recheck's before t's own.
+    @pytest.mark.parametrize(
+        "method,call,failed_t",
+        [
+            ("train", 1, 2),  # warm-up
+            ("train", 4, 5),  # bootstrap
+            ("predict", 6, 7),  # the first detecting forecast
+            ("train", 6, SPIKE_T),  # the recheck train
+            ("predict", SPIKE_T - 1, SPIKE_T),  # the recheck predict
+        ],
+    )
+    def test_failed_point_leaves_no_trace(self, method, call, failed_t):
+        series = self._series()
+        config = DetectorConfig(look_back=self.B, lstm=FAST_LSTM)
+        unfailing = Detector(config)
+        rechecked = [t for t, v in enumerate(series) if unfailing.step(v).retrained]
+        assert rechecked == [self.SPIKE_T]
+
+        detector = Detector(config, engine=FailingEngine(LstmEngine(FAST_LSTM), method, call))
+        records, failed = [], []
+        for t, value in enumerate(series):
+            try:
+                records.append(detector.step(value))
+            except EngineFailure:
+                failed.append(t)
+        assert failed == [failed_t]
+
+        twin = Detector(config)
+        expected = [twin.step(v) for t, v in enumerate(series) if t != failed_t]
+        assert without_timing(records) == without_timing(expected)
+        assert detector.retrain_count == twin.retrain_count
+
+
 class TestThresholdBookkeeping:
     def test_running_threshold_matches_pure_function(self):
         rng = np.random.default_rng(13)
         series = np.cumsum(rng.normal(0, 2, 80)) + 60
-        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
-        records = [detector.step(v) for v in series]
-        b = detector.config.look_back
-        aares = [r.aare for r in records if r.aare is not None]
-        for record in records:
-            if record.threshold is None or record.retrained:
-                continue
-            prefix = aares[: record.time_index - (2 * b - 1) + 1]
-            assert record.threshold == pytest.approx(
-                scoring.threshold(prefix), rel=1e-9, abs=1e-12
-            )
+        # Scores of about 1e4 whose spread is 3e-4: the variance is 1e-15 of
+        # the mean square, below what raw sums of squares can resolve.
+        large = np.random.default_rng(21).uniform(1, 2, 5000)
+        cases = [
+            (series, Detector(DetectorConfig(lstm=FAST_LSTM))),
+            (large, Detector(DetectorConfig(), engine=LargeErrorEngine(large, 3))),
+        ]
+        for values, detector in cases:
+            records = [detector.step(v) for v in values]
+            b = detector.config.look_back
+            aares = [r.aare for r in records if r.aare is not None]
+            for record in records:
+                if record.threshold is None or record.retrained:
+                    continue
+                prefix = aares[: record.time_index - (2 * b - 1) + 1]
+                assert record.threshold == pytest.approx(
+                    scoring.threshold(prefix), rel=1e-9, abs=1e-12
+                )
 
     def test_engine_epoch_accounting(self):
         engine = LstmEngine(FAST_LSTM)

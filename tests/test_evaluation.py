@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -74,6 +74,16 @@ class TestLeadTime:
     def test_anomaly_without_timestamp_rejected(self):
         with pytest.raises(DataError):
             lead_time([make_record(0, timestamp=None, verdict=Verdict.ANOMALY)], [T0])
+
+    def test_aware_records_against_naive_labels_rejected(self):
+        aware = T0.replace(tzinfo=timezone.utc)
+        with pytest.raises(DataError, match="timezone"):
+            lead_time([normal_at(aware), anomaly_at(aware + MIN, index=1)], [T0])
+
+    def test_records_mixing_aware_and_naive_rejected(self):
+        records = [anomaly_at(T0.replace(tzinfo=timezone.utc)), anomaly_at(T0 + MIN, index=1)]
+        with pytest.raises(DataError, match="timezone"):
+            false_warnings(records, [])
 
 
 class TestAttribution:
@@ -195,4 +205,5 @@ class TestEvaluateRun:
         assert summary.lead_times[0].lead_minutes == pytest.approx(1000 - 150 * 5)
         assert summary.false_warning_count == 0
         assert summary.retraining_ratio == pytest.approx(2 / 295)
+        assert (summary.retrain_count, summary.eligible_points) == (2, 295)
         assert summary.avg_decision_time == pytest.approx(0.002)
