@@ -17,15 +17,11 @@ from .detector import (
     phase_of,
 )
 from .data_io import (
-    AnomalyEvent,
     LabelSet,
     Observation,
-    RunSummary,
     read_labels,
     read_report,
     read_series,
-    summarize_run,
-    write_report,
     write_summary,
 )
 from .errors import (
@@ -40,11 +36,11 @@ from .evaluation import (
     EvaluationSummary,
     LeadStatus,
     LeadTimeResult,
+    RunSummary,
     evaluate_run,
     false_warnings,
     lead_time,
-    retraining_ratio,
-    timing_stats,
+    summarize_run,
 )
 from .forecaster import LstmConfig, LstmModel, TrainOutcome, init_model, predict_next, train
 from .scoring import aare, threshold
@@ -52,7 +48,6 @@ from .scoring import aare, threshold
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyEvent",
     "ConfigError",
     "DataError",
     "DatasetKeyError",
@@ -85,11 +80,8 @@ __all__ = [
     "read_labels",
     "read_report",
     "read_series",
-    "retraining_ratio",
     "summarize_run",
     "threshold",
-    "timing_stats",
     "train",
-    "write_report",
     "write_summary",
 ]

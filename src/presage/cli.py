@@ -12,13 +12,14 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .data_io import read_labels, read_report, read_series, ReportWriter, summarize_run, write_summary
+from .data_io import read_labels, read_report, read_series, ReportWriter, write_summary
 from .detector import Detector, DetectorConfig, Phase, Verdict
 from .errors import ConfigError, PresageError
 from .evaluation import (
     DEFAULT_GRACE_MINUTES,
     DEFAULT_PRE_WINDOW_MINUTES,
     evaluate_run,
+    summarize_run,
 )
 from .forecaster import LstmConfig
 from .scoring import DEFAULT_EPSILON
@@ -147,8 +148,8 @@ def run_detect(args: argparse.Namespace) -> int:
                     f"value={record.value}"
                 )
 
-    summary = summarize_run(records, config)
-    write_summary(summary, summary_path)
+    summary = summarize_run(records, config.look_back)
+    write_summary(summary, config, summary_path)
     print(
         f"processed {summary.total_points} points: "
         f"{len(summary.anomalies)} anomalies, "
@@ -193,13 +194,14 @@ def run_evaluate(args: argparse.Namespace) -> int:
             )
         print(line)
     print(f"false warnings: {summary.false_warning_count}")
+    run = summary.run
     print(
-        f"retraining ratio: {summary.retraining_ratio:.2%} "
-        f"({summary.retrain_count}/{summary.eligible_points})"
+        f"retraining ratio: {run.retraining_ratio:.2%} "
+        f"({run.retrain_count}/{run.eligible_points})"
     )
     print(
-        f"decision time: avg {summary.avg_decision_time:.4f} s, "
-        f"std {summary.std_decision_time:.4f} s"
+        f"decision time: avg {run.avg_decision_time:.4f} s, "
+        f"std {run.std_decision_time:.4f} s"
     )
     print(f"summary: {summary_path}")
     return 0
@@ -221,9 +223,9 @@ def _write_evaluation(summary, args, look_back: int, path: Path):
             for r in summary.lead_times
         ],
         "false_warnings": summary.false_warning_count,
-        "retraining_ratio": summary.retraining_ratio,
-        "avg_decision_time_s": summary.avg_decision_time,
-        "std_decision_time_s": summary.std_decision_time,
+        "retraining_ratio": summary.run.retraining_ratio,
+        "avg_decision_time_s": summary.run.avg_decision_time,
+        "std_decision_time_s": summary.run.std_decision_time,
         "params": {
             "pre_window_minutes": args.pre_window,
             "grace_minutes": args.grace,

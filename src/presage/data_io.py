@@ -14,7 +14,9 @@ File formats (all documented here, bit-exactly):
   retrained,decision_time_s``. Fields that are undefined for the row's
   phase are left empty. Floats use shortest round-trip repr, so a report
   read back yields the records it was written from.
-* Run summary: JSON mirroring ``RunSummary``.
+* Run summary: JSON of an ``evaluation.RunSummary`` (its retraining
+  ratio included, anomalies as index and timestamp) plus the detector
+  config it came from.
 """
 
 from __future__ import annotations
@@ -28,23 +30,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .detector import DetectionRecord, DetectorConfig, Phase, Verdict
 from .errors import DataError, DatasetKeyError
-from .evaluation import retrain_accounting, timing_stats
+from .evaluation import RunSummary
 
 __all__ = [
     "Observation",
     "LabelSet",
-    "AnomalyEvent",
-    "RunSummary",
     "read_series",
     "read_labels",
     "ReportWriter",
-    "write_report",
     "read_report",
-    "summarize_run",
     "write_summary",
 ]
 
@@ -76,28 +73,6 @@ class LabelSet:
     dataset_key: str
     anomaly_timestamps: list[datetime]
     sign_timestamps: list[datetime] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class AnomalyEvent:
-    index: int
-    timestamp: datetime | None
-
-
-@dataclass
-class RunSummary:
-    """Aggregate outcome of one detection run."""
-
-    total_points: int
-    retrain_count: int
-    eligible_points: int
-    retraining_ratio: float
-    avg_decision_time: float
-    std_decision_time: float
-    anomalies: list[AnomalyEvent]
-    look_back: int
-    seed: int
-    epsilon: float
 
 
 def _parse_timestamp(text: str, context: str) -> datetime:
@@ -297,12 +272,6 @@ class ReportWriter:
         self.close()
 
 
-def write_report(records: Iterable[DetectionRecord], path: str | Path):
-    with ReportWriter(path) as writer:
-        for record in records:
-            writer.write(record)
-
-
 def _parse_optional_float(text: str) -> float | None:
     return float(text) if text else None
 
@@ -341,36 +310,7 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
     return records
 
 
-def summarize_run(records: Sequence[DetectionRecord], config: DetectorConfig) -> RunSummary:
-    """Aggregate a completed run into a ``RunSummary``.
-
-    The retraining ratio divides retrain count by the number of points
-    past the preparation ramp; for runs too short to leave the ramp it
-    is reported as 0.
-    """
-    retrains, eligible = retrain_accounting(records, config.look_back)
-    ratio = retrains / eligible if eligible else 0.0
-    avg, std = timing_stats(records) if records else (0.0, 0.0)
-    anomalies = [
-        AnomalyEvent(r.time_index, r.timestamp)
-        for r in records
-        if r.verdict is Verdict.ANOMALY
-    ]
-    return RunSummary(
-        total_points=len(records),
-        retrain_count=retrains,
-        eligible_points=eligible,
-        retraining_ratio=ratio,
-        avg_decision_time=avg,
-        std_decision_time=std,
-        anomalies=anomalies,
-        look_back=config.look_back,
-        seed=config.lstm.seed,
-        epsilon=config.epsilon,
-    )
-
-
-def write_summary(summary: RunSummary, path: str | Path):
+def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path):
     payload = {
         "total_points": summary.total_points,
         "retrain_count": summary.retrain_count,
@@ -379,14 +319,14 @@ def write_summary(summary: RunSummary, path: str | Path):
         "avg_decision_time_s": summary.avg_decision_time,
         "std_decision_time_s": summary.std_decision_time,
         "anomalies": [
-            {"index": event.index, "timestamp": _format_cell(event.timestamp) or None}
-            for event in summary.anomalies
+            {"index": record.time_index, "timestamp": _format_cell(record.timestamp) or None}
+            for record in summary.anomalies
         ],
         "config": {
-            "look_back": summary.look_back,
+            "look_back": config.look_back,
             "predict_forward": 1,
-            "seed": summary.seed,
-            "epsilon": summary.epsilon,
+            "seed": config.lstm.seed,
+            "epsilon": config.epsilon,
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

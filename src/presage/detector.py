@@ -130,18 +130,14 @@ class LstmEngine:
     """Default engine: a fresh from-scratch LSTM per training call.
 
     Every call trains from the same seed in the config, which keeps
-    whole-stream replays bit-reproducible. ``epoch_counts`` records the
-    epochs used by each training call, in order.
+    whole-stream replays bit-reproducible.
     """
 
     def __init__(self, config: LstmConfig | None = None):
         self.config = config if config is not None else LstmConfig()
-        self.epoch_counts: list[int] = []
 
     def train(self, window: Sequence[float]) -> forecaster.LstmModel:
-        outcome = forecaster.train(window, self.config)
-        self.epoch_counts.append(outcome.epochs_used)
-        return outcome.model
+        return forecaster.train(window, self.config).model
 
     def predict(self, model: forecaster.LstmModel, window: Sequence[float]) -> float:
         return forecaster.predict_next(model, window)
@@ -199,21 +195,23 @@ class Detector:
     def step(self, value: float, timestamp: datetime | None = None) -> DetectionRecord:
         """Ingest one observation and return the decision for it.
 
-        All or nothing: ``DataError`` for a non-finite value,
+        All or nothing: ``DataError`` for a non-finite value or for a
+        timestamp whose timezone awareness differs from the previous one's,
         ``OrderingError`` for a timestamp behind the previous one, and any
         exception an engine raises leave the detector as it was.
         """
         value = float(value)
         if not math.isfinite(value):
             raise DataError(f"observation at t={self._t + 1} is not finite: {value}")
-        if (
-            timestamp is not None
-            and self._last_timestamp is not None
-            and timestamp < self._last_timestamp
-        ):
-            raise OrderingError(
-                f"timestamp {timestamp} precedes previous {self._last_timestamp}"
-            )
+        previous = self._last_timestamp
+        if timestamp is not None and previous is not None:
+            if (timestamp.utcoffset() is None) != (previous.utcoffset() is None):
+                raise DataError(
+                    f"timestamp {timestamp} mixes timezone-aware and naive "
+                    f"timestamps (previous was {previous})"
+                )
+            if timestamp < previous:
+                raise OrderingError(f"timestamp {timestamp} precedes previous {previous}")
 
         started = time.perf_counter()
         t = self._t + 1

@@ -1,4 +1,8 @@
-"""Scoring a detection run against expert labels.
+"""Accounting for a detection run and scoring it against expert labels.
+
+``summarize_run`` is the one place that accounts for a run: its points,
+retrains, anomalies and decision times, from which the retraining ratio
+follows.
 
 The central idea is lead time: for each labeled anomaly instant T we
 look for the earliest anomaly report inside an evaluation window
@@ -15,20 +19,19 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .detector import DetectionRecord, Verdict
+from .detector import DetectionRecord, Verdict, _welford_add
 from .errors import DataError, OrderingError, StateError
 
 __all__ = [
     "LeadStatus",
     "LeadTimeResult",
+    "RunSummary",
     "EvaluationSummary",
     "lead_time",
     "false_warnings",
-    "retrain_accounting",
-    "retraining_ratio",
-    "timing_stats",
+    "summarize_run",
     "evaluate_run",
 ]
 
@@ -52,14 +55,32 @@ class LeadTimeResult:
 
 
 @dataclass
-class EvaluationSummary:
-    lead_times: list[LeadTimeResult]
-    false_warning_count: int
-    retraining_ratio: float
+class RunSummary:
+    """Aggregate outcome of one detection run.
+
+    ``eligible_points`` counts the points past the preparation ramp of
+    ``2*look_back - 1`` points; ``anomalies`` holds the anomaly records.
+    Decision times are in seconds, their std the population one.
+    """
+
+    total_points: int
     retrain_count: int
     eligible_points: int
     avg_decision_time: float
     std_decision_time: float
+    anomalies: list[DetectionRecord]
+
+    @property
+    def retraining_ratio(self) -> float:
+        """Retrains per eligible point; 0 for a run that never left the ramp."""
+        return self.retrain_count / self.eligible_points if self.eligible_points else 0.0
+
+
+@dataclass
+class EvaluationSummary:
+    lead_times: list[LeadTimeResult]
+    false_warning_count: int
+    run: RunSummary
 
 
 def _anomaly_records(
@@ -135,6 +156,12 @@ def lead_time(
     A label with no attributed report is ``MISSED``.
     """
     buckets, _ = _attribute(records, labels, pre_window_minutes, grace_minutes)
+    return _lead_times(buckets, labels)
+
+
+def _lead_times(
+    buckets: dict[int, list[DetectionRecord]], labels: Sequence[datetime]
+) -> list[LeadTimeResult]:
     results = []
     for i, instant in enumerate(labels):
         matched = buckets[i]
@@ -164,34 +191,33 @@ def false_warnings(
     return len(unmatched)
 
 
-def retrain_accounting(records: Sequence[DetectionRecord], look_back: int) -> tuple[int, int]:
-    """Retrain count, and the points past the preparation ramp of
-    ``2*look_back - 1`` points (0 for a run that never left it)."""
-    eligible = max(0, len(records) - (2 * look_back - 1))
-    return sum(1 for r in records if r.retrained), eligible
+def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSummary:
+    """Account for a run in one pass over its records: points, retrains,
+    anomalies, and the decision-time mean and std (Welford's update).
 
-
-def retraining_ratio(records: Sequence[DetectionRecord], look_back: int) -> float:
-    """Retrains divided by the points past the preparation ramp."""
-    retrains, eligible = retrain_accounting(records, look_back)
-    if not eligible:
-        raise StateError(
-            f"run of {len(records)} points never left the preparation ramp "
-            f"(needs more than {2 * look_back - 1})"
-        )
-    return retrains / eligible
-
-
-def timing_stats(records: Sequence[DetectionRecord]) -> tuple[float, float]:
-    """Mean and population stddev of per-point decision time, seconds."""
-    if not records:
-        raise StateError("cannot compute timing statistics of an empty run")
-    times = [r.decision_time for r in records]
-    if any(t < 0 for t in times):
-        raise DataError("decision times must be non-negative")
-    mean = sum(times) / len(times)
-    variance = sum((t - mean) ** 2 for t in times) / len(times)
-    return mean, math.sqrt(variance)
+    A negative decision time is a ``DataError``.
+    """
+    retrains = 0
+    timing = (0, 0.0, 0.0)
+    anomalies = []
+    for record in records:
+        if record.decision_time < 0:
+            raise DataError(
+                f"record at index {record.time_index}: decision times must be non-negative"
+            )
+        retrains += record.retrained
+        timing = _welford_add(timing, record.decision_time)
+        if record.verdict is Verdict.ANOMALY:
+            anomalies.append(record)
+    total, mean, m2 = timing
+    return RunSummary(
+        total_points=total,
+        retrain_count=retrains,
+        eligible_points=max(0, total - (2 * look_back - 1)),
+        avg_decision_time=mean,
+        std_decision_time=math.sqrt(m2 / total) if total else 0.0,
+        anomalies=anomalies,
+    )
 
 
 def evaluate_run(
@@ -202,15 +228,13 @@ def evaluate_run(
     grace_minutes: float = DEFAULT_GRACE_MINUTES,
 ) -> EvaluationSummary:
     """Full scoreboard for one run: per-label lead times, false warnings,
-    retraining ratio, and timing statistics."""
-    avg, std = timing_stats(records)
-    retrains, eligible = retrain_accounting(records, look_back)
-    return EvaluationSummary(
-        lead_times=lead_time(records, labels, pre_window_minutes, grace_minutes),
-        false_warning_count=false_warnings(records, labels, pre_window_minutes, grace_minutes),
-        retraining_ratio=retraining_ratio(records, look_back),
-        retrain_count=retrains,
-        eligible_points=eligible,
-        avg_decision_time=avg,
-        std_decision_time=std,
-    )
+    and the run summary. A run that never left the preparation ramp (an
+    empty one included) has no retraining ratio: ``StateError``."""
+    run = summarize_run(records, look_back)
+    buckets, unmatched = _attribute(records, labels, pre_window_minutes, grace_minutes)
+    if not run.eligible_points:
+        raise StateError(
+            f"run of {run.total_points} points never left the preparation ramp "
+            f"(needs more than {2 * look_back - 1})"
+        )
+    return EvaluationSummary(_lead_times(buckets, labels), len(unmatched), run)

@@ -25,11 +25,8 @@ __all__ = [
     "LstmModel",
     "TrainOutcome",
     "init_model",
-    "forward",
     "train",
     "predict_next",
-    "normalize",
-    "denormalize",
 ]
 
 # Windows with a standard deviation at or below this are treated as
@@ -127,14 +124,6 @@ def init_model(config: LstmConfig) -> LstmModel:
     )
 
 
-def normalize(values: np.ndarray, mean: float, std: float) -> np.ndarray:
-    return (np.asarray(values, dtype=float) - mean) / std
-
-
-def denormalize(values: np.ndarray, mean: float, std: float) -> np.ndarray:
-    return np.asarray(values, dtype=float) * std + mean
-
-
 @lru_cache(maxsize=8)
 def _gate_affine(h: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(scale, offset)`` of the fused gate activation.
@@ -188,21 +177,6 @@ def _run(model: LstmModel, inputs: np.ndarray):
         )
     outputs = hiddens[1:] @ model.w_out + model.b_out
     return acts, cells, tanh_cells, hiddens, outputs
-
-
-def forward(model: LstmModel, inputs: Sequence[float]) -> np.ndarray:
-    """Run the recurrence over normalized inputs, one forecast per step.
-
-    Output k is the model's (normalized) forecast of the value that
-    follows input k. The recurrence always starts from zero hidden and
-    cell state.
-    """
-    arr = np.asarray(inputs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("inputs must be a non-empty one-dimensional sequence")
-    if not np.isfinite(arr).all():
-        raise DataError("inputs must be finite")
-    return _run(model, arr)[-1]
 
 
 def _loss_and_grads(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
@@ -269,7 +243,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     std = float(raw.std())
     if std <= _CONSTANT_STD:
         std = 1.0
-    normed = normalize(raw, mean, std)
+    normed = (raw - mean) / std
     inputs = normed[:-1]
     targets = normed[1:]
 
@@ -297,7 +271,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
         if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
             break
 
-    final_preds = forward(model, inputs)
+    final_preds = _run(model, inputs)[-1]
     final_loss = float(np.mean((final_preds - targets) ** 2))
     return TrainOutcome(model=model, epochs_used=epochs_used, final_loss=final_loss)
 

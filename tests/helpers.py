@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from presage.detector import DetectionRecord, Phase, Verdict
+from presage import forecaster
+from presage.data_io import ReportWriter
+from presage.detector import DetectionRecord, LstmEngine, Phase, Verdict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LABELS_PATH = REPO_ROOT / "data" / "labels" / "combined_labels.json"
@@ -73,6 +75,13 @@ def write_series_csv(path, values, start: datetime = SPIKE_START, step: timedelt
         writer.writerow(["timestamp", "value"])
         for k, value in enumerate(values):
             writer.writerow([(start + k * step).isoformat(sep=" "), repr(float(value))])
+
+
+def write_records(records, path):
+    """Write ``records`` as a report CSV."""
+    with ReportWriter(path) as writer:
+        for record in records:
+            writer.write(record)
 
 
 def aare_oracle(observed, predicted, epsilon=1e-8) -> float:
@@ -240,6 +249,19 @@ class LargeErrorEngine(PerfectEngine):
     def predict(self, model, window):
         window = tuple(float(v) for v in window)
         return self._next_value[window] * (1.0 + self._miss[window])
+
+
+class RecordingEngine(LstmEngine):
+    """``LstmEngine`` that keeps the epochs each training call used, in order."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.epoch_counts: list[int] = []
+
+    def train(self, window):
+        outcome = forecaster.train(window, self.config)
+        self.epoch_counts.append(outcome.epochs_used)
+        return outcome.model
 
 
 class EngineFailure(RuntimeError):

@@ -15,8 +15,8 @@ import pytest
 
 from presage.cli import main
 from presage.data_io import read_labels, read_series
-from presage.detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict, phase_of
-from presage.evaluation import LeadStatus, lead_time, retraining_ratio, timing_stats
+from presage.detector import Detector, DetectorConfig, Phase, Verdict, phase_of
+from presage.evaluation import LeadStatus, lead_time, summarize_run
 from presage.forecaster import LstmConfig, _loss_and_grads
 from presage.scoring import aare, threshold
 
@@ -26,6 +26,7 @@ from helpers import (
     LABELS_PATH,
     MTSF_KEY,
     PerfectEngine,
+    RecordingEngine,
     SPIKE_SHIFT_INDEX,
     aare_oracle,
     cpu_b3b_path,
@@ -49,7 +50,7 @@ requires_mtsf = pytest.mark.skipif(
 
 def replay(path, seed=DETECTOR_SEED):
     observations = read_series(path)
-    engine = LstmEngine(LstmConfig(seed=seed))
+    engine = RecordingEngine(LstmConfig(seed=seed))
     detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
     started = time.perf_counter()
     records = [detector.step(obs.value, obs.timestamp) for obs in observations]
@@ -79,9 +80,10 @@ def test_criterion_1_cpu_b3b_replay(cpu_replay):
             f"label {result.label_timestamp} has status {result.status.value}"
         )
 
-    ratio = retraining_ratio(records, detector.config.look_back)
+    run = summarize_run(records, detector.config.look_back)
+    ratio = run.retraining_ratio
     assert ratio <= 0.03
-    avg_decision, _ = timing_stats(records)
+    avg_decision = run.avg_decision_time
     assert avg_decision < 0.1
     assert elapsed < 600
     print(
@@ -104,7 +106,7 @@ def test_criterion_2_mtsf_replay(mtsf_replay):
     first = results[0]
     assert first.status is LeadStatus.PROACTIVE and first.lead_minutes >= 60
 
-    ratio = retraining_ratio(records, detector.config.look_back)
+    ratio = summarize_run(records, detector.config.look_back).retraining_ratio
     assert ratio <= 0.03
 
     second_anomaly = labels.anomaly_timestamps[1]
@@ -277,7 +279,7 @@ def test_criterion_8_cpu_b3b_determinism(tmp_path):
 def _spike_replay():
     values = spike_values()
     stamps = spike_timestamps()
-    engine = LstmEngine(LstmConfig(seed=DETECTOR_SEED))
+    engine = RecordingEngine(LstmConfig(seed=DETECTOR_SEED))
     detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
     records = [detector.step(v, ts) for v, ts in zip(values, stamps)]
     return records, detector, engine

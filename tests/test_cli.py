@@ -1,18 +1,21 @@
 import csv
 import json
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from presage.cli import main
-from presage.data_io import read_report
-from presage.detector import Verdict
+from presage.data_io import read_report, write_summary
+from presage.detector import DetectorConfig, Verdict, phase_of
+from presage.evaluation import summarize_run
 
 from helpers import (
     SPIKE_SHIFT_INDEX,
     SPIKE_START,
+    make_record,
     spike_timestamps,
     spike_values,
+    write_records,
     write_series_csv,
 )
 
@@ -192,3 +195,96 @@ class TestEvaluate:
         )
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
+
+    def test_report_shorter_than_the_ramp_exits_one(self, tmp_path, spike_report, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("".join(spike_report.read_text().splitlines(keepends=True)[:5]))
+        labels = tmp_path / "labels.json"
+        labels.write_text("[]")
+        capsys.readouterr()
+        code = main(["evaluate", "--report", str(short), "--labels", str(labels)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "preparation ramp" in err and "Traceback" not in err
+
+
+GOLDEN_START = datetime(2021, 6, 1)
+GOLDEN_TICK = timedelta(minutes=5)
+
+# What ``write_summary`` and ``evaluate`` write for ``golden_records``, less
+# the decision-time fields, whose last bits depend on the summation order.
+GOLDEN_SUMMARY = {
+    "total_points": 12,
+    "retrain_count": 3,
+    "eligible_points": 7,
+    "retraining_ratio": 0.42857142857142855,
+    "anomalies": [
+        {"index": 8, "timestamp": "2021-06-01 00:40:00"},
+        {"index": 10, "timestamp": "2021-06-01 00:50:00"},
+    ],
+    "config": {"look_back": 3, "predict_forward": 1, "seed": 42, "epsilon": 1e-08},
+}
+GOLDEN_EVALUATION = {
+    "labels": [
+        {
+            "label_timestamp": "2021-06-01 00:45:00",
+            "first_report_timestamp": "2021-06-01 00:40:00",
+            "lead_minutes": 5.0,
+            "status": "proactive",
+        },
+        {
+            "label_timestamp": "2021-06-02 00:00:00",
+            "first_report_timestamp": None,
+            "lead_minutes": None,
+            "status": "missed",
+        },
+    ],
+    "false_warnings": 1,
+    "retraining_ratio": 0.42857142857142855,
+    "params": {
+        "pre_window_minutes": 10.0,
+        "grace_minutes": 3.0,
+        "look_back": 3,
+        "dataset_key": None,
+    },
+}
+DECISION_TIME_KEYS = {"avg_decision_time_s", "std_decision_time_s"}
+
+
+def golden_records():
+    """12 points at b = 3: anomalies at 8 and 10, rechecks at 8, 9 and 10."""
+    return [
+        make_record(
+            k,
+            timestamp=GOLDEN_START + k * GOLDEN_TICK,
+            value=50.0 + k,
+            phase=phase_of(k, 3),
+            verdict=(
+                Verdict.PENDING if k < 7 else (Verdict.ANOMALY if k in (8, 10) else Verdict.NORMAL)
+            ),
+            retrained=k in (8, 9, 10),
+            decision_time=0.001 * (k + 1),
+        )
+        for k in range(12)
+    ]
+
+
+def test_summary_and_evaluation_json_golden(tmp_path):
+    records = golden_records()
+    summary_path = tmp_path / "summary.json"
+    write_summary(summarize_run(records, 3), DetectorConfig(), summary_path)
+    summary = json.loads(summary_path.read_text())
+    assert set(summary) == set(GOLDEN_SUMMARY) | DECISION_TIME_KEYS
+    assert {k: v for k, v in summary.items() if k not in DECISION_TIME_KEYS} == GOLDEN_SUMMARY
+
+    report = tmp_path / "report.csv"
+    write_records(records, report)
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(["2021-06-01 00:45:00", "2021-06-02 00:00:00"]))
+    evaluation_path = tmp_path / "eval.json"
+    argv = ["evaluate", "--report", str(report), "--labels", str(labels),
+            "--pre-window", "10", "--grace", "3", "--summary", str(evaluation_path)]
+    assert main(argv) == 0
+    evaluation = json.loads(evaluation_path.read_text())
+    assert set(evaluation) == set(GOLDEN_EVALUATION) | DECISION_TIME_KEYS
+    assert {k: v for k, v in evaluation.items() if k not in DECISION_TIME_KEYS} == GOLDEN_EVALUATION

@@ -12,15 +12,20 @@ from presage.data_io import (
     read_labels,
     read_report,
     read_series,
-    RunSummary,
-    summarize_run,
-    write_report,
     write_summary,
 )
 from presage.detector import DetectorConfig, Phase, Verdict
 from presage.errors import DataError, DatasetKeyError
+from presage.evaluation import summarize_run
 
-from helpers import CPU_B3B_KEY, LABELS_PATH, MTSF_KEY, make_record, write_series_csv
+from helpers import (
+    CPU_B3B_KEY,
+    LABELS_PATH,
+    MTSF_KEY,
+    make_record,
+    write_records,
+    write_series_csv,
+)
 
 
 class TestReadSeries:
@@ -244,18 +249,18 @@ class TestReport:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "report.csv"
         records = sample_records()
-        write_report(records, path)
+        write_records(records, path)
         assert read_report(path) == records
 
     def test_row_count(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report(sample_records(), path)
+        write_records(sample_records(), path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 11  # header + one row per record
 
     def test_pending_rows_have_empty_score_fields(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report(sample_records(), path)
+        write_records(sample_records(), path)
         first_data_row = path.read_text().splitlines()[1].split(",")
         # predicted, aare, threshold are all undefined at t = 0
         assert first_data_row[3] == "" and first_data_row[4] == "" and first_data_row[5] == ""
@@ -274,7 +279,7 @@ class TestSummary:
             make_record(k, retrained=(k < 38), decision_time=0.002)
             for k in range(4032)
         ]
-        summary = summarize_run(records, DetectorConfig(look_back=3))
+        summary = summarize_run(records, look_back=3)
         assert summary.retrain_count == 38
         assert summary.eligible_points == 4027
         assert summary.retraining_ratio == pytest.approx(38 / 4027)
@@ -290,19 +295,19 @@ class TestSummary:
             )
             for k in range(12)
         ]
-        summary = summarize_run(records, DetectorConfig())
-        assert [event.index for event in summary.anomalies] == [7, 9]
+        summary = summarize_run(records, look_back=3)
+        assert [record.time_index for record in summary.anomalies] == [7, 9]
 
     def test_short_run_reports_zero_ratio(self):
         records = [make_record(k, phase=Phase.COLLECTING, verdict=Verdict.PENDING) for k in range(3)]
-        summary = summarize_run(records, DetectorConfig(look_back=3))
+        summary = summarize_run(records, look_back=3)
         assert summary.retraining_ratio == 0.0
         assert summary.eligible_points == 0
 
     def test_json_shape(self, tmp_path):
-        summary = summarize_run(sample_records(), DetectorConfig())
+        summary = summarize_run(sample_records(), look_back=3)
         path = tmp_path / "summary.json"
-        write_summary(summary, path)
+        write_summary(summary, DetectorConfig(), path)
         payload = json.loads(path.read_text())
         assert payload["config"] == {
             "look_back": 3,

@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from helpers import (
     FailingEngine,
     LargeErrorEngine,
     PerfectEngine,
+    RecordingEngine,
     ScriptedEngine,
     without_timing,
 )
@@ -158,6 +159,28 @@ class TestStepValidation:
         # duplicates are fine (index-based semantics)
         record = detector.step(2.0, t0)
         assert record.time_index == 1
+
+    @pytest.mark.parametrize("aware_first", [False, True])
+    def test_mixed_timezone_awareness_leaves_no_trace(self, aware_first):
+        failed_t = 9
+        series = 50 + 3 * np.sin(np.arange(20) / 4)
+        tz = timezone.utc if aware_first else None
+        stamps = [datetime(2021, 1, 1, tzinfo=tz) + k * timedelta(minutes=5) for k in range(20)]
+        config = DetectorConfig(lstm=FAST_LSTM)
+        detector = Detector(config)
+        records = []
+        for t, (value, stamp) in enumerate(zip(series, stamps)):
+            if t == failed_t:
+                other = stamp.replace(tzinfo=None if aware_first else timezone.utc)
+                with pytest.raises(DataError, match="timezone-aware and naive"):
+                    detector.step(value, other)
+            else:
+                records.append(detector.step(value, stamp))
+
+        twin = Detector(config)
+        expected = [twin.step(v, s) for t, (v, s) in enumerate(zip(series, stamps)) if t != failed_t]
+        assert without_timing(records) == without_timing(expected)
+        assert detector.retrain_count == twin.retrain_count
 
 
 class TestDoubleCheck:
@@ -336,7 +359,7 @@ class TestThresholdBookkeeping:
                 )
 
     def test_engine_epoch_accounting(self):
-        engine = LstmEngine(FAST_LSTM)
+        engine = RecordingEngine(FAST_LSTM)
         detector = Detector(DetectorConfig(lstm=FAST_LSTM), engine=engine)
         rng = np.random.default_rng(3)
         for v in rng.uniform(20, 80, 25):

@@ -10,8 +10,7 @@ from presage.evaluation import (
     evaluate_run,
     false_warnings,
     lead_time,
-    retraining_ratio,
-    timing_stats,
+    summarize_run,
 )
 
 from helpers import make_record
@@ -152,39 +151,53 @@ class TestFalseWarnings:
 class TestRetrainingRatio:
     def test_reference_denominators(self):
         records = [make_record(k, retrained=k < 38) for k in range(4032)]
-        assert retraining_ratio(records, 3) == pytest.approx(38 / 4027)
+        assert summarize_run(records, 3).retraining_ratio == pytest.approx(38 / 4027)
         records = [make_record(k, retrained=k < 134) for k in range(22695)]
-        assert retraining_ratio(records, 3) == pytest.approx(134 / 22690)
-        assert retraining_ratio(records, 3) == pytest.approx(0.0059, abs=2e-4)
+        summary = summarize_run(records, 3)
+        assert summary.retraining_ratio == pytest.approx(134 / 22690)
+        assert summary.retraining_ratio == pytest.approx(0.0059, abs=2e-4)
 
     def test_zero_retrains(self):
         records = [make_record(k) for k in range(100)]
-        assert retraining_ratio(records, 3) == 0.0
+        assert summarize_run(records, 3).retraining_ratio == 0.0
 
     def test_run_shorter_than_ramp(self):
         records = [make_record(k) for k in range(5)]
+        assert summarize_run(records, 3).retraining_ratio == 0.0
         with pytest.raises(StateError):
-            retraining_ratio(records, 3)
+            evaluate_run(records, [T0], look_back=3)
 
 
 class TestTimingStats:
     def test_constant_times(self):
         records = [make_record(k, decision_time=0.02) for k in range(5)]
-        assert timing_stats(records) == pytest.approx((0.02, 0.0))
+        summary = summarize_run(records, 3)
+        assert (summary.avg_decision_time, summary.std_decision_time) == pytest.approx(
+            (0.02, 0.0)
+        )
 
     def test_two_values(self):
         records = [make_record(0, decision_time=0.01), make_record(1, decision_time=0.03)]
-        avg, std = timing_stats(records)
-        assert avg == pytest.approx(0.02)
-        assert std == pytest.approx(0.01)
+        summary = summarize_run(records, 3)
+        assert summary.avg_decision_time == pytest.approx(0.02)
+        assert summary.std_decision_time == pytest.approx(0.01)
 
     def test_empty_run(self):
+        assert summarize_run([], 3).total_points == 0
         with pytest.raises(StateError):
-            timing_stats([])
+            evaluate_run([], [T0], look_back=3)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DataError):
-            timing_stats([make_record(0, decision_time=-1.0)])
+            summarize_run([make_record(0, decision_time=-1.0)], 3)
+        with pytest.raises(DataError):
+            evaluate_run([make_record(k, decision_time=-1.0) for k in range(10)], [T0], 3)
+
+    def test_generator_input(self):
+        records = (make_record(k, decision_time=0.001 * k) for k in range(10))
+        summary = summarize_run(records, 3)
+        assert (summary.total_points, summary.eligible_points) == (10, 5)
+        assert summary.avg_decision_time == pytest.approx(0.0045)
 
 
 class TestEvaluateRun:
@@ -204,6 +217,7 @@ class TestEvaluateRun:
         assert summary.lead_times[0].status is LeadStatus.PROACTIVE
         assert summary.lead_times[0].lead_minutes == pytest.approx(1000 - 150 * 5)
         assert summary.false_warning_count == 0
-        assert summary.retraining_ratio == pytest.approx(2 / 295)
-        assert (summary.retrain_count, summary.eligible_points) == (2, 295)
-        assert summary.avg_decision_time == pytest.approx(0.002)
+        assert summary.run.retraining_ratio == pytest.approx(2 / 295)
+        assert (summary.run.retrain_count, summary.run.eligible_points) == (2, 295)
+        assert summary.run.avg_decision_time == pytest.approx(0.002)
+        assert [r.time_index for r in summary.run.anomalies] == [150]

@@ -5,13 +5,11 @@ from presage.errors import ConfigError, DataError
 from presage.forecaster import (
     LstmConfig,
     LstmModel,
-    denormalize,
-    forward,
     init_model,
-    normalize,
     predict_next,
     train,
     _loss_and_grads,
+    _run,
 )
 
 from helpers import finite_difference_grads, max_relative_gradient_error, reference_forward
@@ -128,28 +126,28 @@ class TestInitModel:
             assert np.all(np.abs(arr) <= bound)
 
 
+def outputs(model: LstmModel, inputs) -> np.ndarray:
+    """The recurrence's forecast after each input, from zero state."""
+    return _run(model, np.asarray(inputs, dtype=float))[-1]
+
+
+def z_scored(model: LstmModel, window) -> np.ndarray:
+    return (np.asarray(window, dtype=float) - model.norm_mean) / model.norm_std
+
+
 class TestForward:
     def test_zero_model_outputs_zero(self):
-        outputs = forward(zero_model(), [1.0, -2.0, 3.0])
-        assert np.all(outputs == 0.0)
+        assert np.all(outputs(zero_model(), [1.0, -2.0, 3.0]) == 0.0)
 
     def test_one_output_per_input(self):
         model = init_model(LstmConfig(hidden_units=3, seed=0))
-        assert forward(model, [0.1, 0.2, 0.3]).shape == (3,)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            forward(zero_model(), [])
-
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(DataError):
-            forward(zero_model(), [0.0, float("nan")])
+        assert outputs(model, [0.1, 0.2, 0.3]).shape == (3,)
 
     def test_matches_textbook_recurrence(self):
         for model, window in extreme_cases():
-            normed = normalize(window, model.norm_mean, model.norm_std)
+            normed = z_scored(model, window)
             np.testing.assert_allclose(
-                forward(model, normed), reference_forward(model, normed), rtol=1e-12, atol=1e-12
+                outputs(model, normed), reference_forward(model, normed), rtol=1e-12, atol=1e-12
             )
 
 
@@ -228,7 +226,7 @@ class TestPredictNext:
         model = random_model(rng, hidden_units=4)
         model.norm_mean, model.norm_std = 33.0, 4.5
         window = rng.uniform(20, 40, 3)
-        raw_output = forward(model, (window - 33.0) / 4.5)[-1]
+        raw_output = outputs(model, (window - 33.0) / 4.5)[-1]
         assert predict_next(model, window) == pytest.approx(4.5 * raw_output + 33.0)
 
     def test_trained_model_prediction_is_finite_and_stable(self):
@@ -248,8 +246,7 @@ class TestPredictNext:
 
     def test_equals_last_forward_output(self):
         for model, window in extreme_cases():
-            mean, std = model.norm_mean, model.norm_std
-            expected = denormalize(forward(model, normalize(window, mean, std))[-1], mean, std)
+            expected = outputs(model, z_scored(model, window))[-1] * model.norm_std + model.norm_mean
             assert predict_next(model, window) == pytest.approx(float(expected), rel=1e-12)
 
     def test_no_floating_point_exceptions_on_extreme_inputs(self):
@@ -259,7 +256,7 @@ class TestPredictNext:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for model, window in extreme_cases():
                 assert np.isfinite(predict_next(model, window))
-                normed = normalize(window, model.norm_mean, model.norm_std)
+                normed = z_scored(model, window)
                 loss, grads = _loss_and_grads(model, normed[:-1], normed[1:])
                 assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
             for window in windows:
@@ -268,8 +265,14 @@ class TestPredictNext:
 
 class TestNormalization:
     def test_round_trip(self):
+        # A model whose output is the constant z-score of a value forecasts
+        # that value: predict_next maps back with the stats it z-scores with.
         rng = np.random.default_rng(23)
         values = rng.uniform(-1000, 1000, 50)
-        mean, std = 12.5, 7.25
-        back = denormalize(normalize(values, mean, std), mean, std)
+        model = zero_model()
+        model.norm_mean, model.norm_std = 12.5, 7.25
+        back = []
+        for z in z_scored(model, values):
+            model.b_out = float(z)
+            back.append(predict_next(model, [0.0, 1.0]))
         assert np.allclose(back, values, atol=1e-12, rtol=0)
