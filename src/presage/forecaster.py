@@ -12,7 +12,8 @@ Gate layout: weight and bias vectors stack the four gates in the order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -80,6 +81,11 @@ class LstmModel:
     statistics of the window the model was trained on; raw values are
     z-scored with them before entering the network and forecasts are
     mapped back afterwards.
+
+    ``predict_next`` keeps the recurrence states of the last forecast
+    window's suffixes on the model, keyed by the identity of ``w_x``,
+    ``w_h`` and ``b``: reassign those arrays to change them, never write
+    into them. ``train`` returns its arrays read-only.
     """
 
     w_x: np.ndarray  # (4H,)
@@ -89,6 +95,7 @@ class LstmModel:
     b_out: float
     norm_mean: float = 0.0
     norm_std: float = 1.0
+    _suffixes: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def hidden_units(self) -> int:
@@ -140,22 +147,27 @@ def _gate_affine(h: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _step(model: LstmModel, x: float, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One recurrence step with one ``tanh`` over all four gates.
+def _gates(act: np.ndarray, c_prev: np.ndarray, h: int):
+    """The cell update from gate pre-activations, one ``tanh`` over all four gates.
 
-    Returns the activations (i, f, o, g) stacked like the weights, the
-    cell state, its tanh and the hidden state.
+    ``act`` holds the pre-activations stacked like the weights along its
+    last axis, one row per sequence, and is turned into the activations
+    (i, f, o, g) in place. Returns those, the cell state, its tanh and
+    the hidden state.
     """
-    h = model.hidden_units
     scale, offset = _gate_affine(h)
-    act = model.w_x * x + model.w_h @ h_prev + model.b
     act *= scale
     np.tanh(act, out=act)
     act *= scale
     act += offset
-    c = act[h : 2 * h] * c_prev + act[:h] * act[3 * h :]
+    c = act[..., h : 2 * h] * c_prev + act[..., :h] * act[..., 3 * h :]
     tc = np.tanh(c)
-    return act, c, tc, act[2 * h : 3 * h] * tc
+    return act, c, tc, act[..., 2 * h : 3 * h] * tc
+
+
+def _step(model: LstmModel, x: float, h_prev: np.ndarray, c_prev: np.ndarray):
+    """One recurrence step of one sequence; see ``_gates`` for the result."""
+    return _gates(model.w_x * x + model.w_h @ h_prev + model.b, c_prev, model.hidden_units)
 
 
 def _run(model: LstmModel, inputs: np.ndarray):
@@ -239,11 +251,18 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     if not np.isfinite(raw).all():
         raise DataError("training window contains non-finite values")
 
-    mean = float(raw.mean())
-    std = float(raw.std())
-    if std <= _CONSTANT_STD:
-        std = 1.0
-    normed = (raw - mean) / std
+    with np.errstate(all="ignore"):
+        mean = float(raw.mean())
+        std = float(raw.std())
+        if math.isinf(std):
+            # The squared deviations overflowed: take them in units of max |value|.
+            scale = float(np.abs(raw).max())
+            std = scale * float((raw / scale).std())
+        if std <= _CONSTANT_STD:
+            std = 1.0
+        normed = (raw - mean) / std
+    if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normed).all()):
+        raise DataError("training window is too large to normalize: its mean or spread overflows")
     inputs = normed[:-1]
     targets = normed[1:]
 
@@ -273,6 +292,8 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
 
     final_preds = _run(model, inputs)[-1]
     final_loss = float(np.mean((final_preds - targets) ** 2))
+    for weights in (model.w_x, model.w_h, model.b, model.w_out):
+        weights.flags.writeable = False
     return TrainOutcome(model=model, epochs_used=epochs_used, final_loss=final_loss)
 
 
@@ -280,18 +301,46 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     """Forecast the raw value following the given raw window.
 
     The window is normalized with the model's stored statistics, run
-    through the full recurrence, and the final step's output is mapped
-    back to the raw scale. Nothing but the running state is kept.
+    through the recurrence from zero state, and the final step's output
+    is mapped back to the raw scale.
+
+    Consecutive windows of a stream share all but one value, so the model
+    keeps the states that the window's proper suffixes reach from zero.
+    When the next window is this one moved on by one point and ``w_x``,
+    ``w_h`` and ``b`` are the same arrays, a single batched step advances
+    those suffixes and a fresh zero state by the new value, and the row
+    that now spans the whole window gives the forecast. Any other call
+    starts every row from zero and feeds the whole window through the
+    same step.
     """
     raw = np.asarray(window, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("prediction window must be non-empty")
-    normed = (raw - model.norm_mean) / model.norm_std
-    if not np.isfinite(normed).all():
+    normed = tuple(((raw - model.norm_mean) / model.norm_std).tolist())
+    if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
     h = model.hidden_units
-    hidden = np.zeros(h)
-    cell = np.zeros(h)
-    for x in normed:
-        _, cell, _, hidden = _step(model, x, hidden, cell)
-    return float(model.w_out @ hidden + model.b_out) * model.norm_std + model.norm_mean
+    memo = model._suffixes  # (normalized window[1:], w_x, w_h, b, hiddens, cells)
+    if (
+        memo is not None
+        and memo[0] == normed[:-1]
+        and memo[1] is model.w_x
+        and memo[2] is model.w_h
+        and memo[3] is model.b
+    ):
+        feed, hidden, cell = normed[-1:], memo[4], memo[5]
+    else:
+        feed = normed
+        hidden = cell = np.zeros((raw.size - 1, h))
+    zero = np.zeros((1, h))
+    for x in feed:
+        # The carried states, longest suffix first, and a zero state all
+        # take x; row 0 then spans every value fed so far.
+        act = model.w_x * x + np.concatenate((hidden, zero)) @ model.w_h.T + model.b
+        _, cell, _, hidden = _gates(act, np.concatenate((cell, zero)), h)
+        whole, hidden, cell = hidden[0], hidden[1:], cell[1:]
+    forecast = float(model.w_out @ whole + model.b_out) * model.norm_std + model.norm_mean
+    if not math.isfinite(forecast):
+        raise DataError(f"forecast overflows: {forecast}")
+    model._suffixes = (normed[1:], model.w_x, model.w_h, model.b, hidden, cell)
+    return forecast

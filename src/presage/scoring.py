@@ -8,6 +8,7 @@ derived from every error score seen so far.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -41,20 +42,29 @@ def aare(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    obs = np.asarray(observed, dtype=float)
-    pred = np.asarray(predicted, dtype=float)
-    if obs.ndim != 1 or pred.ndim != 1:
-        raise ValueError("observed and predicted must be one-dimensional")
-    if obs.size == 0:
+    try:
+        obs = [float(v) for v in _items(observed)]
+        pred = [float(v) for v in _items(predicted)]
+    except TypeError:
+        raise ValueError("observed and predicted must be one-dimensional") from None
+    if not obs:
         raise ValueError("observed window is empty")
-    if obs.size != pred.size:
+    if len(obs) != len(pred):
         raise ValueError(
-            f"window length mismatch: {obs.size} observed vs {pred.size} predicted"
+            f"window length mismatch: {len(obs)} observed vs {len(pred)} predicted"
         )
-    if not (np.isfinite(obs).all() and np.isfinite(pred).all()):
+    if not all(map(math.isfinite, obs + pred)):
         raise DataError("observed/predicted values must be finite")
-    denom = np.maximum(np.abs(obs), epsilon)
-    return float(np.mean(np.abs(obs - pred) / denom))
+    total = 0.0
+    for o, p in zip(obs, pred):
+        total += abs(o - p) / max(abs(o), epsilon)
+    return total / len(obs)
+
+
+def _items(values: Sequence[float]):
+    """``values`` as an iterable of scalars; an ndarray becomes nested lists
+    (a scalar for 0-d), so any shape but 1-D fails ``float`` with TypeError."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def threshold(history: Sequence[float]) -> float:

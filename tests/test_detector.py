@@ -1,3 +1,5 @@
+import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -366,3 +368,41 @@ class TestThresholdBookkeeping:
             detector.step(v)
         assert engine.epoch_counts  # warmup + bootstrap at minimum
         assert all(1 <= n <= FAST_LSTM.max_epochs for n in engine.epoch_counts)
+
+
+class TestOverflow:
+    """Windows whose spread or forecast leaves the float range, stepped
+    with every floating-point warning and error turned into an exception."""
+
+    def _step_all(self, series):
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        outcomes = []
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in series:
+                try:
+                    outcomes.append(detector.step(value))
+                except DataError:
+                    outcomes.append(None)
+        return outcomes
+
+    def test_window_too_large_to_normalize_is_rejected_then_the_stream_goes_on(self):
+        outcomes = self._step_all([50.0, 1.7e308, 1.7e308] + [50.0 + k for k in range(12)])
+        assert outcomes[2] is None
+        records = outcomes[:2] + outcomes[3:]
+        assert [r.time_index for r in records] == list(range(len(records)))
+        assert all(r.predicted is None or math.isfinite(r.predicted) for r in records)
+
+    def test_alternating_huge_values_give_a_record_at_every_point(self):
+        # The squared deviations of these windows overflow; they once left a
+        # model with an infinite std whose NaN forecast failed every later step.
+        records = self._step_all([1e160, -1e160] * 3 + [1.0 + k for k in range(10)])
+        assert [r.time_index for r in records] == list(range(16))
+        assert all(r.predicted is None or math.isfinite(r.predicted) for r in records)
+
+    def test_huge_spike_is_an_anomaly(self):
+        series = [float(v) for v in 50 + 3 * np.sin(np.arange(40) / 4)]
+        series[30] = -1e160
+        records = self._step_all(series)
+        assert [r.time_index for r in records] == list(range(40))
+        assert records[30].verdict is Verdict.ANOMALY

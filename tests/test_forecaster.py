@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict
 from presage.errors import ConfigError, DataError
 from presage.forecaster import (
     LstmConfig,
@@ -216,6 +219,18 @@ class TestTrain:
         with pytest.raises(DataError):
             train([1.0, float("inf"), 2.0], LstmConfig())
 
+    def test_overflowing_spread_taken_in_units_of_the_largest_value(self):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train([1e160, -1e160, 1e160], LstmConfig(seed=1)).model
+        assert model.norm_std == pytest.approx(np.std([1.0, -1.0, 1.0]) * 1e160, rel=1e-15)
+
+    def test_overflowing_mean_rejected(self):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="too large to normalize"):
+                train([1.7e308, 1.7e308, 1.0], LstmConfig())
+
 
 class TestPredictNext:
     def test_zero_model_identity_stats_predicts_zero(self):
@@ -276,3 +291,120 @@ class TestNormalization:
             model.b_out = float(z)
             back.append(predict_next(model, [0.0, 1.0]))
         assert np.allclose(back, values, atol=1e-12, rtol=0)
+
+
+def from_scratch(model: LstmModel, window) -> float:
+    """The forecast for ``window`` by a fresh recurrence, one row at a time."""
+    return float(outputs(model, z_scored(model, window))[-1]) * model.norm_std + model.norm_mean
+
+
+def assert_forecast(model: LstmModel, window, forecast: float):
+    # The batched step sums the recurrent products in another order than
+    # the one-row step, so a forecast that cancels to near zero may differ
+    # by rounding of the output's scale rather than of its value.
+    scale = model.norm_std * (np.abs(model.w_out).sum() + abs(model.b_out))
+    assert forecast == pytest.approx(from_scratch(model, window), rel=1e-12, abs=1e-12 * scale)
+
+
+def poison(model: LstmModel):
+    """Shift the carried suffix states, keeping the memo's key, so that a
+    call which reuses them is visibly wrong."""
+    key_and_weights, (hidden, cell) = model._suffixes[:4], model._suffixes[4:]
+    model._suffixes = (*key_and_weights, hidden + 0.5, cell - 0.5)
+
+
+class TestSuffixStates:
+    """``predict_next`` carries the window's suffix states between calls."""
+
+    def test_sliding_replay_matches_from_scratch(self):
+        rng = np.random.default_rng(41)
+        for look_back in range(2, 7):
+            for hidden_units in (1, 4, 10, 32):
+                for weight in (0.5, 5.0, 50.0):
+                    model = random_model(rng, hidden_units, weight)
+                    model.norm_mean, model.norm_std = 20.0, 4.0
+                    series = 20.0 + 4.0 * rng.standard_normal(16)
+                    for end in range(look_back, series.size + 1):
+                        window = series[end - look_back : end]
+                        assert_forecast(model, window, predict_next(model, window))
+
+    def _primed(self, look_back=4, hidden_units=6):
+        """A model whose memo holds poisoned states for window series[0:b]."""
+        rng = np.random.default_rng(43)
+        model = random_model(rng, hidden_units, 5.0)
+        model.norm_mean, model.norm_std = 1.0, 2.0
+        series = 1.0 + 2.0 * rng.standard_normal(12)
+        predict_next(model, series[:look_back])
+        poison(model)
+        return model, series
+
+    def test_poisoned_states_reach_the_next_adjacent_window(self):
+        model, series = self._primed()
+        assert predict_next(model, series[1:5]) != pytest.approx(from_scratch(model, series[1:5]))
+
+    @pytest.mark.parametrize(
+        "window",
+        [slice(2, 6), slice(1, 6), slice(1, 4), slice(0, 4)],
+        ids=["gap", "longer", "shorter", "same-window"],
+    )
+    def test_other_windows_recompute_from_zero(self, window):
+        model, series = self._primed()
+        assert_forecast(model, series[window], predict_next(model, series[window]))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: setattr(m, "norm_mean", m.norm_mean + 0.25),
+            lambda m: setattr(m, "norm_std", m.norm_std * 1.5),
+            lambda m: setattr(m, "w_h", m.w_h.copy()),
+            lambda m: setattr(m, "w_x", m.w_x.copy()),
+            lambda m: setattr(m, "b", m.b.copy()),
+        ],
+        ids=["norm_mean", "norm_std", "w_h", "w_x", "b"],
+    )
+    def test_changed_model_recomputes_from_zero(self, change):
+        model, series = self._primed()
+        change(model)
+        assert_forecast(model, series[1:5], predict_next(model, series[1:5]))
+
+    def test_candidate_after_a_recheck_starts_from_zero(self):
+        # A level shift makes the detector recheck and swap in the candidate.
+        class LoggingEngine(LstmEngine):
+            def __init__(self, config):
+                super().__init__(config)
+                self.calls = []
+
+            def predict(self, model, window):
+                cold = model._suffixes is None
+                forecast = super().predict(model, window)
+                self.calls.append((model, list(window), cold, forecast))
+                return forecast
+
+        rng = np.random.default_rng(0)
+        series = 50 + 3 * np.sin(np.arange(40) / 4) + rng.normal(0, 0.3, 40)
+        series[30:] += 25.0
+        engine = LoggingEngine(LstmConfig(hidden_units=4, max_epochs=15, seed=42))
+        detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
+        records = [detector.step(v) for v in series]
+        swaps = [r.time_index for r in records if r.retrained and r.verdict is Verdict.NORMAL]
+        assert swaps
+        firsts = {}
+        for model, window, cold, forecast in engine.calls:
+            assert_forecast(model, window, forecast)
+            firsts.setdefault(id(model), cold)
+        assert all(firsts.values())
+        assert sum(not cold for *_, cold, _ in engine.calls) > len(series) // 2
+
+    def test_trained_arrays_are_read_only(self):
+        model = train([10.0, 20.0, 30.0], LstmConfig(seed=1)).model
+        for weights in (model.w_x, model.w_h, model.b, model.w_out):
+            with pytest.raises(ValueError):
+                weights[0] += 1.0
+
+    def test_overflowing_forecast_rejected_and_memo_kept(self):
+        model, series = self._primed()
+        memo = model._suffixes
+        model.norm_std, model.b_out = 1e308, 10.0
+        with pytest.raises(DataError, match="forecast overflows"):
+            predict_next(model, series[1:5])
+        assert model._suffixes is memo

@@ -42,6 +42,42 @@ class TestAare:
         with pytest.raises(ValueError):
             aare([1.0], [1.0], epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "observed,predicted",
+        [
+            (np.ones((2, 2)), np.ones((2, 2))),
+            (np.ones((1, 3)), np.ones(3)),
+            (np.ones(3), np.ones((3, 1))),
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
+            ([1.0, 2.0], [[1.0], [2.0]]),
+            (np.float64(1.0), np.float64(1.0)),
+        ],
+    )
+    def test_not_one_dimensional(self, observed, predicted):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            aare(observed, predicted)
+
+    def test_lists_and_arrays_agree(self):
+        rng = np.random.default_rng(103)
+        for size in range(1, 12):
+            observed = rng.uniform(-100, 100, size)
+            predicted = rng.uniform(-100, 100, size)
+            expected = aare(observed.tolist(), predicted.tolist())
+            assert aare(observed, predicted) == expected
+            assert aare(observed, predicted.tolist()) == expected
+            assert aare(tuple(observed), predicted) == expected
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 0.5, 3.0])
+    def test_equals_the_vectorized_mean_below_eight_points(self, epsilon):
+        # Below 8 values numpy's pairwise sum is a left-to-right loop.
+        rng = np.random.default_rng(107)
+        for size in range(1, 8):
+            for _ in range(50):
+                o = rng.uniform(-5, 5, size) * 10.0 ** rng.integers(-9, 9)
+                p = o + rng.normal(0, 1, size) * 10.0 ** rng.integers(-9, 9)
+                expected = float(np.mean(np.abs(o - p) / np.maximum(np.abs(o), epsilon)))
+                assert aare(o, p, epsilon) == expected
+
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
