@@ -32,7 +32,7 @@ from typing import Protocol, Sequence
 from . import forecaster, scoring
 from .errors import ConfigError, DataError, OrderingError
 from .forecaster import LstmConfig
-from .scoring import DEFAULT_EPSILON
+from .scoring import _HUGE_SCORE, DEFAULT_EPSILON, _unit_of
 
 __all__ = [
     "Phase",
@@ -143,19 +143,35 @@ class LstmEngine:
         return forecaster.predict_next(model, window)
 
 
-def _welford_add(state: tuple[int, float, float], x: float) -> tuple[int, float, float]:
-    """Running (count, mean, M2) with ``x`` added (Welford 1962)."""
-    count, mean, m2 = state
+#: The running (count, mean, M2 / unit², unit) of no values; see ``_welford_add``.
+_WELFORD_EMPTY = (0, 0.0, 0.0, 1.0)
+
+
+def _welford_add(
+    state: tuple[int, float, float, float], x: float
+) -> tuple[int, float, float, float]:
+    """Running (count, mean, M2 / unit², unit) with ``x`` added (Welford 1962).
+
+    M2 is kept in units of a power of two (Chan, Golub & LeVeque 1983) that
+    grows with the scores as ``scoring.threshold``'s does, so it cannot
+    overflow. Scaling by a power of two is exact: until a score passes
+    ``_HUGE_SCORE`` the unit is 1 and M2 the plain Welford sum.
+    """
+    count, mean, m2, unit = state
+    if abs(x) > unit * _HUGE_SCORE:
+        grown = _unit_of(x)
+        m2 = m2 * (unit / grown) * (unit / grown)
+        unit = grown
     count += 1
     delta = x - mean
     mean += delta / count
-    return count, mean, m2 + delta * (x - mean)
+    return count, mean, m2 + (delta / unit) * ((x - mean) / unit), unit
 
 
-def _threshold(state: tuple[int, float, float]) -> float:
-    """``scoring.threshold`` of the scores a Welford state has seen."""
-    count, mean, m2 = state
-    return mean + 3.0 * math.sqrt(m2 / count)
+def _welford_std(state: tuple[int, float, float, float]) -> float:
+    """Population standard deviation of the values a Welford state has seen."""
+    count, _, m2, unit = state
+    return unit * math.sqrt(m2 / count)
 
 
 class Detector:
@@ -184,7 +200,7 @@ class Detector:
         # _forecasts[i] is the forecast made after ingesting _buffer[i], so
         # for the point after it; None while no model exists.
         self._forecasts: deque[float | None] = deque([None] * b, maxlen=b)
-        self._welford: tuple[int, float, float] = (0, 0.0, 0.0)
+        self._welford = _WELFORD_EMPTY
         self._last_timestamp: datetime | None = None
 
     @property
@@ -232,7 +248,7 @@ class Detector:
         if phase is Phase.WARMUP or phase is Phase.BOOTSTRAP:
             model = self.engine.train(window)
         elif phase is Phase.DETECTING:
-            thd = _threshold(welford)
+            thd = welford[1] + 3.0 * _welford_std(welford)  # scoring.threshold
             if aare_value <= thd:
                 verdict = Verdict.NORMAL
             else:

@@ -16,12 +16,11 @@ pool.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
-from .detector import DetectionRecord, Verdict, _welford_add
+from .detector import _WELFORD_EMPTY, DetectionRecord, Verdict, _welford_add, _welford_std
 from .errors import DataError, OrderingError, StateError
 
 __all__ = [
@@ -198,7 +197,7 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
     A negative decision time is a ``DataError``.
     """
     retrains = 0
-    timing = (0, 0.0, 0.0)
+    timing = _WELFORD_EMPTY
     anomalies = []
     for record in records:
         if record.decision_time < 0:
@@ -209,13 +208,13 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
         timing = _welford_add(timing, record.decision_time)
         if record.verdict is Verdict.ANOMALY:
             anomalies.append(record)
-    total, mean, m2 = timing
+    total, mean = timing[:2]
     return RunSummary(
         total_points=total,
         retrain_count=retrains,
         eligible_points=max(0, total - (2 * look_back - 1)),
         avg_decision_time=mean,
-        std_decision_time=math.sqrt(m2 / total) if total else 0.0,
+        std_decision_time=_welford_std(timing) if total else 0.0,
         anomalies=anomalies,
     )
 

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .scoring import _items
 
 __all__ = [
     "LstmConfig",
@@ -132,42 +133,45 @@ def init_model(config: LstmConfig) -> LstmModel:
 
 
 @lru_cache(maxsize=8)
-def _gate_affine(h: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate_affine(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(scale, offset)`` of the fused gate activation.
 
     ``scale`` is 1/2 on the sigmoid gates (i, f, o) and 1 on the
     candidate g; ``offset`` is ``1 - scale``. Then
     ``offset + scale * tanh(scale * z)`` is ``sigmoid(z) = (1 + tanh(z/2)) / 2``
     on the sigmoid gates and ``tanh(z)`` on g, and nothing can overflow.
+    Both have the pre-activations' ``shape``: numpy broadcasts a row over
+    several at about twice the cost of an operation on equal shapes.
     """
-    scale = np.full(4 * h, 0.5)
-    scale[3 * h :] = 1.0
+    scale = np.full(shape, 0.5)
+    scale[..., 3 * (shape[-1] // 4) :] = 1.0
     offset = 1.0 - scale
     scale.flags.writeable = offset.flags.writeable = False
     return scale, offset
 
 
-def _gates(act: np.ndarray, c_prev: np.ndarray, h: int):
-    """The cell update from gate pre-activations, one ``tanh`` over all four gates.
+def _gates(model: LstmModel, x: float, act, c_prev, c, tc, hidden) -> None:
+    """One recurrence step from the recurrent products, in place.
 
-    ``act`` holds the pre-activations stacked like the weights along its
-    last axis, one row per sequence, and is turned into the activations
-    (i, f, o, g) in place. Returns those, the cell state, its tanh and
-    the hidden state.
+    ``act`` holds ``h_prev @ w_h.T`` stacked like the weights along its
+    last axis, one row per sequence; the step adds ``w_x * x`` and ``b``
+    and turns it into the activations (i, f, o, g) with one ``tanh`` over
+    all four gates. The cell state, its tanh and the hidden state are
+    written into ``c``, ``tc`` and ``hidden``, rows shaped like
+    ``c_prev``; ``tc`` may be ``hidden`` when the caller needs no tanh.
     """
-    scale, offset = _gate_affine(h)
+    h = model.hidden_units
+    scale, offset = _gate_affine(act.shape)
+    act += model.w_x * x
+    act += model.b
     act *= scale
     np.tanh(act, out=act)
     act *= scale
     act += offset
-    c = act[..., h : 2 * h] * c_prev + act[..., :h] * act[..., 3 * h :]
-    tc = np.tanh(c)
-    return act, c, tc, act[..., 2 * h : 3 * h] * tc
-
-
-def _step(model: LstmModel, x: float, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One recurrence step of one sequence; see ``_gates`` for the result."""
-    return _gates(model.w_x * x + model.w_h @ h_prev + model.b, c_prev, model.hidden_units)
+    np.multiply(act[..., h : 2 * h], c_prev, out=c)
+    c += act[..., :h] * act[..., 3 * h :]
+    np.tanh(c, out=tc)
+    np.multiply(act[..., 2 * h : 3 * h], tc, out=hidden)
 
 
 def _run(model: LstmModel, inputs: np.ndarray):
@@ -184,9 +188,8 @@ def _run(model: LstmModel, inputs: np.ndarray):
     tanh_cells = np.empty((steps, h))
     hiddens = np.zeros((steps + 1, h))
     for k in range(steps):
-        acts[k], cells[k + 1], tanh_cells[k], hiddens[k + 1] = _step(
-            model, inputs[k], hiddens[k], cells[k]
-        )
+        np.matmul(model.w_h, hiddens[k], out=acts[k])
+        _gates(model, inputs[k], acts[k], cells[k], cells[k + 1], tanh_cells[k], hiddens[k + 1])
     outputs = hiddens[1:] @ model.w_out + model.b_out
     return acts, cells, tanh_cells, hiddens, outputs
 
@@ -274,27 +277,48 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     prev_loss = None
     stalled = 0
     epochs_used = 0
-    for epoch in range(1, config.max_epochs + 1):
-        loss, grads = _loss_and_grads(model, inputs, targets)
-        model.w_x -= lr * grads["w_x"]
-        model.w_h -= lr * grads["w_h"]
-        model.b -= lr * grads["b"]
-        model.w_out -= lr * grads["w_out"]
-        model.b_out -= lr * grads["b_out"]
-        epochs_used = epoch
+    # A value close to the mean of a window with a huge spread normalizes to a
+    # subnormal, and products with it underflow to zero: harmless, so only
+    # underflow is ignored and the caller's other settings hold.
+    with np.errstate(under="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            loss, grads = _loss_and_grads(model, inputs, targets)
+            model.w_x -= lr * grads["w_x"]
+            model.w_h -= lr * grads["w_h"]
+            model.b -= lr * grads["b"]
+            model.w_out -= lr * grads["w_out"]
+            model.b_out -= lr * grads["b_out"]
+            epochs_used = epoch
 
-        if prev_loss is not None:
-            improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
-            stalled = stalled + 1 if improvement < config.early_stop_delta else 0
-        prev_loss = loss
-        if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
-            break
+            if prev_loss is not None:
+                improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
+                stalled = stalled + 1 if improvement < config.early_stop_delta else 0
+            prev_loss = loss
+            if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
+                break
 
-    final_preds = _run(model, inputs)[-1]
-    final_loss = float(np.mean((final_preds - targets) ** 2))
+        final_preds = _run(model, inputs)[-1]
+        final_loss = float(np.mean((final_preds - targets) ** 2))
     for weights in (model.w_x, model.w_h, model.b, model.w_out):
         weights.flags.writeable = False
     return TrainOutcome(model=model, epochs_used=epochs_used, final_loss=final_loss)
+
+
+def _advance(model: LstmModel, feed, hidden: np.ndarray, cell: np.ndarray):
+    """Feed each value of ``feed`` to all n rows of the carried states.
+
+    Each step writes into fresh arrays of n + 1 rows whose last row stays
+    zero. Returns the output of row 0, which spans every value fed, and
+    the other n rows of hidden and cell state.
+    """
+    n, h = hidden.shape
+    for x in feed:
+        act = hidden @ model.w_h.T
+        cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
+        out = hiddens[:-1]
+        _gates(model, x, act, cell, cells[:-1], out, out)
+        hidden, cell = hiddens[1:], cells[1:]
+    return float(model.w_out @ hiddens[0]) + model.b_out, hidden, cell
 
 
 def predict_next(model: LstmModel, window: Sequence[float]) -> float:
@@ -306,20 +330,25 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
 
     Consecutive windows of a stream share all but one value, so the model
     keeps the states that the window's proper suffixes reach from zero.
-    When the next window is this one moved on by one point and ``w_x``,
-    ``w_h`` and ``b`` are the same arrays, a single batched step advances
-    those suffixes and a fresh zero state by the new value, and the row
-    that now spans the whole window gives the forecast. Any other call
-    starts every row from zero and feeds the whole window through the
-    same step.
+    They are carried as ``(b, H)`` hidden and cell arrays, longest suffix
+    first, whose last row is the zero state. When the next window is this
+    one moved on by one point and ``w_x``, ``w_h`` and ``b`` are the same
+    arrays, a single batched step advances every row by the new value, and
+    the row that now spans the whole window gives the forecast. Any other
+    call starts every row from zero and feeds the whole window through the
+    same step. A step writes into fresh arrays, never into carried ones.
     """
-    raw = np.asarray(window, dtype=float)
-    if raw.ndim != 1 or raw.size == 0:
+    mean, std = model.norm_mean, model.norm_std
+    try:
+        normed = tuple([(float(v) - mean) / std for v in _items(window)])
+    except TypeError:
+        raise ValueError("prediction window must be non-empty") from None
+    except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
+        normed = (math.nan,)
+    if not normed:
         raise ValueError("prediction window must be non-empty")
-    normed = tuple(((raw - model.norm_mean) / model.norm_std).tolist())
     if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
-    h = model.hidden_units
     memo = model._suffixes  # (normalized window[1:], w_x, w_h, b, hiddens, cells)
     if (
         memo is not None
@@ -331,15 +360,17 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
         feed, hidden, cell = normed[-1:], memo[4], memo[5]
     else:
         feed = normed
-        hidden = cell = np.zeros((raw.size - 1, h))
-    zero = np.zeros((1, h))
-    for x in feed:
-        # The carried states, longest suffix first, and a zero state all
-        # take x; row 0 then spans every value fed so far.
-        act = model.w_x * x + np.concatenate((hidden, zero)) @ model.w_h.T + model.b
-        _, cell, _, hidden = _gates(act, np.concatenate((cell, zero)), h)
-        whole, hidden, cell = hidden[0], hidden[1:], cell[1:]
-    forecast = float(model.w_out @ whole + model.b_out) * model.norm_std + model.norm_mean
+        hidden = cell = np.zeros((len(normed), model.hidden_units))
+    try:
+        output, hidden, cell = _advance(model, feed, hidden, cell)
+    except FloatingPointError:
+        # Only a caller that makes numpy raise gets here. Underflow is as
+        # harmless as in train, and the step is pure, so it is run again
+        # with underflow ignored; entering np.errstate on every call would
+        # cost about a twentieth of a step.
+        with np.errstate(under="ignore"):
+            output, hidden, cell = _advance(model, feed, hidden, cell)
+    forecast = output * model.norm_std + model.norm_mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
     model._suffixes = (normed[1:], model.w_x, model.w_h, model.b, hidden, cell)

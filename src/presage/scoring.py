@@ -21,6 +21,11 @@ __all__ = ["aare", "threshold"]
 #: near-zero observations yield a large-but-finite relative error.
 DEFAULT_EPSILON = 1e-8
 
+#: Scores past this magnitude are taken in units of a power of two, so that
+#: their squared deviations cannot overflow (Chan, Golub & LeVeque, 1983).
+#: Scaling by a power of two is exact, so smaller scores change no bit.
+_HUGE_SCORE = 2.0**400
+
 
 def aare(
     observed: Sequence[float],
@@ -72,13 +77,22 @@ def threshold(history: Sequence[float]) -> float:
 
     Both statistics are taken over every stored error score, normalized
     by the actual count of scores. With all scores equal the threshold
-    degenerates to the mean itself.
+    degenerates to the mean itself. Huge scores are taken in units of a
+    power of two, so the threshold is finite whenever it is representable.
     """
     arr = np.asarray(history, dtype=float)
     if arr.size == 0:
         raise StateError("cannot compute a threshold from an empty history")
     if not np.isfinite(arr).all():
         raise DataError("history contains non-finite values")
+    unit = _unit_of(float(np.abs(arr).max()))
+    arr = arr / unit
     mu = float(arr.mean())
     sigma = float(np.sqrt(np.mean((arr - mu) ** 2)))
-    return mu + 3.0 * sigma
+    return unit * (mu + 3.0 * sigma)
+
+
+def _unit_of(score: float) -> float:
+    """The power of two a score is taken in: 1 up to ``_HUGE_SCORE``, else
+    the largest power of two not above ``|score|``."""
+    return 1.0 if abs(score) <= _HUGE_SCORE else math.ldexp(1.0, math.frexp(score)[1] - 1)

@@ -400,6 +400,27 @@ class TestOverflow:
         assert [r.time_index for r in records] == list(range(16))
         assert all(r.predicted is None or math.isfinite(r.predicted) for r in records)
 
+    def test_subnormal_window_gives_a_record_or_data_error_at_every_point(self):
+        # The window 1.7e308, -1.7e308, 50.0 normalizes 50.0 to about 2e-307,
+        # and training on it or forecasting from it underflows.
+        outcomes = self._step_all([50.0, 1.7e308, -1.7e308, 50.0, 51.0])
+        records = [r for r in outcomes if r is not None]
+        assert len(outcomes) == 5
+        assert [r.time_index for r in records] == list(range(len(records)))
+
+    def test_threshold_stays_finite_after_huge_scores(self):
+        # Scores of about 1e159 once overflowed the running M2, and every
+        # threshold from t=7 on was inf.
+        records = self._step_all([1e160, -1e160] * 3 + [1.0 + k % 5 for k in range(20)])
+        aares = [r.aare for r in records if r.aare is not None]
+        for record in records[7:]:
+            assert math.isfinite(record.threshold)
+            if not record.retrained:
+                prefix = aares[: record.time_index - (2 * 3 - 1) + 1]
+                assert record.threshold == pytest.approx(
+                    scoring.threshold(prefix), rel=1e-9, abs=1e-12
+                )
+
     def test_huge_spike_is_an_anomaly(self):
         series = [float(v) for v in 50 + 3 * np.sin(np.arange(40) / 4)]
         series[30] = -1e160

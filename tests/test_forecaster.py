@@ -258,6 +258,10 @@ class TestPredictNext:
     def test_non_finite_window_rejected(self):
         with pytest.raises(DataError):
             predict_next(zero_model(), [1.0, float("nan"), 2.0])
+        model = zero_model()
+        model.norm_std = 0.0
+        with pytest.raises(DataError):
+            predict_next(model, [1.0, 2.0])
 
     def test_equals_last_forward_output(self):
         for model, window in extreme_cases():
@@ -394,6 +398,21 @@ class TestSuffixStates:
             firsts.setdefault(id(model), cold)
         assert all(firsts.values())
         assert sum(not cold for *_, cold, _ in engine.calls) > len(series) // 2
+
+    def test_steps_write_only_into_fresh_arrays_with_a_zero_last_row(self):
+        rng = np.random.default_rng(47)
+        model = random_model(rng, 6, 5.0)
+        series = rng.standard_normal(10)
+        # cold, then warm twice, then cold again after a gap
+        for start in (0, 1, 2, 4):
+            memo = model._suffixes
+            snapshot = None if memo is None else [a.copy() for a in memo[4:]]
+            predict_next(model, series[start : start + 4])
+            if memo is not None:
+                assert all(np.array_equal(a, s) for a, s in zip(memo[4:], snapshot))
+            for carried in model._suffixes[4:]:
+                assert carried.shape == (4, 6)
+                assert not carried[-1].any()
 
     def test_trained_arrays_are_read_only(self):
         model = train([10.0, 20.0, 30.0], LstmConfig(seed=1)).model

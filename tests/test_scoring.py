@@ -142,6 +142,13 @@ class TestThreshold:
                 threshold_oracle(history), abs=1e-12
             )
 
+    @pytest.mark.parametrize("exponent", [600, 1000])
+    def test_huge_scores_scale_exactly(self, exponent):
+        # The squared deviations of these scores overflow; taken in units of
+        # a power of two, the threshold scales with them bit for bit.
+        history = np.random.default_rng(5).uniform(0, 10, 20)
+        assert threshold(history * 2.0**exponent) == threshold(history) * 2.0**exponent
+
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=30))
     def test_never_below_mean(self, history):
         assert threshold(history) >= np.mean(history) - 1e-12
