@@ -135,20 +135,8 @@ def run_detect(args: argparse.Namespace) -> int:
     detector = Detector(config)
     summary_path = args.summary or args.report.with_suffix(".summary.json")
 
-    records = []
     with ReportWriter(args.report) as writer:
-        for obs in observations:
-            record = detector.step(obs.value, obs.timestamp)
-            writer.write(record)
-            records.append(record)
-            if record.verdict is Verdict.ANOMALY:
-                print(
-                    f"ANOMALY index={record.time_index} "
-                    f"timestamp={record.timestamp.isoformat(sep=' ')} "
-                    f"value={record.value}"
-                )
-
-    summary = summarize_run(records, config.look_back)
+        summary = summarize_run(_decide(observations, detector, writer), config.look_back)
     write_summary(summary, config, summary_path)
     print(
         f"processed {summary.total_points} points: "
@@ -160,6 +148,19 @@ def run_detect(args: argparse.Namespace) -> int:
     print(f"report: {args.report}")
     print(f"summary: {summary_path}")
     return 0
+
+
+def _decide(observations, detector, writer):
+    for obs in observations:
+        record = detector.step(obs.value, obs.timestamp)
+        writer.write(record)
+        if record.verdict is Verdict.ANOMALY:
+            print(
+                f"ANOMALY index={record.time_index} "
+                f"timestamp={record.timestamp.isoformat(sep=' ')} "
+                f"value={record.value}"
+            )
+        yield record
 
 
 def _infer_look_back(records) -> int:

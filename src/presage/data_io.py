@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator
 
 from .detector import DetectionRecord, DetectorConfig, Phase, Verdict
 from .errors import DataError, DatasetKeyError
@@ -95,18 +96,28 @@ def _open_text(path: Path, encoding: str = "utf-8"):
         raise DataError(f"{path}: {exc}") from None
 
 
-def read_series(path: str | Path) -> list[Observation]:
-    """Parse a series file into time-ordered observations.
+def read_series(path: str | Path) -> Iterator[Observation]:
+    """Iterate over a series file's observations, parsing each row as it
+    is consumed; the file is opened and its header checked on the call.
 
-    Duplicate timestamps are accepted in order; a decreasing timestamp,
-    a timestamp whose timezone awareness differs from the first one, or a
-    non-finite value is a ``DataError`` carrying the line number, and so
-    is a file that is not UTF-8. A UTF-8 byte-order mark before the header
-    is skipped.
-    A ``UserWarning`` is emitted when intervals deviate from the file's
-    modal cadence (the detector treats points as equally spaced).
+    A decreasing timestamp, one whose timezone awareness differs from the
+    first, or a non-finite value is a ``DataError`` with the line number;
+    duplicate timestamps are accepted in order, and a UTF-8 byte-order
+    mark before the header is skipped. At the end, a file without rows is
+    a ``DataError``, and a ``UserWarning`` says when intervals deviate
+    from the modal cadence (points are treated as equally spaced).
     """
-    path = Path(path)
+    rows = _series_rows(Path(path))
+    next(rows)  # runs to the header check
+    return rows
+
+
+#: The cadence tally keeps at most this many distinct intervals, so it stays
+#: small when every interval differs; later new intervals count as deviating.
+_CADENCE_SLOTS = 32
+
+
+def _series_rows(path: Path):
     with _open_text(path, "utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -120,14 +131,19 @@ def read_series(path: str | Path) -> list[Observation]:
             )
         ts_col = names.index("timestamp")
         val_col = names.index("value")
+        yield None
 
-        observations: list[Observation] = []
+        first = previous = None
+        intervals: Counter = Counter()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) <= max(ts_col, val_col):
                 raise DataError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
-            ts = _parse_timestamp(row[ts_col], f"{path}:{lineno}")
+            try:  # not through _parse_timestamp: its context costs a format per row
+                ts = datetime.fromisoformat(row[ts_col].strip())
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparsable timestamp {row[ts_col]!r}") from None
             try:
                 value = float(row[val_col])
             except ValueError:
@@ -136,39 +152,33 @@ def read_series(path: str | Path) -> list[Observation]:
                 ) from None
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: non-finite value {value}")
-            if observations and (ts.tzinfo is None) != (observations[0].timestamp.tzinfo is None):
+            if previous is None:
+                first = ts
+            elif (ts.tzinfo is None) != (first.tzinfo is None):
                 raise DataError(
                     f"{path}:{lineno}: timestamp {ts} mixes timezone-aware and naive "
-                    f"timestamps (first was {observations[0].timestamp})"
+                    f"timestamps (first was {first})"
                 )
-            if observations and ts < observations[-1].timestamp:
-                raise DataError(
-                    f"{path}:{lineno}: timestamp {ts} precedes previous "
-                    f"{observations[-1].timestamp}"
-                )
-            observations.append(Observation(ts, value))
+            elif ts < previous:
+                raise DataError(f"{path}:{lineno}: timestamp {ts} precedes previous {previous}")
+            elif (delta := ts - previous) in intervals or len(intervals) < _CADENCE_SLOTS:
+                intervals[delta] += 1
+            else:
+                intervals[None] += 1
+            previous = ts
+            yield Observation(ts, value)
 
-    if not observations:
+    if previous is None:
         raise DataError(f"{path}: no data rows")
-    _warn_on_irregular_cadence(path, observations)
-    return observations
-
-
-def _warn_on_irregular_cadence(path: Path, observations: list[Observation]):
-    if len(observations) < 3:
-        return
-    deltas = [
-        later.timestamp - earlier.timestamp
-        for earlier, later in zip(observations, observations[1:])
-    ]
-    modal, _ = Counter(deltas).most_common(1)[0]
-    off = sum(1 for d in deltas if d != modal)
+    total = intervals.total()
+    modal = max((d for d in intervals if d is not None), key=intervals.__getitem__, default=None)
+    off = total - intervals[modal]
     if off:
         warnings.warn(
-            f"{path}: {off} of {len(deltas)} intervals deviate from the modal "
+            f"{path}: {off} of {total} intervals deviate from the modal "
             f"cadence {modal}; points are treated as consecutive indices",
             UserWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
 
 
@@ -224,41 +234,24 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> LabelSet:
     return LabelSet(dataset_key=dataset_key, anomaly_timestamps=anomalies, sign_timestamps=signs)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, datetime):
-        return value.isoformat(sep=" ")
-    return str(value)
-
-
 class ReportWriter:
     """Incremental report writer: one row per record, flushed as it goes,
     so an interrupted run keeps every decided point."""
 
     def __init__(self, path: str | Path):
         self._fh = open(path, "w", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(REPORT_COLUMNS)
+        self._fh.write(",".join(REPORT_COLUMNS) + "\r\n")
 
     def write(self, record: DetectionRecord):
-        self._writer.writerow(
-            [
-                record.time_index,
-                _format_cell(record.timestamp),
-                _format_cell(record.value),
-                _format_cell(record.predicted),
-                _format_cell(record.aare),
-                _format_cell(record.threshold),
-                record.phase.value,
-                record.verdict.value,
-                _format_cell(record.retrained),
-                _format_cell(record.decision_time),
-            ]
+        # Equal to ``csv.writer``'s bytes: no cell holds a delimiter, a quote
+        # or a line break, so none needs quoting.
+        r, ts = record, record.timestamp
+        self._fh.write(
+            f"{r.time_index},{'' if ts is None else ts.isoformat(sep=' ')},{r.value!r},"
+            f"{'' if r.predicted is None else repr(r.predicted)},"
+            f"{'' if r.aare is None else repr(r.aare)},"
+            f"{'' if r.threshold is None else repr(r.threshold)},{r.phase.value},"
+            f"{r.verdict.value},{'true' if r.retrained else 'false'},{r.decision_time!r}\r\n"
         )
         self._fh.flush()
 
@@ -319,8 +312,8 @@ def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path)
         "avg_decision_time_s": summary.avg_decision_time,
         "std_decision_time_s": summary.std_decision_time,
         "anomalies": [
-            {"index": record.time_index, "timestamp": _format_cell(record.timestamp) or None}
-            for record in summary.anomalies
+            {"index": r.time_index, "timestamp": r.timestamp and r.timestamp.isoformat(sep=" ")}
+            for r in summary.anomalies
         ],
         "config": {
             "look_back": config.look_back,

@@ -63,6 +63,9 @@ def aare(
     total = 0.0
     for o, p in zip(obs, pred):
         total += abs(o - p) / max(abs(o), epsilon)
+    if total == math.inf:  # o - p overflowed: divide before subtracting
+        scales = [max(abs(o), epsilon) for o in obs]
+        return sum(abs(o / s - p / s) / len(obs) for o, p, s in zip(obs, pred, scales))
     return total / len(obs)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import os
 import statistics
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from presage import forecaster
-from presage.data_io import ReportWriter
+from presage.data_io import REPORT_COLUMNS, ReportWriter
 from presage.detector import DetectionRecord, LstmEngine, Phase, Verdict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +83,44 @@ def write_records(records, path):
     with ReportWriter(path) as writer:
         for record in records:
             writer.write(record)
+
+
+def format_cell(value) -> str:
+    """Reference formatting of one report cell: empty for ``None``,
+    ``true``/``false``, float repr, ISO timestamp with a space."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, datetime):
+        return value.isoformat(sep=" ")
+    return str(value)
+
+
+def reference_report_bytes(records) -> bytes:
+    """The report for ``records`` as ``csv.writer`` plus ``format_cell``
+    write it, header included."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(REPORT_COLUMNS)
+    for r in records:
+        writer.writerow(
+            [
+                r.time_index,
+                format_cell(r.timestamp),
+                format_cell(r.value),
+                format_cell(r.predicted),
+                format_cell(r.aare),
+                format_cell(r.threshold),
+                r.phase.value,
+                r.verdict.value,
+                format_cell(r.retrained),
+                format_cell(r.decision_time),
+            ]
+        )
+    return out.getvalue().encode("utf-8")
 
 
 def aare_oracle(observed, predicted, epsilon=1e-8) -> float:

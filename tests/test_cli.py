@@ -1,5 +1,9 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -107,6 +111,40 @@ class TestDetect:
         assert code == 1
         assert "latin1.csv" in err and "UTF-8" in err
         assert "Traceback" not in err
+
+    def test_malformed_line_mid_file_keeps_the_decided_rows(self, tmp_path, capsys):
+        series = tmp_path / "midway.csv"
+        write_series_csv(series, [50.0 + k % 5 for k in range(40)])
+        lines = series.read_text().splitlines()
+        lines.insert(31, "2021-03-01 02:30:00,oops")  # line 32 of the file
+        series.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.csv"
+        code = main(detect_args(series, report))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "midway.csv:32: unparsable value 'oops'" in err
+        assert "Traceback" not in err
+        records = read_report(report)
+        assert [r.time_index for r in records] == list(range(30))
+        assert not report.with_suffix(".summary.json").exists()
+
+    def test_peak_memory_does_not_grow_with_the_series(self, tmp_path):
+        def peak(n):
+            series = tmp_path / f"sine{n}.csv"
+            write_series_csv(series, [50.0 + 3.0 * math.sin(k / 4) for k in range(n)])
+            args = detect_args(series, tmp_path / f"report{n}.csv")
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations
+        # Keeping every observation and record costs about 0.45 KiB a point,
+        # so 1500 more points would add about 670 KiB.
+        assert peak(2000) - peak(500) < 32 * 1024
 
     def test_unsupported_horizon_is_a_usage_error(self, tmp_path, spike_csv):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import json
 import tempfile
-from datetime import datetime, timedelta
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from presage.data_io import (
     read_series,
     write_summary,
 )
-from presage.detector import DetectorConfig, Phase, Verdict
+from presage.detector import DetectionRecord, DetectorConfig, Phase, Verdict
 from presage.errors import DataError, DatasetKeyError
 from presage.evaluation import summarize_run
 
@@ -23,6 +24,7 @@ from helpers import (
     LABELS_PATH,
     MTSF_KEY,
     make_record,
+    reference_report_bytes,
     write_records,
     write_series_csv,
 )
@@ -34,7 +36,7 @@ class TestReadSeries:
         values = [10.0, 10.5, 11.25, 9.875]
         start = datetime(2021, 5, 1, 12, 0)
         write_series_csv(path, values, start=start)
-        observations = read_series(path)
+        observations = list(read_series(path))
         assert [obs.value for obs in observations] == values
         assert [obs.timestamp for obs in observations] == [
             start + k * timedelta(minutes=5) for k in range(4)
@@ -43,20 +45,20 @@ class TestReadSeries:
     def test_two_line_file(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("timestamp,value\n2014-04-10 00:02:00,51.846\n")
-        observations = read_series(path)
+        observations = list(read_series(path))
         assert len(observations) == 1
         assert observations[0].value == 51.846
 
     def test_minute_resolution_timestamps(self, tmp_path):
         path = tmp_path / "minutes.csv"
         path.write_text("timestamp,value\n2014-04-10 00:02,1.0\n2014-04-10 00:07,2.0\n")
-        observations = read_series(path)
+        observations = list(read_series(path))
         assert observations[0].timestamp == datetime(2014, 4, 10, 0, 2)
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("label,timestamp,value\nx,2020-01-01 00:00:00,3.5\n")
-        assert read_series(path)[0].value == 3.5
+        assert list(read_series(path))[0].value == 3.5
 
     def test_missing_value_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -68,19 +70,19 @@ class TestReadSeries:
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,value\n2020-01-01 00:00:00,1.0\nnot-a-time,2.0\n")
         with pytest.raises(DataError, match=":3"):
-            read_series(path)
+            list(read_series(path))
 
     def test_unparsable_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,value\n2020-01-01 00:00:00,oops\n")
         with pytest.raises(DataError, match=":2"):
-            read_series(path)
+            list(read_series(path))
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,value\n2020-01-01 00:00:00,inf\n")
         with pytest.raises(DataError):
-            read_series(path)
+            list(read_series(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -92,7 +94,7 @@ class TestReadSeries:
         path = tmp_path / "header.csv"
         path.write_text("timestamp,value\n")
         with pytest.raises(DataError, match="no data rows"):
-            read_series(path)
+            list(read_series(path))
 
     def test_decreasing_timestamp_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -102,14 +104,14 @@ class TestReadSeries:
             "2020-01-01 00:05:00,2.0\n"
         )
         with pytest.raises(DataError, match=":3"):
-            read_series(path)
+            list(read_series(path))
 
     def test_byte_order_mark_before_header_is_skipped(self, tmp_path):
         plain = tmp_path / "plain.csv"
         write_series_csv(plain, [10.0, 10.5, 11.25])
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert read_series(bom) == read_series(plain)
+        assert list(read_series(bom)) == list(read_series(plain))
 
     @pytest.mark.parametrize(
         "stamps",
@@ -123,7 +125,7 @@ class TestReadSeries:
         first, second = stamps
         path.write_text(f"timestamp,value\n{first},1.0\n{first},1.5\n{second},2.0\n")
         with pytest.raises(DataError, match=":4.*timezone"):
-            read_series(path)
+            list(read_series(path))
 
     def test_duplicate_timestamps_accepted_in_order(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -144,7 +146,51 @@ class TestReadSeries:
             "2020-01-01 00:25:00,4.0\n"
         )
         with pytest.warns(UserWarning, match="modal cadence"):
-            read_series(path)
+            list(read_series(path))
+
+
+    def test_modal_cadence_after_a_leading_gap(self, tmp_path):
+        path = tmp_path / "gap-first.csv"
+        start = datetime(2020, 1, 1)
+        stamps = [start] + [start + timedelta(hours=1, minutes=5 * k) for k in range(6)]
+        path.write_text(
+            "timestamp,value\n" + "".join(f"{ts.isoformat(sep=' ')},1.0\n" for ts in stamps)
+        )
+        with pytest.warns(UserWarning, match="1 of 6 intervals deviate from the modal cadence 0:05:00"):
+            list(read_series(path))
+
+    def test_rows_are_parsed_as_they_are_consumed(self, tmp_path):
+        path = tmp_path / "late-error.csv"
+        path.write_text(
+            "timestamp,value\n2020-01-01 00:00:00,1.0\n2020-01-01 00:05:00,2.0\nbad,3.0\n"
+        )
+        observations = read_series(path)
+        assert [next(observations).value, next(observations).value] == [1.0, 2.0]
+        with pytest.raises(DataError, match=":4: unparsable timestamp"):
+            next(observations)
+
+    def test_jittered_cadence_keeps_a_bounded_tally(self, tmp_path):
+        # Every interval differs, so a tally of all intervals grows with the
+        # file; the reader's peak memory must not.
+        def peak(n):
+            path = tmp_path / f"jitter{n}.csv"
+            start = datetime(2020, 1, 1)
+            with open(path, "w") as fh:
+                fh.write("timestamp,value\n")
+                for k in range(n):
+                    ts = start + timedelta(minutes=5 * k, microseconds=k * k)
+                    fh.write(f"{ts.isoformat(sep=' ')},{k % 7}.5\n")
+            tracemalloc.start()
+            try:
+                with pytest.warns(UserWarning, match=f"{n - 2} of {n - 1} intervals deviate"):
+                    for _ in read_series(path):
+                        pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations
+        assert peak(8000) - peak(2000) < 16 * 1024
 
 
 class TestReadLabels:
@@ -216,6 +262,28 @@ class TestReadLabels:
             read_labels(path, "k")
 
 
+# Report fields over their declared types, with the edges of float repr
+# and of timestamp formatting (fixed offsets down to microseconds).
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -5e-324, 1.7e308, 1e16, 1e-5]))
+OFFSETS = st.timedeltas(
+    min_value=-timedelta(hours=23, minutes=59, seconds=59, microseconds=999999),
+    max_value=timedelta(hours=23, minutes=59, seconds=59, microseconds=999999),
+).map(timezone)
+RECORDS = st.builds(
+    DetectionRecord,
+    time_index=st.one_of(st.integers(0, 10**6), st.integers(0, 10**40)),
+    timestamp=st.one_of(st.none(), st.datetimes(timezones=st.one_of(st.none(), OFFSETS))),
+    value=FLOATS,
+    predicted=st.one_of(st.none(), FLOATS),
+    aare=st.one_of(st.none(), FLOATS),
+    threshold=st.one_of(st.none(), FLOATS),
+    phase=st.sampled_from(Phase),
+    verdict=st.sampled_from(Verdict),
+    retrained=st.booleans(),
+    decision_time=FLOATS,
+)
+
+
 def sample_records():
     base = datetime(2022, 2, 2, 0, 0)
     tick = timedelta(minutes=5)
@@ -272,6 +340,14 @@ class TestReport:
         with pytest.raises(DataError):
             read_report(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(RECORDS, max_size=6))
+    def test_bytes_equal_the_csv_writer_reference(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.csv"
+            write_records(records, path)
+            assert path.read_bytes() == reference_report_bytes(records)
+
 
 class TestSummary:
     def test_retraining_ratio_denominator(self):
@@ -320,7 +396,7 @@ class TestSummary:
 
 
 READERS = {
-    "series": read_series,
+    "series": lambda path: list(read_series(path)),
     "labels": lambda path: read_labels(path, "k"),
     "report": read_report,
 }
@@ -394,7 +470,7 @@ class TestReaderFuzz:
     )
     def test_read_series(self, header, rows, tail):
         text = "\n".join([header] + [",".join(row) for row in rows])
-        _parses_or_data_error(read_series, text.encode() + tail, ".csv")
+        _parses_or_data_error(READERS["series"], text.encode() + tail, ".csv")
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -87,6 +87,18 @@ class TestAare:
             expected = aare_oracle(observed, predicted)
             assert aare(observed, predicted) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "observed, predicted, expected",
+        [
+            ([1.7e308], [-1.7e308], 2.0),
+            ([1.0, 1.7e308], [1.0, -1.7e308], 1.0),
+            ([-1.7e308, 1e308], [1.7e308, -1e308], 2.0),
+            ([1e-10, 1e-10], [1e300, 1e300], 1e308),
+        ],
+    )
+    def test_huge_differences_do_not_overflow(self, observed, predicted, expected):
+        assert aare(observed, predicted) == pytest.approx(expected, rel=1e-15)
+
     @given(st.lists(finite_values, min_size=1, max_size=10))
     def test_non_negative(self, values):
         shifted = [v + 1.0 for v in values]
