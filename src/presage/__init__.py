@@ -17,7 +17,6 @@ from .detector import (
     phase_of,
 )
 from .data_io import (
-    LabelSet,
     Observation,
     read_labels,
     read_report,
@@ -56,7 +55,6 @@ __all__ = [
     "DetectorConfig",
     "EvaluationSummary",
     "ForecastEngine",
-    "LabelSet",
     "LeadStatus",
     "LeadTimeResult",
     "LstmConfig",

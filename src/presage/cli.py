@@ -34,13 +34,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
 def _look_back_arg(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -77,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
         help="denominator floor for the relative-error score",
     )
-    detect.add_argument("--hidden-units", type=_positive_int, default=10)
-    detect.add_argument("--learning-rate", type=_positive_float, default=0.15)
-    detect.add_argument("--max-epochs", type=_positive_int, default=50)
-    detect.add_argument("--min-epochs", type=_positive_int, default=1)
-    detect.add_argument("--early-stop-delta", type=float, default=1e-4)
-    detect.add_argument("--early-stop-patience", type=_positive_int, default=3)
     detect.set_defaults(func=run_detect)
 
     evaluate = sub.add_parser(
@@ -109,10 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evaluation summary JSON to write (default: report path with .eval.json)",
     )
-    evaluate.add_argument(
-        "--look-back", type=_look_back_arg, default=None,
-        help="override the look-back count instead of inferring it from the report",
-    )
     evaluate.set_defaults(func=run_evaluate)
     return parser
 
@@ -120,17 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run_detect(args: argparse.Namespace) -> int:
     observations = read_series(args.input)
     config = DetectorConfig(
-        look_back=args.look_back,
-        epsilon=args.epsilon,
-        lstm=LstmConfig(
-            hidden_units=args.hidden_units,
-            learning_rate=args.learning_rate,
-            max_epochs=args.max_epochs,
-            min_epochs=args.min_epochs,
-            early_stop_delta=args.early_stop_delta,
-            early_stop_patience=args.early_stop_patience,
-            seed=args.seed,
-        ),
+        look_back=args.look_back, epsilon=args.epsilon, lstm=LstmConfig(seed=args.seed)
     )
     detector = Detector(config)
     summary_path = args.summary or args.report.with_suffix(".summary.json")
@@ -167,21 +140,15 @@ def _infer_look_back(records) -> int:
     for record in records:
         if record.phase is Phase.WARMUP:
             return record.time_index + 1
-    raise PresageError(
-        "cannot infer look-back from the report (no warmup rows); pass --look-back"
-    )
+    raise PresageError("cannot infer look-back from the report (no warmup rows)")
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
     records = read_report(args.report)
     labels = read_labels(args.labels, args.dataset_key)
-    look_back = args.look_back or _infer_look_back(records)
+    look_back = _infer_look_back(records)
     summary = evaluate_run(
-        records,
-        labels.anomaly_timestamps,
-        look_back,
-        pre_window_minutes=args.pre_window,
-        grace_minutes=args.grace,
+        records, labels, look_back, pre_window_minutes=args.pre_window, grace_minutes=args.grace
     )
     summary_path = args.summary or args.report.with_suffix(".eval.json")
     _write_evaluation(summary, args, look_back, summary_path)

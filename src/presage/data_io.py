@@ -8,7 +8,9 @@ File formats (all documented here, bit-exactly):
 * Labels: JSON. Either a plain list of timestamps (all anomalies), or a
   map from dataset key to an entry; an entry is a list of anomaly
   timestamps or an object ``{"anomalies": [...], "signs": [...]}`` where
-  ``signs`` holds labeled precursor instants.
+  ``signs`` holds labeled precursor instants. Signs are accepted and
+  checked like anomalies, but not scored: ``read_labels`` returns only
+  the anomalies.
 * Report output: CSV with one row per ingested point and columns
   ``index,timestamp,value,predicted,aare,threshold,phase,verdict,
   retrained,decision_time_s``. Fields that are undefined for the row's
@@ -27,7 +29,7 @@ import math
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Iterator
@@ -38,7 +40,6 @@ from .evaluation import RunSummary
 
 __all__ = [
     "Observation",
-    "LabelSet",
     "read_series",
     "read_labels",
     "ReportWriter",
@@ -64,16 +65,6 @@ REPORT_COLUMNS = [
 class Observation:
     timestamp: datetime
     value: float
-
-
-@dataclass
-class LabelSet:
-    """Expert labels for one series: anomaly instants plus optional
-    precursor ("sign") instants."""
-
-    dataset_key: str
-    anomaly_timestamps: list[datetime]
-    sign_timestamps: list[datetime] = field(default_factory=list)
 
 
 def _parse_timestamp(text: str, context: str) -> datetime:
@@ -196,13 +187,14 @@ def _parse_label_list(entries, context: str) -> list[datetime]:
     return stamps
 
 
-def read_labels(path: str | Path, dataset_key: str | None = None) -> LabelSet:
-    """Load the label set for ``dataset_key``.
+def read_labels(path: str | Path, dataset_key: str | None = None) -> list[datetime]:
+    """Load the anomaly instants labeled for ``dataset_key``.
 
     The file is either a map from dataset keys to label entries (the
     combined-labels layout, the documented default) or a plain list of
     timestamps, in which case the key is ignored and the whole list is
-    returned as anomalies.
+    returned. An entry's ``signs`` are checked like its anomalies and then
+    dropped: they are not scored.
     """
     path = Path(path)
     try:
@@ -212,10 +204,7 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> LabelSet:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 
     if isinstance(payload, list):
-        return LabelSet(
-            dataset_key=dataset_key or "",
-            anomaly_timestamps=_parse_label_list(payload, str(path)),
-        )
+        return _parse_label_list(payload, str(path))
     if not isinstance(payload, dict):
         raise DataError(f"{path}: labels must be a JSON list or object")
 
@@ -225,13 +214,12 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> LabelSet:
             f"available: {sorted(payload)}"
         )
     entry = payload[dataset_key]
-    if isinstance(entry, dict):
-        anomalies = _parse_label_list(entry.get("anomalies", []), f"{path}[{dataset_key}]")
-        signs = _parse_label_list(entry.get("signs", []), f"{path}[{dataset_key}]")
-    else:
-        anomalies = _parse_label_list(entry, f"{path}[{dataset_key}]")
-        signs = []
-    return LabelSet(dataset_key=dataset_key, anomaly_timestamps=anomalies, sign_timestamps=signs)
+    context = f"{path}[{dataset_key}]"
+    if not isinstance(entry, dict):
+        return _parse_label_list(entry, context)
+    anomalies = _parse_label_list(entry.get("anomalies", []), context)
+    _parse_label_list(entry.get("signs", []), context)
+    return anomalies
 
 
 class ReportWriter:
@@ -283,11 +271,15 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
                 continue
             if len(row) != len(REPORT_COLUMNS):
                 raise DataError(f"{path}:{lineno}: malformed report row")
+            try:  # not through _parse_timestamp: its context costs a format per row
+                timestamp = datetime.fromisoformat(row[1].strip()) if row[1] else None
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparsable timestamp {row[1]!r}") from None
             try:
                 records.append(
                     DetectionRecord(
                         time_index=int(row[0]),
-                        timestamp=_parse_timestamp(row[1], f"{path}:{lineno}") if row[1] else None,
+                        timestamp=timestamp,
                         value=float(row[2]),
                         predicted=_parse_optional_float(row[3]),
                         aare=_parse_optional_float(row[4]),

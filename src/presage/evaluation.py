@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .detector import _WELFORD_EMPTY, DetectionRecord, Verdict, _welford_add, _welford_std
 from .errors import DataError, OrderingError, StateError
@@ -82,14 +82,16 @@ class EvaluationSummary:
     run: RunSummary
 
 
-def _anomaly_records(
-    records: Sequence[DetectionRecord], labels: Sequence[datetime]
-) -> list[DetectionRecord]:
+def _checked(
+    records: Iterable[DetectionRecord], labels: Sequence[datetime]
+) -> Iterator[DetectionRecord]:
+    """Yield ``records`` as they come, each after checking that it is in
+    time order, agrees with the labels on timezone awareness and, if an
+    anomaly, has a timestamp."""
     # Aware and naive instants do not compare: the first label, or without
     # labels the first timestamped record, fixes which kind the run uses.
     naive = labels[0].tzinfo is None if labels else None
     previous = None
-    anomalies = []
     for record in records:
         if record.timestamp is not None:
             if naive is None:
@@ -104,30 +106,28 @@ def _anomaly_records(
                     f"records are not time-ordered at index {record.time_index}"
                 )
             previous = record.timestamp
-        if record.verdict is Verdict.ANOMALY:
-            if record.timestamp is None:
-                raise DataError(
-                    f"anomaly record at index {record.time_index} has no timestamp"
-                )
-            anomalies.append(record)
-    return anomalies
+        elif record.verdict is Verdict.ANOMALY:
+            raise DataError(f"anomaly record at index {record.time_index} has no timestamp")
+        yield record
 
 
 def _attribute(
-    records: Sequence[DetectionRecord],
+    records: Iterable[DetectionRecord],
     labels: Sequence[datetime],
     pre_window_minutes: float,
     grace_minutes: float,
 ) -> tuple[dict[int, list[DetectionRecord]], list[DetectionRecord]]:
-    """Assign each anomaly report to the nearest covering label, or to
-    the false-warning pool."""
+    """Assign each anomaly report among ``records`` to the nearest covering
+    label, or to the false-warning pool."""
     pre = timedelta(minutes=pre_window_minutes)
     grace = timedelta(minutes=grace_minutes)
     buckets: dict[int, list[DetectionRecord]] = {i: [] for i in range(len(labels))}
     unmatched: list[DetectionRecord] = []
     ordered = sorted(range(len(labels)), key=lambda i: labels[i])
 
-    for record in _anomaly_records(records, labels):
+    for record in records:
+        if record.verdict is not Verdict.ANOMALY:
+            continue
         best = None
         best_distance = None
         for i in ordered:
@@ -154,7 +154,7 @@ def lead_time(
     Positive lead minutes mean the warning preceded the labeled instant.
     A label with no attributed report is ``MISSED``.
     """
-    buckets, _ = _attribute(records, labels, pre_window_minutes, grace_minutes)
+    buckets, _ = _attribute(_checked(records, labels), labels, pre_window_minutes, grace_minutes)
     return _lead_times(buckets, labels)
 
 
@@ -186,7 +186,7 @@ def false_warnings(
     grace_minutes: float = DEFAULT_GRACE_MINUTES,
 ) -> int:
     """Count anomaly reports outside every label's evaluation window."""
-    _, unmatched = _attribute(records, labels, pre_window_minutes, grace_minutes)
+    _, unmatched = _attribute(_checked(records, labels), labels, pre_window_minutes, grace_minutes)
     return len(unmatched)
 
 
@@ -220,20 +220,21 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
 
 
 def evaluate_run(
-    records: Sequence[DetectionRecord],
+    records: Iterable[DetectionRecord],
     labels: Sequence[datetime],
     look_back: int,
     pre_window_minutes: float = DEFAULT_PRE_WINDOW_MINUTES,
     grace_minutes: float = DEFAULT_GRACE_MINUTES,
 ) -> EvaluationSummary:
-    """Full scoreboard for one run: per-label lead times, false warnings,
-    and the run summary. A run that never left the preparation ramp (an
-    empty one included) has no retraining ratio: ``StateError``."""
-    run = summarize_run(records, look_back)
-    buckets, unmatched = _attribute(records, labels, pre_window_minutes, grace_minutes)
+    """Full scoreboard for one run from one pass over its records: per-label
+    lead times, false warnings, and the run summary. A run that never left
+    the preparation ramp (an empty one included) has no retraining ratio:
+    ``StateError``."""
+    run = summarize_run(_checked(records, labels), look_back)
     if not run.eligible_points:
         raise StateError(
             f"run of {run.total_points} points never left the preparation ramp "
             f"(needs more than {2 * look_back - 1})"
         )
+    buckets, unmatched = _attribute(run.anomalies, labels, pre_window_minutes, grace_minutes)
     return EvaluationSummary(_lead_times(buckets, labels), len(unmatched), run)

@@ -8,7 +8,9 @@ see the per-criterion lines.
 """
 
 import csv
+import json
 import time
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -74,7 +76,7 @@ def test_criterion_1_cpu_b3b_replay(cpu_replay):
     assert len(records) == 4032
 
     labels = read_labels(LABELS_PATH, CPU_B3B_KEY)
-    results = lead_time(records, labels.anomaly_timestamps)
+    results = lead_time(records, labels)
     for result in results:
         assert result.status in (LeadStatus.ON_TIME, LeadStatus.PROACTIVE), (
             f"label {result.label_timestamp} has status {result.status.value}"
@@ -99,7 +101,7 @@ def test_criterion_2_mtsf_replay(mtsf_replay):
     assert len(records) == 22695
 
     labels = read_labels(LABELS_PATH, MTSF_KEY)
-    results = lead_time(records, labels.anomaly_timestamps)
+    results = lead_time(records, labels)
     assert all(result.status is not LeadStatus.MISSED for result in results), (
         f"statuses: {[r.status.value for r in results]}"
     )
@@ -109,8 +111,9 @@ def test_criterion_2_mtsf_replay(mtsf_replay):
     ratio = summarize_run(records, detector.config.look_back).retraining_ratio
     assert ratio <= 0.03
 
-    second_anomaly = labels.anomaly_timestamps[1]
-    sign = labels.sign_timestamps[0]
+    # ``read_labels`` does not return signs: read the precursor instant directly
+    second_anomaly = labels[1]
+    sign = datetime.fromisoformat(json.loads(LABELS_PATH.read_text())[MTSF_KEY]["signs"][0])
     quiet_span_warnings = sum(
         1
         for record in records

@@ -4,14 +4,16 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from presage.cli import main
-from presage.data_io import read_report, write_summary
-from presage.detector import DetectorConfig, Verdict, phase_of
+from presage.data_io import read_report, read_series, write_summary
+from presage.detector import Detector, DetectorConfig, Verdict, phase_of
 from presage.evaluation import summarize_run
+from presage.forecaster import LstmConfig
 
 from helpers import (
     SPIKE_SHIFT_INDEX,
@@ -146,10 +148,48 @@ class TestDetect:
         # so 1500 more points would add about 670 KiB.
         assert peak(2000) - peak(500) < 32 * 1024
 
-    def test_unsupported_horizon_is_a_usage_error(self, tmp_path, spike_csv):
-        with pytest.raises(SystemExit) as exc:
-            main(detect_args(spike_csv, tmp_path / "r.csv", ["--predict-forward", "2"]))
-        assert exc.value.code == 2
+    def test_unsupported_horizon_is_a_usage_error(self, tmp_path, spike_csv, capsys):
+        # The horizon and the LSTM's tuning are not options: the CLI runs the
+        # paper's configuration, which the run summary then names in full.
+        # evaluate reads the look-back from the report's warm-up rows.
+        report = tmp_path / "r.csv"
+        removed = [
+            ["--predict-forward", "2"],
+            ["--hidden-units", "4"],
+            ["--learning-rate", "0.1"],
+            ["--max-epochs", "5"],
+            ["--min-epochs", "2"],
+            ["--early-stop-delta", "0.01"],
+            ["--early-stop-patience", "2"],
+        ]
+        for argv in [detect_args(spike_csv, report, flag) for flag in removed] + [
+            ["evaluate", "--report", str(report), "--labels", str(report), "--look-back", "3"]
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "Traceback" not in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_summary_config_reproduces_the_report(self, tmp_path, spike_csv):
+        report = tmp_path / "report.csv"
+        flags = ["--look-back", "4", "--seed", "7", "--epsilon", "1e-6"]
+        assert main(detect_args(spike_csv, report, flags)) == 0
+        config = json.loads(report.with_suffix(".summary.json").read_text())["config"]
+        assert config == {"look_back": 4, "predict_forward": 1, "seed": 7, "epsilon": 1e-6}
+        detector = Detector(
+            DetectorConfig(
+                look_back=config["look_back"],
+                epsilon=config["epsilon"],
+                lstm=LstmConfig(seed=config["seed"]),
+            )
+        )
+        rebuilt = [detector.step(obs.value, obs.timestamp) for obs in read_series(spike_csv)]
+        written = read_report(report)
+        assert len(written) == len(rebuilt) == len(spike_values())
+        assert [replace(r, decision_time=0.0) for r in written] == [
+            replace(r, decision_time=0.0) for r in rebuilt
+        ]
 
     def test_bad_look_back_is_a_usage_error(self, tmp_path, spike_csv):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from presage.data_io import (
     REPORT_COLUMNS,
-    LabelSet,
     read_labels,
     read_report,
     read_series,
@@ -196,27 +195,36 @@ class TestReadSeries:
 class TestReadLabels:
     def test_shipped_labels_for_cpu_series(self):
         labels = read_labels(LABELS_PATH, CPU_B3B_KEY)
-        assert len(labels.anomaly_timestamps) == 2
-        assert labels.sign_timestamps == []
+        assert len(labels) == 2
 
     def test_shipped_labels_for_machine_temperature_series(self):
         labels = read_labels(LABELS_PATH, MTSF_KEY)
-        assert len(labels.anomaly_timestamps) == 3
-        assert len(labels.sign_timestamps) == 1
-        # the sign precedes the final anomaly
-        assert labels.sign_timestamps[0] < labels.anomaly_timestamps[-1]
+        assert len(labels) == 3
+
+    def test_signs_are_checked_but_only_anomalies_returned(self, tmp_path):
+        path = tmp_path / "labels.json"
+        entry = {"anomalies": ["2020-01-03 00:00:00"], "signs": ["2020-01-02 00:00:00"]}
+        path.write_text(json.dumps({"k": entry}))
+        assert read_labels(path, "k") == [datetime(2020, 1, 3)]
+
+    def test_decreasing_signs_rejected(self, tmp_path):
+        path = tmp_path / "labels.json"
+        entry = {"anomalies": [], "signs": ["2020-01-02 00:00:00", "2020-01-01 00:00:00"]}
+        path.write_text(json.dumps({"k": entry}))
+        with pytest.raises(DataError, match="strictly increasing"):
+            read_labels(path, "k")
 
     def test_plain_list_mode(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps(["2020-01-01 10:00:00", "2020-01-02 10:00:00"]))
         labels = read_labels(path)
-        assert len(labels.anomaly_timestamps) == 2
+        assert len(labels) == 2
 
     def test_empty_plain_list(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text("[]")
         labels = read_labels(path)
-        assert labels.anomaly_timestamps == []
+        assert labels == []
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "labels.json"
@@ -339,6 +347,16 @@ class TestReport:
         path.write_text("a,b,c\n")
         with pytest.raises(DataError):
             read_report(path)
+
+    def test_unparsable_timestamp_reports_line(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_records(sample_records()[:3], path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(lines[2].split(",")[1], " noon ")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            read_report(path)
+        assert str(exc.value) == f"{path}:3: unparsable timestamp ' noon '"
 
     @settings(max_examples=300, deadline=None)
     @given(records=st.lists(RECORDS, max_size=6))

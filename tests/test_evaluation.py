@@ -221,3 +221,27 @@ class TestEvaluateRun:
         assert (summary.run.retrain_count, summary.run.eligible_points) == (2, 295)
         assert summary.run.avg_decision_time == pytest.approx(0.002)
         assert [r.time_index for r in summary.run.anomalies] == [150]
+
+    def test_generator_gives_the_same_summary_as_the_list(self):
+        labels = [T0 + 300 * MIN, T0 + 1000 * MIN]
+        records = [
+            make_record(
+                k,
+                timestamp=T0 + k * 5 * MIN,
+                verdict=Verdict.ANOMALY if k in (70, 150, 290) else Verdict.NORMAL,
+                retrained=k in (70, 150),
+                decision_time=0.001 * (k % 7),
+            )
+            for k in range(300)
+        ]
+        expected = evaluate_run(records, labels, look_back=3)
+        assert [r.status for r in expected.lead_times] == [LeadStatus.LATE, LeadStatus.PROACTIVE]
+        assert expected.false_warning_count == 1
+        assert evaluate_run(iter(records), labels, look_back=3) == expected
+        assert evaluate_run((r for r in records), labels, look_back=3) == expected
+
+    def test_generator_input_is_checked_in_the_same_pass(self):
+        records = [normal_at(T0 + k * MIN, index=k) for k in range(10)]
+        records[6] = normal_at(T0, index=6)
+        with pytest.raises(OrderingError, match="index 6"):
+            evaluate_run((r for r in records), [], look_back=3)
