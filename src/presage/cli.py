@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
@@ -29,8 +31,24 @@ __all__ = ["main", "build_parser", "run_detect", "run_evaluate"]
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
+
+
+def _minutes_arg(text: str) -> float:
+    value = _positive_float(text)
+    try:
+        timedelta(minutes=value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"too many minutes for a time span: {text}") from None
+    return value
+
+
+def _seed_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
     return value
 
 
@@ -65,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--look-back", type=_look_back_arg, default=3,
         help="number of recent points used for training and prediction (default 3)",
     )
-    detect.add_argument("--seed", type=int, default=42, help="seed for model initialization")
+    detect.add_argument("--seed", type=_seed_arg, default=42, help="seed for model initialization")
     detect.add_argument(
         "--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
         help="denominator floor for the relative-error score",
@@ -83,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="key into a combined labels map (unused for plain-list label files)",
     )
     evaluate.add_argument(
-        "--pre-window", type=_positive_float, default=DEFAULT_PRE_WINDOW_MINUTES,
+        "--pre-window", type=_minutes_arg, default=DEFAULT_PRE_WINDOW_MINUTES,
         help="minutes before a label in which a report counts for it (default 1440)",
     )
     evaluate.add_argument(
-        "--grace", type=_positive_float, default=DEFAULT_GRACE_MINUTES,
+        "--grace", type=_minutes_arg, default=DEFAULT_GRACE_MINUTES,
         help="minutes after a label in which a report still counts (default 60)",
     )
     evaluate.add_argument(

@@ -208,6 +208,11 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> list[dateti
     if not isinstance(payload, dict):
         raise DataError(f"{path}: labels must be a JSON list or object")
 
+    if dataset_key is None:
+        raise DatasetKeyError(
+            f"{path} is a map of dataset keys to labels: pass --dataset-key "
+            f"with one of {sorted(payload)}"
+        )
     if dataset_key not in payload:
         raise DatasetKeyError(
             f"{path}: dataset key {dataset_key!r} not found; "

@@ -85,8 +85,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.look_back < 2:
             raise ConfigError(f"look_back must be >= 2, got {self.look_back}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass

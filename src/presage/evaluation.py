@@ -131,9 +131,11 @@ def _attribute(
         best = None
         best_distance = None
         for i in ordered:
-            instant = labels[i]
-            if instant - pre <= record.timestamp <= instant + grace:
-                distance = abs(instant - record.timestamp)
+            # A label plus or minus a wide span can leave datetime's
+            # range; the difference of two datetimes cannot.
+            offset = record.timestamp - labels[i]
+            if -pre <= offset <= grace:
+                distance = abs(offset)
                 if best_distance is None or distance < best_distance:
                     best, best_distance = i, distance
         if best is None:

@@ -8,13 +8,19 @@ milliseconds. Everything runs on plain numpy in float64.
 
 Gate layout: weight and bias vectors stack the four gates in the order
 (input, forget, output, candidate), each slice of length ``hidden_units``.
+A step works gate-major: its pre-activations are shaped ``(4, ..., H)``, one
+leading entry per gate, so the sigmoid gates are one contiguous block and
+each gate product is an operation on equal contiguous shapes. The step's
+weights have the sigmoid gates' rows halved beforehand, since
+``sigmoid(z) = (1 + tanh(z / 2)) / 2``; halving by a power of two is exact,
+so forecasts and trained models are bit-identical to unscaled weights
+scaled inside the step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +76,8 @@ class LstmConfig:
             raise ConfigError(
                 f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -84,9 +92,10 @@ class LstmModel:
     mapped back afterwards.
 
     ``predict_next`` keeps the recurrence states of the last forecast
-    window's suffixes on the model, keyed by the identity of ``w_x``,
-    ``w_h`` and ``b``: reassign those arrays to change them, never write
-    into them. ``train`` returns its arrays read-only.
+    window's suffixes, and the step weights it builds from ``w_x``, ``w_h``
+    and ``b``, on the model, keyed by the identity of those three arrays:
+    reassign them to change them, never write into them. ``train`` returns
+    its arrays read-only.
     """
 
     w_x: np.ndarray  # (4H,)
@@ -97,6 +106,7 @@ class LstmModel:
     norm_mean: float = 0.0
     norm_std: float = 1.0
     _suffixes: tuple | None = field(default=None, init=False, repr=False)
+    _prepared: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def hidden_units(self) -> int:
@@ -132,46 +142,43 @@ def init_model(config: LstmConfig) -> LstmModel:
     )
 
 
-@lru_cache(maxsize=8)
-def _gate_affine(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(scale, offset)`` of the fused gate activation.
+def _halved_sigmoid_rows(w: np.ndarray) -> np.ndarray:
+    """A copy of the stacked-gate array ``w`` with the rows of the sigmoid
+    gates (i, f, o) halved and those of the candidate g kept.
 
-    ``scale`` is 1/2 on the sigmoid gates (i, f, o) and 1 on the
-    candidate g; ``offset`` is ``1 - scale``. Then
-    ``offset + scale * tanh(scale * z)`` is ``sigmoid(z) = (1 + tanh(z/2)) / 2``
-    on the sigmoid gates and ``tanh(z)`` on g, and nothing can overflow.
-    Both have the pre-activations' ``shape``: numpy broadcasts a row over
-    several at about twice the cost of an operation on equal shapes.
+    Halving is exact unless a halved value is subnormal. That underflow is
+    as harmless as the step's own, and is met where those are: inside
+    ``train``'s scope that ignores underflow, and in ``predict_next``'s
+    retry.
     """
-    scale = np.full(shape, 0.5)
-    scale[..., 3 * (shape[-1] // 4) :] = 1.0
-    offset = 1.0 - scale
-    scale.flags.writeable = offset.flags.writeable = False
-    return scale, offset
+    scaled = w.copy()
+    scaled[: 3 * (len(w) // 4)] *= 0.5
+    return scaled
 
 
-def _gates(model: LstmModel, x: float, act, c_prev, c, tc, hidden) -> None:
+def _gates(act, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
     """One recurrence step from the recurrent products, in place.
 
-    ``act`` holds ``h_prev @ w_h.T`` stacked like the weights along its
-    last axis, one row per sequence; the step adds ``w_x * x`` and ``b``
-    and turns it into the activations (i, f, o, g) with one ``tanh`` over
-    all four gates. The cell state, its tanh and the hidden state are
-    written into ``c``, ``tc`` and ``hidden``, rows shaped like
-    ``c_prev``; ``tc`` may be ``hidden`` when the caller needs no tanh.
+    ``act`` holds the gate-major pre-activations, shaped ``(4, ..., H)``
+    with one leading entry per gate (i, f, o, g), from weights whose
+    sigmoid-gate rows were halved: ``w_x`` and ``b`` have ``act``'s shape.
+    The step adds ``w_x * x`` and ``b`` and turns ``act`` into the
+    activations with one ``tanh`` over all four gates, since
+    ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The
+    cell state, its tanh and the hidden state are written into ``c``,
+    ``tc`` and ``hidden``, shaped like ``c_prev``; ``tc`` may be
+    ``hidden`` when the caller needs no tanh.
     """
-    h = model.hidden_units
-    scale, offset = _gate_affine(act.shape)
-    act += model.w_x * x
-    act += model.b
-    act *= scale
+    act += w_x * x
+    act += b
     np.tanh(act, out=act)
-    act *= scale
-    act += offset
-    np.multiply(act[..., h : 2 * h], c_prev, out=c)
-    c += act[..., :h] * act[..., 3 * h :]
+    sigmoids = act[:3]
+    sigmoids *= 0.5
+    sigmoids += 0.5
+    np.multiply(act[1], c_prev, out=c)
+    c += act[0] * act[3]
     np.tanh(c, out=tc)
-    np.multiply(act[..., 2 * h : 3 * h], tc, out=hidden)
+    np.multiply(act[2], tc, out=hidden)
 
 
 def _run(model: LstmModel, inputs: np.ndarray):
@@ -183,13 +190,17 @@ def _run(model: LstmModel, inputs: np.ndarray):
     """
     h = model.hidden_units
     steps = inputs.size
-    acts = np.empty((steps, 4 * h))
+    w_h = _halved_sigmoid_rows(model.w_h)
+    w_x = _halved_sigmoid_rows(model.w_x).reshape(4, h)
+    b = _halved_sigmoid_rows(model.b).reshape(4, h)
+    gates = np.empty((steps, 4, h))
+    acts = gates.reshape(steps, 4 * h)
     cells = np.zeros((steps + 1, h))
     tanh_cells = np.empty((steps, h))
     hiddens = np.zeros((steps + 1, h))
     for k in range(steps):
-        np.matmul(model.w_h, hiddens[k], out=acts[k])
-        _gates(model, inputs[k], acts[k], cells[k], cells[k + 1], tanh_cells[k], hiddens[k + 1])
+        np.matmul(w_h, hiddens[k], out=acts[k])
+        _gates(gates[k], inputs[k], w_x, b, cells[k], cells[k + 1], tanh_cells[k], hiddens[k + 1])
     outputs = hiddens[1:] @ model.w_out + model.b_out
     return acts, cells, tanh_cells, hiddens, outputs
 
@@ -304,6 +315,32 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     return TrainOutcome(model=model, epochs_used=epochs_used, final_loss=final_loss)
 
 
+def _step_weights(model: LstmModel, n: int) -> tuple:
+    """The weights of a step on n rows, built once per model and row count.
+
+    All have the sigmoid gates' rows halved. ``w_h`` is viewed as
+    ``(4, H, H)``, so one ``np.matmul(hidden, w_h)`` gives the gate-major
+    ``(4, n, H)`` pre-activations, and ``w_x`` and ``b`` are tiled to that
+    shape, so no operation of the step broadcasts. They are kept on the
+    model, keyed like its suffix states by the identity of ``w_x``, ``w_h``
+    and ``b``, and by n.
+    """
+    prep = model._prepared
+    if (
+        prep is None
+        or prep[0] is not model.w_x
+        or prep[1] is not model.w_h
+        or prep[2] is not model.b
+        or prep[3] != n
+    ):
+        h = model.hidden_units
+        w_h = _halved_sigmoid_rows(model.w_h).reshape(4, h, h).transpose(0, 2, 1)
+        w_x = np.repeat(_halved_sigmoid_rows(model.w_x).reshape(4, 1, h), n, axis=1)
+        b = np.repeat(_halved_sigmoid_rows(model.b).reshape(4, 1, h), n, axis=1)
+        prep = model._prepared = (model.w_x, model.w_h, model.b, n, w_h, w_x, b)
+    return prep[4:]
+
+
 def _advance(model: LstmModel, feed, hidden: np.ndarray, cell: np.ndarray):
     """Feed each value of ``feed`` to all n rows of the carried states.
 
@@ -312,11 +349,12 @@ def _advance(model: LstmModel, feed, hidden: np.ndarray, cell: np.ndarray):
     the other n rows of hidden and cell state.
     """
     n, h = hidden.shape
+    w_h, w_x, b = _step_weights(model, n)
     for x in feed:
-        act = hidden @ model.w_h.T
+        act = np.matmul(hidden, w_h)
         cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
         out = hiddens[:-1]
-        _gates(model, x, act, cell, cells[:-1], out, out)
+        _gates(act, x, w_x, b, cell, cells[:-1], out, out)
         hidden, cell = hiddens[1:], cells[1:]
     return float(model.w_out @ hiddens[0]) + model.b_out, hidden, cell
 

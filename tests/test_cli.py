@@ -196,6 +196,25 @@ class TestDetect:
             main(detect_args(spike_csv, tmp_path / "r.csv", ["--look-back", "1"]))
         assert exc.value.code == 2
 
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, spike_csv, capsys):
+        # A negative seed would fail at the first training, after the report
+        # was opened; a non-finite epsilon or a span of minutes that no
+        # timedelta holds would run or fail with a raw numpy or datetime error.
+        report = tmp_path / "r.csv"
+        bad = [detect_args(spike_csv, report, flag) for flag in (
+            ["--seed", "-1"], ["--epsilon", "nan"], ["--epsilon", "inf"], ["--epsilon", "0"],
+        )] + [
+            ["evaluate", "--report", str(report), "--labels", str(report), flag, value]
+            for flag in ("--pre-window", "--grace")
+            for value in ("nan", "inf", "-inf", "1e300")
+        ]
+        for argv in bad:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "Traceback" not in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -245,6 +264,28 @@ class TestEvaluate:
         assert payload["labels"] == []
         anomalies = [r for r in read_report(spike_report) if r.verdict is Verdict.ANOMALY]
         assert payload["false_warnings"] == len(anomalies)
+
+    def test_spans_past_the_calendar_are_scored(self, tmp_path, spike_report):
+        # A label's window may reach past year 1 or 9999 and still fit a timedelta.
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([spike_timestamps()[SPIKE_SHIFT_INDEX].isoformat(sep=" ")]))
+        summary_path = tmp_path / "eval.json"
+        wide = ["--pre-window", "1.4e12", "--grace", "1.4e12", "--summary", str(summary_path)]
+        assert main(["evaluate", "--report", str(spike_report), "--labels", str(labels), *wide]) == 0
+        payload = json.loads(summary_path.read_text())
+        anomalies = [r for r in read_report(spike_report) if r.verdict is Verdict.ANOMALY]
+        assert anomalies and payload["false_warnings"] == 0
+        assert payload["labels"][0]["status"] != "missed"
+
+    def test_map_labels_without_a_key_name_the_option(self, tmp_path, spike_report, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps({"b.csv": [], "a.csv": []}))
+        capsys.readouterr()
+        code = main(["evaluate", "--report", str(spike_report), "--labels", str(labels)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "map of dataset keys" in err and "--dataset-key" in err
+        assert "['a.csv', 'b.csv']" in err and "Traceback" not in err
 
     def test_aware_report_against_naive_labels_exits_one(self, tmp_path, capsys):
         series = tmp_path / "aware.csv"

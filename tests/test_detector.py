@@ -82,8 +82,10 @@ class TestConfig:
             DetectorConfig(look_back=1)
 
     def test_epsilon_positive(self):
-        with pytest.raises(ConfigError):
-            DetectorConfig(epsilon=0.0)
+        # inf would score every point 0 and nan compares false with 0.
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                DetectorConfig(epsilon=epsilon)
 
 
 class TestPhaseSchedule:

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -88,6 +89,7 @@ class TestConfig:
             {"min_epochs": 10, "max_epochs": 5},
             {"early_stop_delta": -1e-9},
             {"early_stop_patience": 0},
+            {"seed": -1},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -280,6 +282,44 @@ class TestPredictNext:
                 assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
             for window in windows:
                 assert np.isfinite(train(window, LstmConfig(seed=3)).final_loss)
+
+
+def subnormal_weights_model(seed: int) -> LstmModel:
+    model = random_model(np.random.default_rng(seed), 6, 1e-309)
+    model.b_out = 1e-309
+    return model
+
+
+def tiny_values_model(seed: int) -> LstmModel:
+    # Values near zero normalize to subnormals under a huge spread.
+    model = random_model(np.random.default_rng(seed), 6, 5.0)
+    model.norm_std = 1e300
+    return model
+
+
+class TestUnderflow:
+    """Halving a subnormal weight or product is inexact and underflows; a
+    caller that makes numpy raise gets the same result as one that does not."""
+
+    @pytest.mark.parametrize("make", [subnormal_weights_model, tiny_values_model])
+    def test_predict_next(self, make):
+        series = [3e-11, -2e-10, 1e-10, 5e-11, -4e-11, 2e-10, 0.0]
+        forecasts = []
+        for scope in (contextlib.nullcontext(), np.errstate(all="raise")):
+            model = make(59)
+            with scope:
+                forecasts.append([predict_next(model, series[k : k + 3]) for k in range(5)])
+        assert forecasts[0] == forecasts[1]
+        assert any(f != 0.0 for f in forecasts[0])
+
+    def test_train(self):
+        window = [1e300, 1e-10, -1e300]  # 1e-10 normalizes to about 8e-311
+        outcomes = []
+        for scope in (contextlib.nullcontext(), np.errstate(all="raise")):
+            with scope:
+                outcomes.append(train(window, LstmConfig(seed=5)))
+        assert models_equal(outcomes[0].model, outcomes[1].model)
+        assert outcomes[0].final_loss == outcomes[1].final_loss
 
 
 class TestNormalization:
