@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .errors import ConfigError, PresageError
 from .evaluation import (
     DEFAULT_GRACE_MINUTES,
     DEFAULT_PRE_WINDOW_MINUTES,
+    _span,
     evaluate_run,
     summarize_run,
 )
@@ -37,11 +37,11 @@ def _positive_float(text: str) -> float:
 
 
 def _minutes_arg(text: str) -> float:
-    value = _positive_float(text)
+    value = float(text)
     try:
-        timedelta(minutes=value)
-    except OverflowError:
-        raise argparse.ArgumentTypeError(f"too many minutes for a time span: {text}") from None
+        _span(value, "a span")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -10,18 +10,21 @@ look for the earliest anomaly report inside an evaluation window
 arrived. Reports outside every label's window are false warnings. Each
 anomaly report counts exactly once: it is attributed to the label whose
 instant is nearest (ties to the earlier label), or to the false-warning
-pool.
+pool. Both spans are given in minutes; one that is not finite, is negative
+or does not fit a ``timedelta`` is a ``ConfigError``, raised before any
+record is read.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
 from .detector import _WELFORD_EMPTY, DetectionRecord, Verdict, _welford_add, _welford_std
-from .errors import DataError, OrderingError, StateError
+from .errors import ConfigError, DataError, OrderingError, StateError
 
 __all__ = [
     "LeadStatus",
@@ -111,16 +114,29 @@ def _checked(
         yield record
 
 
+def _span(minutes: float, name: str) -> timedelta:
+    """``minutes`` as a time span: finite, non-negative and within what a
+    ``timedelta`` holds, else ``ConfigError``."""
+    if not (math.isfinite(minutes) and minutes >= 0):
+        raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {minutes}")
+    try:
+        return timedelta(minutes=minutes)
+    except OverflowError:
+        raise ConfigError(f"{name} of {minutes} minutes is longer than a time span can be") from None
+
+
+def _spans(pre_window_minutes: float, grace_minutes: float) -> tuple[timedelta, timedelta]:
+    return _span(pre_window_minutes, "pre_window_minutes"), _span(grace_minutes, "grace_minutes")
+
+
 def _attribute(
     records: Iterable[DetectionRecord],
     labels: Sequence[datetime],
-    pre_window_minutes: float,
-    grace_minutes: float,
+    pre: timedelta,
+    grace: timedelta,
 ) -> tuple[dict[int, list[DetectionRecord]], list[DetectionRecord]]:
     """Assign each anomaly report among ``records`` to the nearest covering
     label, or to the false-warning pool."""
-    pre = timedelta(minutes=pre_window_minutes)
-    grace = timedelta(minutes=grace_minutes)
     buckets: dict[int, list[DetectionRecord]] = {i: [] for i in range(len(labels))}
     unmatched: list[DetectionRecord] = []
     ordered = sorted(range(len(labels)), key=lambda i: labels[i])
@@ -156,7 +172,8 @@ def lead_time(
     Positive lead minutes mean the warning preceded the labeled instant.
     A label with no attributed report is ``MISSED``.
     """
-    buckets, _ = _attribute(_checked(records, labels), labels, pre_window_minutes, grace_minutes)
+    spans = _spans(pre_window_minutes, grace_minutes)
+    buckets, _ = _attribute(_checked(records, labels), labels, *spans)
     return _lead_times(buckets, labels)
 
 
@@ -188,7 +205,8 @@ def false_warnings(
     grace_minutes: float = DEFAULT_GRACE_MINUTES,
 ) -> int:
     """Count anomaly reports outside every label's evaluation window."""
-    _, unmatched = _attribute(_checked(records, labels), labels, pre_window_minutes, grace_minutes)
+    spans = _spans(pre_window_minutes, grace_minutes)
+    _, unmatched = _attribute(_checked(records, labels), labels, *spans)
     return len(unmatched)
 
 
@@ -232,11 +250,12 @@ def evaluate_run(
     lead times, false warnings, and the run summary. A run that never left
     the preparation ramp (an empty one included) has no retraining ratio:
     ``StateError``."""
+    spans = _spans(pre_window_minutes, grace_minutes)
     run = summarize_run(_checked(records, labels), look_back)
     if not run.eligible_points:
         raise StateError(
             f"run of {run.total_points} points never left the preparation ramp "
             f"(needs more than {2 * look_back - 1})"
         )
-    buckets, unmatched = _attribute(run.anomalies, labels, pre_window_minutes, grace_minutes)
+    buckets, unmatched = _attribute(run.anomalies, labels, *spans)
     return EvaluationSummary(_lead_times(buckets, labels), len(unmatched), run)

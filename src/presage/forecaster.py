@@ -15,6 +15,11 @@ weights have the sigmoid gates' rows halved beforehand, since
 ``sigmoid(z) = (1 + tanh(z / 2)) / 2``; halving by a power of two is exact,
 so forecasts and trained models are bit-identical to unscaled weights
 scaled inside the step.
+
+Training runs all the epochs of a ``train`` call through one workspace,
+``_Descent``, whose weights are views of one flat vector and whose buffers
+are reused by every epoch; trained models are bit-identical to those of a
+plain descent that allocates afresh (``tests/helpers.reference_train``).
 """
 
 from __future__ import annotations
@@ -147,9 +152,9 @@ def _halved_sigmoid_rows(w: np.ndarray) -> np.ndarray:
     gates (i, f, o) halved and those of the candidate g kept.
 
     Halving is exact unless a halved value is subnormal. That underflow is
-    as harmless as the step's own, and is met where those are: inside
-    ``train``'s scope that ignores underflow, and in ``predict_next``'s
-    retry.
+    as harmless as the step's own, and is met where those are: in
+    ``predict_next``'s retry (``_Descent`` halves the same rows inside
+    ``train``'s scope that ignores underflow).
     """
     scaled = w.copy()
     scaled[: 3 * (len(w) // 4)] *= 0.5
@@ -181,71 +186,146 @@ def _gates(act, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
     np.multiply(act[2], tc, out=hidden)
 
 
-def _run(model: LstmModel, inputs: np.ndarray):
-    """Forward recurrence from zero state, caching per-step activations.
+def _views(flat: np.ndarray, h: int) -> list:
+    """``w_h`` as ``(4H, H)``, ``w_x``, ``b`` and ``w_out``: views of a flat
+    vector laid out like ``_Descent.theta`` (``w_out`` is empty if the vector
+    stops after the gate weights)."""
+    n = 4 * h * h
+    return [flat[:n].reshape(4 * h, h), flat[n : n + 4 * h], flat[n + 4 * h : n + 8 * h], flat[n + 8 * h :]]
 
-    Returns ``(acts, cells, tanh_cells, hiddens, outputs)``. ``cells`` and
-    ``hiddens`` have a leading zero row, so row ``k`` is the state that
-    step ``k`` starts from and row ``k + 1`` the state it produces.
+
+class _Descent:
+    """The workspace of one training call, built once and used by every epoch.
+
+    ``theta`` is one flat vector holding ``w_h``, ``w_x``, ``b`` and ``w_out``
+    as views, ``grad`` has the same layout and ``b_out`` is a float, so an
+    update is ``grad *= lr; theta -= grad``. ``half`` holds the gate weights
+    with the sigmoid gates' rows halved, one multiply per forward pass. Every
+    buffer is overwritten in place by each pass; the leading rows of
+    ``cells`` and ``hiddens`` stay zero, so row ``k`` is the state that step
+    ``k`` starts from. Operands come in the order of a plain descent that
+    allocates afresh and updates the arrays one by one, so each operation
+    rounds the same way.
     """
-    h = model.hidden_units
-    steps = inputs.size
-    w_h = _halved_sigmoid_rows(model.w_h)
-    w_x = _halved_sigmoid_rows(model.w_x).reshape(4, h)
-    b = _halved_sigmoid_rows(model.b).reshape(4, h)
-    gates = np.empty((steps, 4, h))
-    acts = gates.reshape(steps, 4 * h)
-    cells = np.zeros((steps + 1, h))
-    tanh_cells = np.empty((steps, h))
-    hiddens = np.zeros((steps + 1, h))
-    for k in range(steps):
-        np.matmul(w_h, hiddens[k], out=acts[k])
-        _gates(gates[k], inputs[k], w_x, b, cells[k], cells[k + 1], tanh_cells[k], hiddens[k + 1])
-    outputs = hiddens[1:] @ model.w_out + model.b_out
-    return acts, cells, tanh_cells, hiddens, outputs
+
+    def __init__(self, model: LstmModel, inputs: np.ndarray, targets: np.ndarray | None = None):
+        h, steps = model.hidden_units, inputs.size
+        self.inputs, self.targets, self.b_out = inputs, targets, model.b_out
+        self.theta = np.concatenate((model.w_h.ravel(), model.w_x, model.b, model.w_out))
+        self.grad = np.empty_like(self.theta)
+        self.w_h, self.w_x, self.b, self.w_out = _views(self.theta, h)
+        self.scale = np.concatenate([np.repeat((0.5, 1.0), (3 * n, n)) for n in (h * h, h, h)])
+        self.half = np.empty_like(self.scale)
+        half_w_h, half_w_x, half_b, _ = _views(self.half, h)
+        self.half_weights = (half_w_h, half_w_x.reshape(4, h), half_b.reshape(4, h))
+
+        self.gates = gates = np.empty((steps, 4, h))
+        self.cells, self.hiddens = cells, hiddens = np.zeros((2, steps + 1, h))
+        self.tanh_cells, self.dc_of_dh, self.dh = np.empty((3, steps, h))
+        self.outputs, self.d_out = np.empty((2, steps))
+        # the activations and the gate errors' factors, gate-major
+        self.by_gate, self.partner_by_gate = np.empty((2, 4, steps * h))
+        self.partner = np.empty((steps, 4, h))
+        self.dz = np.empty((steps, 4 * h))
+        self.dc, self.dc_next, self.dh_next = np.empty((3, h))
+        acts = gates.reshape(steps, 4 * h)
+        self.forward_steps = list(
+            zip(inputs.tolist(), acts, gates, cells, cells[1:], self.tanh_cells, hiddens, hiddens[1:])
+        )
+        dz = self.dz.reshape(steps, 4, h)
+        self.backward_steps = list(
+            zip(range(steps), self.dh, self.dc_of_dh, self.partner, dz, self.dz, gates[:, 1])
+        )[::-1]
+
+    def forward(self) -> np.ndarray:
+        """The output after each input, from zero state."""
+        np.multiply(self.theta[: self.half.size], self.scale, out=self.half)
+        w_h, w_x, b = self.half_weights
+        for x, act, gate_act, c_prev, c, tc, h_prev, hidden in self.forward_steps:
+            np.matmul(w_h, h_prev, out=act)
+            _gates(gate_act, x, w_x, b, c_prev, c, tc, hidden)
+        np.matmul(self.hiddens[1:], self.w_out, out=self.outputs)
+        self.outputs += self.b_out
+        return self.outputs
+
+    def loss(self) -> float:
+        """Mean squared error of a forward pass; leaves the errors in ``d_out``."""
+        err = np.subtract(self.forward(), self.targets, out=self.d_out)
+        return float((err**2).sum() / err.size)
+
+    def loss_and_grads(self) -> float:
+        """The loss, with its gradients by BPTT written into ``grad`` and
+        ``b_out_grad``. The backward loop only carries the recurrent error;
+        the parameter gradients are matrix products over the gate errors ``dz``."""
+        loss = self.loss()
+        steps, h = self.tanh_cells.shape
+        d_out = self.d_out
+        d_out *= 2.0
+        d_out /= steps
+
+        # dz = deriv * partner * (dc on i, f, g; dh on o), where d act / d z is
+        # s(1 - s) on the sigmoid gates i, f, o and 1 - g^2 on g, and a gate's
+        # partner is what it multiplies: g for i, c_prev for f, tanh(c) for o,
+        # i for g. The per-gate work runs on gate-major copies, where each gate
+        # is one contiguous block: a numpy call on a strided slice costs about
+        # three times as much.
+        act, part = self.by_gate, self.partner_by_gate
+        np.copyto(act.reshape(4, steps, h), self.gates.transpose(1, 0, 2))
+        np.subtract(1.0, act, out=part)
+        part *= act
+        np.square(act[3], out=part[3])
+        np.subtract(1.0, part[3], out=part[3])
+        part[0] *= act[3]
+        part[1] *= self.cells[:-1].ravel()
+        part[2] *= self.tanh_cells.ravel()
+        part[3] *= act[0]
+        np.copyto(self.partner, part.reshape(4, steps, h).transpose(1, 0, 2))
+        dc_of_dh = self.dc_of_dh.ravel()
+        np.square(self.tanh_cells.ravel(), out=dc_of_dh)
+        np.subtract(1.0, dc_of_dh, out=dc_of_dh)
+        dc_of_dh *= act[2]
+        np.multiply(d_out[:, None], self.w_out, out=self.dh)
+
+        w_h_t, dc, dc_next, dh_next = self.w_h.T, self.dc, self.dc_next, self.dh_next
+        last = steps - 1
+        for k, dh, dc_dh, partner, dz, dz_row, forget in self.backward_steps:
+            if k < last:
+                dh += dh_next
+            np.multiply(dh, dc_dh, out=dc)
+            if k < last:
+                dc += dc_next
+            np.multiply(partner, dc, out=dz)
+            np.multiply(partner[2], dh, out=dz[2])
+            if k:  # step 0's recurrent errors reach no earlier step
+                np.matmul(w_h_t, dz_row, out=dh_next)
+                np.multiply(dc, forget, out=dc_next)
+
+        g_w_h, g_w_x, g_b, g_w_out = _views(self.grad, h)
+        np.matmul(self.inputs, self.dz, out=g_w_x)
+        np.matmul(self.dz.T, self.hiddens[:-1], out=g_w_h)
+        np.add.reduce(self.dz, axis=0, out=g_b)
+        np.matmul(d_out, self.hiddens[1:], out=g_w_out)
+        self.b_out_grad = float(d_out.sum())
+        return loss
+
+    def update(self, lr: float) -> None:
+        """One gradient step: per element ``w -= lr * g``."""
+        self.grad *= lr
+        self.theta -= self.grad
+        self.b_out -= lr * self.b_out_grad
+
+
+def _run(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
+    """The model's output after each of ``inputs``, from zero state."""
+    return _Descent(model, inputs).forward()
 
 
 def _loss_and_grads(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
-    """Mean squared error and its analytic gradients via BPTT.
-
-    The backward loop only carries the recurrent error; the parameter
-    gradients are matrix products over the stacked gate errors ``dz``.
-    """
-    h = model.hidden_units
-    steps = inputs.size
-    acts, cells, tanh_cells, hiddens, outputs = _run(model, inputs)
-
-    err = outputs - targets
-    loss = float((err**2).sum() / steps)
-    d_out = 2.0 * err / steps
-
-    # d act / d z: s(1 - s) on the sigmoid gates i, f, o and 1 - g^2 on g
-    deriv = acts * (1.0 - acts)
-    deriv[:, 3 * h :] = 1.0 - acts[:, 3 * h :] ** 2
-    # dz = deriv * partner * (dc on i, f, g; dh on o), where a gate's partner
-    # is what it multiplies: g for i, c_prev for f, tanh(c) for o, i for g
-    partner = deriv * np.concatenate(
-        (acts[:, 3 * h :], cells[:-1], tanh_cells, acts[:, :h]), axis=1
-    )
-    dc_of_dh = acts[:, 2 * h : 3 * h] * (1.0 - tanh_cells**2)
-
-    dz = np.empty((steps, 4 * h))
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    for k in range(steps - 1, -1, -1):
-        dh = d_out[k] * model.w_out + dh_next
-        dc = dh * dc_of_dh[k] + dc_next
-        np.multiply(partner[k], np.concatenate((dc, dc, dh, dc)), out=dz[k])
-        dh_next = model.w_h.T @ dz[k]
-        dc_next = dc * acts[k, h : 2 * h]
-
-    return loss, {
-        "w_x": inputs @ dz,
-        "w_h": dz.T @ hiddens[:-1],
-        "b": dz.sum(axis=0),
-        "w_out": d_out @ hiddens[1:],
-        "b_out": float(d_out.sum()),
-    }
+    """Mean squared error and its gradients, as a dict keyed by weight name."""
+    descent = _Descent(model, inputs, targets)
+    loss = descent.loss_and_grads()
+    w_h, w_x, b, w_out = _views(descent.grad, model.hidden_units)
+    return loss, {"w_x": w_x, "w_h": w_h, "b": b, "w_out": w_out, "b_out": descent.b_out_grad}
 
 
 def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
@@ -257,7 +337,8 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     optimized by full-batch gradient descent on mean squared error.
     Early stopping halts once the relative loss improvement stays below
     ``early_stop_delta`` for ``early_stop_patience`` consecutive epochs,
-    never before ``min_epochs`` nor after ``max_epochs``.
+    never before ``min_epochs`` nor after ``max_epochs``. The epochs run
+    through one ``_Descent``; the model gets read-only copies of its arrays.
     """
     raw = np.asarray(window, dtype=float)
     if raw.ndim != 1 or raw.size < 2:
@@ -277,14 +358,8 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
         normed = (raw - mean) / std
     if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normed).all()):
         raise DataError("training window is too large to normalize: its mean or spread overflows")
-    inputs = normed[:-1]
-    targets = normed[1:]
 
-    model = init_model(config)
-    model.norm_mean = mean
-    model.norm_std = std
-
-    lr = config.learning_rate
+    descent = _Descent(init_model(config), normed[:-1], normed[1:])
     prev_loss = None
     stalled = 0
     epochs_used = 0
@@ -293,12 +368,8 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     # underflow is ignored and the caller's other settings hold.
     with np.errstate(under="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            loss, grads = _loss_and_grads(model, inputs, targets)
-            model.w_x -= lr * grads["w_x"]
-            model.w_h -= lr * grads["w_h"]
-            model.b -= lr * grads["b"]
-            model.w_out -= lr * grads["w_out"]
-            model.b_out -= lr * grads["b_out"]
+            loss = descent.loss_and_grads()
+            descent.update(config.learning_rate)
             epochs_used = epoch
 
             if prev_loss is not None:
@@ -308,10 +379,11 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
             if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
                 break
 
-        final_preds = _run(model, inputs)[-1]
-        final_loss = float(np.mean((final_preds - targets) ** 2))
-    for weights in (model.w_x, model.w_h, model.b, model.w_out):
-        weights.flags.writeable = False
+        final_loss = descent.loss()
+    arrays = [view.copy() for view in (descent.w_x, descent.w_h, descent.b, descent.w_out)]
+    for array in arrays:
+        array.flags.writeable = False
+    model = LstmModel(*arrays, b_out=descent.b_out, norm_mean=mean, norm_std=std)
     return TrainOutcome(model=model, epochs_used=epochs_used, final_loss=final_loss)
 
 

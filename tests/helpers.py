@@ -171,6 +171,40 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
     return grads
 
 
+def reference_train(window, config):
+    """``forecaster.train`` as a plain loop, the oracle for its workspace: each
+    epoch takes fresh gradients from ``_loss_and_grads`` and updates the five
+    parameters one by one."""
+    raw = np.asarray(window, dtype=float)
+    with np.errstate(all="ignore"):
+        mean, std = float(raw.mean()), float(raw.std())
+        if math.isinf(std):  # the squares overflowed: take them in units of max |value|
+            scale = float(np.abs(raw).max())
+            std = scale * float((raw / scale).std())
+        std = 1.0 if std <= 1e-12 else std
+        normed = (raw - mean) / std
+    inputs, targets = normed[:-1], normed[1:]
+    model = forecaster.init_model(config)
+    model.norm_mean, model.norm_std = mean, std
+    lr, prev_loss, stalled = config.learning_rate, None, 0
+    with np.errstate(under="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            loss, grads = forecaster._loss_and_grads(model, inputs, targets)
+            model.w_x -= lr * grads["w_x"]
+            model.w_h -= lr * grads["w_h"]
+            model.b -= lr * grads["b"]
+            model.w_out -= lr * grads["w_out"]
+            model.b_out -= lr * grads["b_out"]
+            if prev_loss is not None:
+                improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
+                stalled = stalled + 1 if improvement < config.early_stop_delta else 0
+            prev_loss = loss
+            if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
+                break
+        final_loss = float(np.mean((forecaster._run(model, inputs) - targets) ** 2))
+    return forecaster.TrainOutcome(model, epoch, final_loss)
+
+
 def reference_forward(model, inputs):
     """Textbook LSTM recurrence, one gate at a time, as the forecaster's oracle.
 

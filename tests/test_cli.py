@@ -265,6 +265,18 @@ class TestEvaluate:
         anomalies = [r for r in read_report(spike_report) if r.verdict is Verdict.ANOMALY]
         assert payload["false_warnings"] == len(anomalies)
 
+    def test_zero_spans_are_accepted(self, tmp_path, spike_report):
+        # The flags follow the library's rule: a span may be zero, not negative.
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([spike_timestamps()[SPIKE_SHIFT_INDEX].isoformat(sep=" ")]))
+        zero = ["--pre-window", "0", "--grace", "0", "--summary", str(tmp_path / "eval.json")]
+        assert main(["evaluate", "--report", str(spike_report), "--labels", str(labels), *zero]) == 0
+        for value in ("-5", "-0.5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["evaluate", "--report", str(spike_report), "--labels", str(labels),
+                      "--grace", value])
+            assert exc.value.code == 2
+
     def test_spans_past_the_calendar_are_scored(self, tmp_path, spike_report):
         # A label's window may reach past year 1 or 9999 and still fit a timedelta.
         labels = tmp_path / "labels.json"

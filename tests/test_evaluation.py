@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from presage.detector import Verdict
-from presage.errors import DataError, OrderingError, StateError
+from presage.errors import ConfigError, DataError, OrderingError, StateError
 from presage.evaluation import (
     LeadStatus,
     evaluate_run,
@@ -245,3 +245,33 @@ class TestEvaluateRun:
         records[6] = normal_at(T0, index=6)
         with pytest.raises(OrderingError, match="index 6"):
             evaluate_run((r for r in records), [], look_back=3)
+
+
+def unread_records():
+    raise AssertionError("records were read before the spans were checked")
+    yield
+
+
+class TestSpans:
+    """Both spans must be finite, non-negative and fit a timedelta."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300, -5.0])
+    @pytest.mark.parametrize("span", ["pre_window_minutes", "grace_minutes"])
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda records, labels, **span: lead_time(records, labels, **span),
+            lambda records, labels, **span: false_warnings(records, labels, **span),
+            lambda records, labels, **span: evaluate_run(records, labels, look_back=3, **span),
+        ],
+        ids=["lead_time", "false_warnings", "evaluate_run"],
+    )
+    def test_bad_span_is_a_config_error_before_any_record(self, score, span, value):
+        with pytest.raises(ConfigError, match=span):
+            score(unread_records(), [datetime(2020, 1, 1)], **{span: value})
+
+    def test_zero_spans_match_only_the_labeled_instant(self):
+        records = [anomaly_at(T0 - MIN, 0), anomaly_at(T0, 1), anomaly_at(T0 + MIN, 2)]
+        [result] = lead_time(records, [T0], pre_window_minutes=0.0, grace_minutes=0.0)
+        assert result.status is LeadStatus.ON_TIME
+        assert false_warnings(records, [T0], pre_window_minutes=0.0, grace_minutes=0.0) == 2

@@ -16,7 +16,12 @@ from presage.forecaster import (
     _run,
 )
 
-from helpers import finite_difference_grads, max_relative_gradient_error, reference_forward
+from helpers import (
+    finite_difference_grads,
+    max_relative_gradient_error,
+    reference_forward,
+    reference_train,
+)
 
 
 def models_equal(a: LstmModel, b: LstmModel) -> bool:
@@ -133,7 +138,7 @@ class TestInitModel:
 
 def outputs(model: LstmModel, inputs) -> np.ndarray:
     """The recurrence's forecast after each input, from zero state."""
-    return _run(model, np.asarray(inputs, dtype=float))[-1]
+    return _run(model, np.asarray(inputs, dtype=float))
 
 
 def z_scored(model: LstmModel, window) -> np.ndarray:
@@ -232,6 +237,74 @@ class TestTrain:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="too large to normalize"):
                 train([1.7e308, 1.7e308, 1.0], LstmConfig())
+
+
+def assert_same_outcome(outcome, expected):
+    """Equal bit for bit: weights, output bias, norm stats, epochs and loss."""
+    got, want = outcome.model, expected.model
+    for name in ("w_x", "w_h", "b", "w_out"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("b_out", "norm_mean", "norm_std"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
+    assert outcome.epochs_used == expected.epochs_used
+    assert np.float64(outcome.final_loss).tobytes() == np.float64(expected.final_loss).tobytes()
+
+
+class TestDescent:
+    """``train`` runs its epochs through one workspace; a plain loop that
+    builds everything afresh each epoch must give the same model."""
+
+    def test_matches_the_plain_loop_for_every_look_back(self):
+        rng = np.random.default_rng(61)
+        for look_back in range(2, 9):
+            for scale in (1e-5, 1.0, 1e5):
+                window = scale * (3.0 + rng.standard_normal(look_back))
+                config = LstmConfig(seed=int(rng.integers(100)))
+                assert_same_outcome(train(window, config), reference_train(window, config))
+
+    def test_matches_the_plain_loop_with_other_settings(self):
+        window = [4.0, 2.0, 7.0, 5.0]
+        config = LstmConfig(hidden_units=3, seed=4)
+        assert_same_outcome(train(window, config), reference_train(window, config))
+        early = LstmConfig(early_stop_delta=0.5, max_epochs=200)
+        outcome = train(window, early)
+        assert outcome.epochs_used < early.max_epochs
+        assert_same_outcome(outcome, reference_train(window, early))
+
+    @pytest.mark.parametrize(
+        "window",
+        [[5.0, 5.0, 5.0], [1e160, -1e160, 1e160], [50.0, 1.7e308, -1.7e308]],
+        ids=["constant", "overflowing-spread", "subnormal"],
+    )
+    def test_matches_the_plain_loop_on_edge_windows(self, window):
+        config = LstmConfig(seed=7)
+        with np.errstate(all="raise"):
+            assert_same_outcome(train(window, config), reference_train(window, config))
+
+    def test_trained_arrays_are_read_only_copies_of_their_own(self):
+        config = LstmConfig(hidden_units=5, seed=2)
+        h = config.hidden_units
+        first, second = (train([10.0, 20.0, 15.0], config).model for _ in range(2))
+        shapes = {"w_x": (4 * h,), "w_h": (4 * h, h), "b": (4 * h,), "w_out": (h,)}
+        arrays = []
+        for model in (first, second):
+            for name, shape in shapes.items():
+                array = getattr(model, name)
+                assert array.shape == shape
+                assert array.flags.c_contiguous and not array.flags.writeable
+                assert array.base is None
+                arrays.append(array)
+        for i, array in enumerate(arrays):
+            assert not any(np.shares_memory(array, other) for other in arrays[i + 1 :])
+
+    def test_gradients_of_two_calls_do_not_alias(self):
+        model = random_model(np.random.default_rng(3), hidden_units=4)
+        inputs, targets = np.array([0.5, -1.0, 0.25]), np.array([-1.0, 0.25, 2.0])
+        first = _loss_and_grads(model, inputs, targets)[1]
+        second = _loss_and_grads(model, inputs, targets)[1]
+        for name in ("w_x", "w_h", "b", "w_out"):
+            assert np.array_equal(first[name], second[name])
+            assert not np.shares_memory(first[name], second[name])
 
 
 class TestPredictNext:
