@@ -17,13 +17,17 @@ so forecasts and trained models are bit-identical to unscaled weights
 scaled inside the step.
 
 Training runs all the epochs of a ``train`` call through one workspace,
-``_Descent``, whose weights are views of one flat vector and whose buffers
-are reused by every epoch; trained models are bit-identical to those of a
-plain descent that allocates afresh (``tests/helpers.reference_train``).
+``_Descent``, which starts from initial weights drawn once per configuration.
+Its weights are views of one flat vector; its buffers, and the views of them
+that a pass reads, are made once and reused by every epoch; and step 0 skips
+the products of the zero start state. Trained models are bit-identical to
+those of a plain descent that allocates afresh and computes those products
+(``tests/helpers.reference_train`` and ``plain_forward``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -130,35 +134,39 @@ def init_model(config: LstmConfig) -> LstmModel:
 
     Weights are uniform in [-0.5, 0.5] scaled by 1/sqrt(hidden_units);
     all biases start at zero except the forget gate, which starts at 1
-    so the cell state is initially retained. Normalization statistics
-    are the identity until ``train`` overwrites them.
+    so the cell state is initially retained. Normalization statistics are
+    the identity until ``train`` overwrites them. The arrays are fresh.
     """
     h = config.hidden_units
-    rng = np.random.default_rng(config.seed)
+    w_h, w_x, b, w_out = (view.copy() for view in _views(_initial_theta(h, config.seed), h))
+    return LstmModel(w_x=w_x, w_h=w_h, b=b, w_out=w_out, b_out=0.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _initial_theta(h: int, seed: int) -> np.ndarray:
+    """``init_model``'s weights, drawn once per ``h`` and ``seed`` and laid
+    out flat like ``_Descent.theta``; read-only."""
+    rng = np.random.default_rng(seed)
     scale = 0.5 / np.sqrt(h)
+    w_x = rng.uniform(-scale, scale, 4 * h)
+    w_h = rng.uniform(-scale, scale, (4 * h, h))
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
-    return LstmModel(
-        w_x=rng.uniform(-scale, scale, 4 * h),
-        w_h=rng.uniform(-scale, scale, (4 * h, h)),
-        b=b,
-        w_out=rng.uniform(-scale, scale, h),
-        b_out=0.0,
-    )
+    theta = np.concatenate((w_h.ravel(), w_x, b, rng.uniform(-scale, scale, h)))
+    theta.flags.writeable = False
+    return theta
 
 
-def _halved_sigmoid_rows(w: np.ndarray) -> np.ndarray:
-    """A copy of the stacked-gate array ``w`` with the rows of the sigmoid
-    gates (i, f, o) halved and those of the candidate g kept.
-
-    Halving is exact unless a halved value is subnormal. That underflow is
-    as harmless as the step's own, and is met where those are: in
-    ``predict_next``'s retry (``_Descent`` halves the same rows inside
-    ``train``'s scope that ignores underflow).
-    """
-    scaled = w.copy()
-    scaled[: 3 * (len(w) // 4)] *= 0.5
-    return scaled
+@functools.lru_cache(maxsize=32)
+def _sigmoid_row_scale(h: int) -> np.ndarray:
+    """½ on the sigmoid gates' (i, f, o) rows of ``w_h``, ``w_x`` and ``b``
+    laid out flat like ``_Descent.theta``, 1 on the candidate's; read-only.
+    The step and the descent both halve by one multiply with it: exact
+    unless a halved value is subnormal, an underflow as harmless as the
+    step's own and ignored where it is (``train``, ``predict_next``'s retry)."""
+    scale = np.concatenate([np.repeat((0.5, 1.0), (3 * n, n)) for n in (h * h, h, h)])
+    scale.flags.writeable = False
+    return scale
 
 
 def _gates(act, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
@@ -171,17 +179,25 @@ def _gates(act, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
     activations with one ``tanh`` over all four gates, since
     ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The
     cell state, its tanh and the hidden state are written into ``c``,
-    ``tc`` and ``hidden``, shaped like ``c_prev``; ``tc`` may be
-    ``hidden`` when the caller needs no tanh.
+    ``tc`` and ``hidden``; ``tc`` may be ``hidden`` when the caller needs
+    no tanh. ``c_prev`` None is the zero state: ``act`` is only written and
+    the cell is ``i * g``, the full step's values bit for bit while ``b``
+    holds no ``-0.0`` (a zero cell may change sign, nothing else).
     """
-    act += w_x * x
+    if c_prev is None:
+        np.multiply(w_x, x, out=act)
+    else:
+        act += w_x * x
     act += b
     np.tanh(act, out=act)
     sigmoids = act[:3]
     sigmoids *= 0.5
     sigmoids += 0.5
-    np.multiply(act[1], c_prev, out=c)
-    c += act[0] * act[3]
+    if c_prev is None:
+        np.multiply(act[0], act[3], out=c)
+    else:
+        np.multiply(act[1], c_prev, out=c)
+        c += act[0] * act[3]
     np.tanh(c, out=tc)
     np.multiply(act[2], tc, out=hidden)
 
@@ -197,54 +213,62 @@ def _views(flat: np.ndarray, h: int) -> list:
 class _Descent:
     """The workspace of one training call, built once and used by every epoch.
 
-    ``theta`` is one flat vector holding ``w_h``, ``w_x``, ``b`` and ``w_out``
-    as views, ``grad`` has the same layout and ``b_out`` is a float, so an
-    update is ``grad *= lr; theta -= grad``. ``half`` holds the gate weights
-    with the sigmoid gates' rows halved, one multiply per forward pass. Every
-    buffer is overwritten in place by each pass; the leading rows of
-    ``cells`` and ``hiddens`` stay zero, so row ``k`` is the state that step
-    ``k`` starts from. Operands come in the order of a plain descent that
-    allocates afresh and updates the arrays one by one, so each operation
-    rounds the same way.
+    ``theta`` is a copy of the flat vector of ``h`` units' ``w_h``, ``w_x``,
+    ``b`` and ``w_out``, held as views; ``grad`` has its layout and ``b_out``
+    is a float, so an update is ``grad *= lr; theta -= grad``. Every buffer,
+    and every view of one that a pass reads, is made here. Step 0 does no
+    work on the zero state (``_gates``); otherwise operands come in the order
+    of a plain descent that allocates afresh, so each rounds the same way.
     """
 
-    def __init__(self, model: LstmModel, inputs: np.ndarray, targets: np.ndarray | None = None):
-        h, steps = model.hidden_units, inputs.size
-        self.inputs, self.targets, self.b_out = inputs, targets, model.b_out
-        self.theta = np.concatenate((model.w_h.ravel(), model.w_x, model.b, model.w_out))
-        self.grad = np.empty_like(self.theta)
-        self.w_h, self.w_x, self.b, self.w_out = _views(self.theta, h)
-        self.scale = np.concatenate([np.repeat((0.5, 1.0), (3 * n, n)) for n in (h * h, h, h)])
-        self.half = np.empty_like(self.scale)
+    def __init__(self, theta, h: int, inputs: np.ndarray, targets=None, b_out: float = 0.0):
+        steps = inputs.size
+        self.inputs, self.targets, self.b_out = inputs, targets, b_out
+        self.theta = theta = np.array(theta)
+        self.grad = np.empty_like(theta)
+        self.grads = _views(self.grad, h)
+        self.w_h, self.w_x, self.b, self.w_out = _views(theta, h)
+        self.w_h_t, self.scale = self.w_h.T, _sigmoid_row_scale(h)
+        self.half, self.gate_theta = np.empty_like(self.scale), theta[: self.scale.size]
         half_w_h, half_w_x, half_b, _ = _views(self.half, h)
         self.half_weights = (half_w_h, half_w_x.reshape(4, h), half_b.reshape(4, h))
 
-        self.gates = gates = np.empty((steps, 4, h))
-        self.cells, self.hiddens = cells, hiddens = np.zeros((2, steps + 1, h))
-        self.tanh_cells, self.dc_of_dh, self.dh = np.empty((3, steps, h))
+        gates = np.empty((steps, 4, h))
+        cells, hiddens = np.zeros((2, steps + 1, h))  # row k: the state step k starts from
+        self.h_prev, self.h_next = hiddens[:-1], hiddens[1:]
+        tanh_cells, dc_of_dh, self.dh = np.empty((3, steps, h))
         self.outputs, self.d_out = np.empty((2, steps))
-        # the activations and the gate errors' factors, gate-major
-        self.by_gate, self.partner_by_gate = np.empty((2, 4, steps * h))
-        self.partner = np.empty((steps, 4, h))
         self.dz = np.empty((steps, 4 * h))
+        self.d_out_column, self.dz_t = self.d_out[:, None], self.dz.T
         self.dc, self.dc_next, self.dh_next = np.empty((3, h))
+        # the activations and the gate errors' factors, gate-major
+        self.by_gate, self.partner_by_gate = by_gate, partners = np.empty((2, 4, steps * h))
+        self.act_rows, self.partner_rows = tuple(by_gate), tuple(partners)
+        self.gates_by_gate = (by_gate.reshape(4, steps, h), gates.transpose(1, 0, 2))
+        self.partner = np.empty((steps, 4, h))
+        self.partner_by_step = partners.reshape(4, steps, h).transpose(1, 0, 2)
+        self.c_prev_flat, self.tc_flat = cells[:-1].ravel(), tanh_cells.ravel()
+        self.dc_of_dh_flat = dc_of_dh.ravel()
+
         acts = gates.reshape(steps, 4 * h)
+        c_prev, h_prev = [None, *cells[1:-1]], [None, *hiddens[1:-1]]  # step 0: zero state
         self.forward_steps = list(
-            zip(inputs.tolist(), acts, gates, cells, cells[1:], self.tanh_cells, hiddens, hiddens[1:])
+            zip(inputs.tolist(), acts, gates, c_prev, cells[1:], tanh_cells, h_prev, hiddens[1:])
         )
-        dz = self.dz.reshape(steps, 4, h)
+        dz, partner = self.dz.reshape(steps, 4, h), self.partner
         self.backward_steps = list(
-            zip(range(steps), self.dh, self.dc_of_dh, self.partner, dz, self.dz, gates[:, 1])
+            zip(range(steps), self.dh, dc_of_dh, partner, partner[:, 2], dz, dz[:, 2], self.dz, gates[:, 1])
         )[::-1]
 
     def forward(self) -> np.ndarray:
         """The output after each input, from zero state."""
-        np.multiply(self.theta[: self.half.size], self.scale, out=self.half)
+        np.multiply(self.gate_theta, self.scale, out=self.half)
         w_h, w_x, b = self.half_weights
         for x, act, gate_act, c_prev, c, tc, h_prev, hidden in self.forward_steps:
-            np.matmul(w_h, h_prev, out=act)
+            if h_prev is not None:
+                np.matmul(w_h, h_prev, out=act)
             _gates(gate_act, x, w_x, b, c_prev, c, tc, hidden)
-        np.matmul(self.hiddens[1:], self.w_out, out=self.outputs)
+        np.matmul(self.h_next, self.w_out, out=self.outputs)
         self.outputs += self.b_out
         return self.outputs
 
@@ -258,53 +282,53 @@ class _Descent:
         ``b_out_grad``. The backward loop only carries the recurrent error;
         the parameter gradients are matrix products over the gate errors ``dz``."""
         loss = self.loss()
-        steps, h = self.tanh_cells.shape
         d_out = self.d_out
         d_out *= 2.0
-        d_out /= steps
+        d_out /= d_out.size
 
         # dz = deriv * partner * (dc on i, f, g; dh on o), where d act / d z is
         # s(1 - s) on the sigmoid gates i, f, o and 1 - g^2 on g, and a gate's
         # partner is what it multiplies: g for i, c_prev for f, tanh(c) for o,
-        # i for g. The per-gate work runs on gate-major copies, where each gate
-        # is one contiguous block: a numpy call on a strided slice costs about
-        # three times as much.
+        # i for g. The per-gate work runs on gate-major copies, one contiguous
+        # block per gate: a call on a strided slice costs about three times more.
         act, part = self.by_gate, self.partner_by_gate
-        np.copyto(act.reshape(4, steps, h), self.gates.transpose(1, 0, 2))
+        i, _, o, g = self.act_rows
+        part_i, part_f, part_o, part_g = self.partner_rows
+        np.copyto(*self.gates_by_gate)
         np.subtract(1.0, act, out=part)
         part *= act
-        np.square(act[3], out=part[3])
-        np.subtract(1.0, part[3], out=part[3])
-        part[0] *= act[3]
-        part[1] *= self.cells[:-1].ravel()
-        part[2] *= self.tanh_cells.ravel()
-        part[3] *= act[0]
-        np.copyto(self.partner, part.reshape(4, steps, h).transpose(1, 0, 2))
-        dc_of_dh = self.dc_of_dh.ravel()
-        np.square(self.tanh_cells.ravel(), out=dc_of_dh)
+        np.square(g, out=part_g)
+        np.subtract(1.0, part_g, out=part_g)
+        part_i *= g
+        part_f *= self.c_prev_flat
+        part_o *= self.tc_flat
+        part_g *= i
+        np.copyto(self.partner, self.partner_by_step)
+        dc_of_dh = self.dc_of_dh_flat
+        np.square(self.tc_flat, out=dc_of_dh)
         np.subtract(1.0, dc_of_dh, out=dc_of_dh)
-        dc_of_dh *= act[2]
-        np.multiply(d_out[:, None], self.w_out, out=self.dh)
+        dc_of_dh *= o
+        np.multiply(self.d_out_column, self.w_out, out=self.dh)
 
-        w_h_t, dc, dc_next, dh_next = self.w_h.T, self.dc, self.dc_next, self.dh_next
-        last = steps - 1
-        for k, dh, dc_dh, partner, dz, dz_row, forget in self.backward_steps:
+        w_h_t, dc, dc_next, dh_next = self.w_h_t, self.dc, self.dc_next, self.dh_next
+        last = d_out.size - 1
+        for k, dh, dc_dh, partner, partner_o, dz, dz_o, dz_row, forget in self.backward_steps:
             if k < last:
                 dh += dh_next
             np.multiply(dh, dc_dh, out=dc)
             if k < last:
                 dc += dc_next
             np.multiply(partner, dc, out=dz)
-            np.multiply(partner[2], dh, out=dz[2])
+            np.multiply(partner_o, dh, out=dz_o)
             if k:  # step 0's recurrent errors reach no earlier step
                 np.matmul(w_h_t, dz_row, out=dh_next)
                 np.multiply(dc, forget, out=dc_next)
 
-        g_w_h, g_w_x, g_b, g_w_out = _views(self.grad, h)
+        g_w_h, g_w_x, g_b, g_w_out = self.grads
         np.matmul(self.inputs, self.dz, out=g_w_x)
-        np.matmul(self.dz.T, self.hiddens[:-1], out=g_w_h)
+        np.matmul(self.dz_t, self.h_prev, out=g_w_h)
         np.add.reduce(self.dz, axis=0, out=g_b)
-        np.matmul(d_out, self.hiddens[1:], out=g_w_out)
+        np.matmul(d_out, self.h_next, out=g_w_out)
         self.b_out_grad = float(d_out.sum())
         return loss
 
@@ -313,19 +337,6 @@ class _Descent:
         self.grad *= lr
         self.theta -= self.grad
         self.b_out -= lr * self.b_out_grad
-
-
-def _run(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
-    """The model's output after each of ``inputs``, from zero state."""
-    return _Descent(model, inputs).forward()
-
-
-def _loss_and_grads(model: LstmModel, inputs: np.ndarray, targets: np.ndarray):
-    """Mean squared error and its gradients, as a dict keyed by weight name."""
-    descent = _Descent(model, inputs, targets)
-    loss = descent.loss_and_grads()
-    w_h, w_x, b, w_out = _views(descent.grad, model.hidden_units)
-    return loss, {"w_x": w_x, "w_h": w_h, "b": b, "w_out": w_out, "b_out": descent.b_out_grad}
 
 
 def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
@@ -359,10 +370,9 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normed).all()):
         raise DataError("training window is too large to normalize: its mean or spread overflows")
 
-    descent = _Descent(init_model(config), normed[:-1], normed[1:])
-    prev_loss = None
-    stalled = 0
-    epochs_used = 0
+    h = config.hidden_units
+    descent = _Descent(_initial_theta(h, config.seed), h, normed[:-1], normed[1:])
+    prev_loss, stalled = None, 0
     # A value close to the mean of a window with a huge spread normalizes to a
     # subnormal, and products with it underflow to zero: harmless, so only
     # underflow is ignored and the caller's other settings hold.
@@ -370,8 +380,6 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
         for epoch in range(1, config.max_epochs + 1):
             loss = descent.loss_and_grads()
             descent.update(config.learning_rate)
-            epochs_used = epoch
-
             if prev_loss is not None:
                 improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
                 stalled = stalled + 1 if improvement < config.early_stop_delta else 0
@@ -384,7 +392,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     for array in arrays:
         array.flags.writeable = False
     model = LstmModel(*arrays, b_out=descent.b_out, norm_mean=mean, norm_std=std)
-    return TrainOutcome(model=model, epochs_used=epochs_used, final_loss=final_loss)
+    return TrainOutcome(model=model, epochs_used=epoch, final_loss=final_loss)
 
 
 def _step_weights(model: LstmModel, n: int) -> tuple:
@@ -406,9 +414,11 @@ def _step_weights(model: LstmModel, n: int) -> tuple:
         or prep[3] != n
     ):
         h = model.hidden_units
-        w_h = _halved_sigmoid_rows(model.w_h).reshape(4, h, h).transpose(0, 2, 1)
-        w_x = np.repeat(_halved_sigmoid_rows(model.w_x).reshape(4, 1, h), n, axis=1)
-        b = np.repeat(_halved_sigmoid_rows(model.b).reshape(4, 1, h), n, axis=1)
+        halved = np.concatenate((model.w_h.ravel(), model.w_x, model.b)) * _sigmoid_row_scale(h)
+        w_h, w_x, b, _ = _views(halved, h)
+        w_h = w_h.reshape(4, h, h).transpose(0, 2, 1)
+        w_x = np.repeat(w_x.reshape(4, 1, h), n, axis=1)
+        b = np.repeat(b.reshape(4, 1, h), n, axis=1)
         prep = model._prepared = (model.w_x, model.w_h, model.b, n, w_h, w_x, b)
     return prep[4:]
 

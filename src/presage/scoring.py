@@ -40,13 +40,13 @@ def aare(
     Args:
         observed: window of observed values.
         predicted: forecasts for the same time points, same length.
-        epsilon: denominator floor, must be positive.
+        epsilon: denominator floor, must be positive and finite.
 
     Returns:
         A non-negative, finite relative-error score.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     try:
         obs = [float(v) for v in _items(observed)]
         pred = [float(v) for v in _items(predicted)]

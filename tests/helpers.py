@@ -139,12 +139,53 @@ def threshold_oracle(history) -> float:
     return mu + 3.0 * sigma
 
 
+def descent(model, inputs, targets=None):
+    """A ``forecaster._Descent`` on a copy of the model's current weights."""
+    theta = np.concatenate((model.w_h.ravel(), model.w_x, model.b, model.w_out))
+    inputs = np.asarray(inputs, dtype=float)
+    return forecaster._Descent(theta, model.hidden_units, inputs, targets, model.b_out)
+
+
+def run(model, inputs) -> np.ndarray:
+    """The model's output after each of ``inputs``, from zero state."""
+    return descent(model, inputs).forward()
+
+
+def loss_and_grads(model, inputs, targets):
+    """Mean squared error and its gradients, as a dict keyed by weight name."""
+    workspace = descent(model, inputs, targets)
+    loss = workspace.loss_and_grads()
+    w_h, w_x, b, w_out = workspace.grads
+    return loss, {"w_x": w_x, "w_h": w_h, "b": b, "w_out": w_out, "b_out": workspace.b_out_grad}
+
+
+def plain_forward(model, inputs) -> np.ndarray:
+    """The descent's forward pass with no shortcut for the zero start state:
+    every step, step 0 included, adds ``w_h`` times the previous hidden state
+    and runs ``_gates`` with the previous cell state, both zero at step 0.
+    The gate weights are halved by copy, apart from ``_Descent``'s vector."""
+    h = model.hidden_units
+    w_h, w_x, b = (np.array(w) for w in (model.w_h, model.w_x, model.b))
+    for w in (w_h, w_x, b):
+        w[: 3 * h] *= 0.5
+    w_x, b = w_x.reshape(4, h), b.reshape(4, h)
+    hidden, cell = np.zeros(h), np.zeros(h)
+    hiddens = []
+    for x in np.asarray(inputs, dtype=float).tolist():
+        act = np.matmul(w_h, hidden).reshape(4, h)
+        c_prev, (cell, tanh_cell, hidden) = cell, np.empty((3, h))
+        forecaster._gates(act, x, w_x, b, c_prev, cell, tanh_cell, hidden)
+        hiddens.append(hidden)
+    outputs = np.matmul(np.array(hiddens), model.w_out)
+    outputs += model.b_out
+    return outputs
+
+
 def finite_difference_grads(model, inputs, targets, step=1e-5):
     """Central finite differences of the training loss for every weight."""
-    from presage.forecaster import _loss_and_grads
 
     def loss_at():
-        return _loss_and_grads(model, inputs, targets)[0]
+        return loss_and_grads(model, inputs, targets)[0]
 
     grads = {}
     for name in ("w_x", "w_h", "b", "w_out"):
@@ -173,8 +214,8 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
 
 def reference_train(window, config):
     """``forecaster.train`` as a plain loop, the oracle for its workspace: each
-    epoch takes fresh gradients from ``_loss_and_grads`` and updates the five
-    parameters one by one."""
+    epoch takes fresh gradients from ``loss_and_grads`` and updates the five
+    parameters one by one; the final loss comes from ``plain_forward``."""
     raw = np.asarray(window, dtype=float)
     with np.errstate(all="ignore"):
         mean, std = float(raw.mean()), float(raw.std())
@@ -189,7 +230,7 @@ def reference_train(window, config):
     lr, prev_loss, stalled = config.learning_rate, None, 0
     with np.errstate(under="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            loss, grads = forecaster._loss_and_grads(model, inputs, targets)
+            loss, grads = loss_and_grads(model, inputs, targets)
             model.w_x -= lr * grads["w_x"]
             model.w_h -= lr * grads["w_h"]
             model.b -= lr * grads["b"]
@@ -201,7 +242,7 @@ def reference_train(window, config):
             prev_loss = loss
             if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
                 break
-        final_loss = float(np.mean((forecaster._run(model, inputs) - targets) ** 2))
+        final_loss = float(np.mean((plain_forward(model, inputs) - targets) ** 2))
     return forecaster.TrainOutcome(model, epoch, final_loss)
 
 

@@ -19,7 +19,7 @@ from presage.cli import main
 from presage.data_io import read_labels, read_series
 from presage.detector import Detector, DetectorConfig, Phase, Verdict, phase_of
 from presage.evaluation import LeadStatus, lead_time, summarize_run
-from presage.forecaster import LstmConfig, _loss_and_grads
+from presage.forecaster import LstmConfig
 from presage.scoring import aare, threshold
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     aare_oracle,
     cpu_b3b_path,
     finite_difference_grads,
+    loss_and_grads,
     max_relative_gradient_error,
     missing_dataset_reason,
     mtsf_path,
@@ -212,7 +213,7 @@ def test_criterion_7_gradients_and_epoch_bounds():
         steps = int(rng.integers(2, 6))
         inputs = rng.normal(size=steps)
         targets = rng.normal(size=steps)
-        _, analytic = _loss_and_grads(model, inputs, targets)
+        _, analytic = loss_and_grads(model, inputs, targets)
         numeric = finite_difference_grads(model, inputs, targets, step=1e-5)
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
     assert worst <= 1e-4
@@ -238,7 +239,7 @@ def test_criterion_7_gradients_on_long_windows_and_single_unit():
         model = random_model(rng, hidden_units=hidden_units)
         inputs = rng.normal(size=steps)
         targets = rng.normal(size=steps)
-        _, analytic = _loss_and_grads(model, inputs, targets)
+        _, analytic = loss_and_grads(model, inputs, targets)
         numeric = finite_difference_grads(model, inputs, targets, step=1e-5)
         worst = max(worst, max_relative_gradient_error(analytic, numeric))
     assert worst <= 1e-4

@@ -6,21 +6,18 @@ import pytest
 
 from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict
 from presage.errors import ConfigError, DataError
-from presage.forecaster import (
-    LstmConfig,
-    LstmModel,
-    init_model,
-    predict_next,
-    train,
-    _loss_and_grads,
-    _run,
-)
+from presage import forecaster
+from presage.forecaster import LstmConfig, LstmModel, init_model, predict_next, train
 
 from helpers import (
+    descent,
     finite_difference_grads,
+    loss_and_grads,
     max_relative_gradient_error,
+    plain_forward,
     reference_forward,
     reference_train,
+    run,
 )
 
 
@@ -135,10 +132,34 @@ class TestInitModel:
         for arr in (model.w_x, model.w_h, model.w_out):
             assert np.all(np.abs(arr) <= bound)
 
+    def test_weights_are_drawn_once_per_config_and_cached_read_only(self):
+        h, seed = 4, 11
+        cached = forecaster._initial_theta(h, seed)
+        assert forecaster._initial_theta(h, seed) is cached and not cached.flags.writeable
+        rng = np.random.default_rng(seed)
+        bound = 0.5 / np.sqrt(h)
+        drawn = [rng.uniform(-bound, bound, 4 * h), rng.uniform(-bound, bound, (4 * h, h))]
+        drawn.append(rng.uniform(-bound, bound, h))
+        for _ in range(2):
+            model = init_model(LstmConfig(hidden_units=h, seed=seed))
+            for array, expected in zip((model.w_x, model.w_h, model.w_out), drawn):
+                assert array.tobytes() == expected.tobytes()
+            for array in (model.w_x, model.w_h, model.b, model.w_out):
+                assert array.flags.writeable and not np.shares_memory(array, cached)
+                array[...] = 0.0  # the next model is drawn as before
+
+    def test_cached_weights_keep_configs_apart(self):
+        window = [10.0, 20.0, 15.0]
+        first = train(window, LstmConfig(seed=3))
+        assert_same_outcome(train(window, LstmConfig(seed=3)), first)
+        assert not models_equal(train(window, LstmConfig(seed=4)).model, first.model)
+        wider = train(window, LstmConfig(hidden_units=11, seed=3)).model
+        assert wider.hidden_units == 11 and not models_equal(wider, first.model)
+
 
 def outputs(model: LstmModel, inputs) -> np.ndarray:
     """The recurrence's forecast after each input, from zero state."""
-    return _run(model, np.asarray(inputs, dtype=float))
+    return run(model, inputs)
 
 
 def z_scored(model: LstmModel, window) -> np.ndarray:
@@ -169,7 +190,7 @@ class TestGradients:
             steps = int(rng.integers(2, 6))
             inputs = rng.normal(size=steps)
             targets = rng.normal(size=steps)
-            _, analytic = _loss_and_grads(model, inputs, targets)
+            _, analytic = loss_and_grads(model, inputs, targets)
             numeric = finite_difference_grads(model, inputs, targets, step=1e-5)
             assert max_relative_gradient_error(analytic, numeric) <= 1e-4
 
@@ -204,7 +225,7 @@ class TestTrain:
             config = LstmConfig(seed=21)
             raw = np.asarray(window)
             normed = (raw - raw.mean()) / raw.std()
-            initial_loss, _ = _loss_and_grads(init_model(config), normed[:-1], normed[1:])
+            initial_loss, _ = loss_and_grads(init_model(config), normed[:-1], normed[1:])
             outcome = train(window, config)
             assert outcome.final_loss <= initial_loss + 1e-12
 
@@ -250,6 +271,15 @@ def assert_same_outcome(outcome, expected):
     assert np.float64(outcome.final_loss).tobytes() == np.float64(expected.final_loss).tobytes()
 
 
+def assert_forward_is_plain(model, inputs):
+    """Two passes of one workspace equal the plain forward bit for bit; the
+    second pass starts from the buffers the first one left."""
+    expected = plain_forward(model, inputs).tobytes()
+    workspace = descent(model, inputs)
+    for _ in range(2):
+        assert workspace.forward().tobytes() == expected
+
+
 class TestDescent:
     """``train`` runs its epochs through one workspace; a plain loop that
     builds everything afresh each epoch must give the same model."""
@@ -281,6 +311,41 @@ class TestDescent:
         with np.errstate(all="raise"):
             assert_same_outcome(train(window, config), reference_train(window, config))
 
+    @pytest.mark.parametrize("hidden_units", [1, 3, 10])
+    def test_forward_equals_the_plain_forward_bit_for_bit(self, hidden_units):
+        # Step 0 skips the recurrent products and the forget term of the
+        # zero start state; the plain forward computes them.
+        rng = np.random.default_rng(67 + hidden_units)
+        for look_back in range(2, 9):
+            for _ in range(6):
+                model = random_model(rng, hidden_units)
+                inputs = 2.0 * rng.standard_normal(look_back - 1)
+                assert_forward_is_plain(model, inputs)
+
+    def test_forward_on_a_constant_window_equals_the_plain_forward(self):
+        # a constant window normalizes to exact zeros, so w_x * x is a signed zero
+        for look_back in range(2, 9):
+            window = [5.0] * look_back
+            inputs = np.zeros(look_back - 1)
+            config = LstmConfig(seed=look_back)
+            for model in (init_model(config), train(window, config).model):
+                assert_forward_is_plain(model, inputs)
+
+    @pytest.mark.parametrize(
+        "window", [[50.0, 1.7e308, -1.7e308], [1e-10, 1e300, -1e300]], ids=["tiny", "subnormal"]
+    )
+    def test_forward_on_subnormal_edge_windows_equals_the_plain_forward(self, window):
+        # The first input normalizes to about 2e-307 or 8e-311, so step 0's
+        # products with it underflow; inside train's scope that ignores only
+        # underflow, a caller's raise on anything else still holds.
+        config = LstmConfig(seed=7)
+        trained = train(window, config).model
+        with np.errstate(under="ignore"):
+            inputs = ((np.asarray(window) - trained.norm_mean) / trained.norm_std)[:-1]
+        with np.errstate(all="raise", under="ignore"):
+            for model in (init_model(config), trained):
+                assert_forward_is_plain(model, inputs)
+
     def test_trained_arrays_are_read_only_copies_of_their_own(self):
         config = LstmConfig(hidden_units=5, seed=2)
         h = config.hidden_units
@@ -300,8 +365,8 @@ class TestDescent:
     def test_gradients_of_two_calls_do_not_alias(self):
         model = random_model(np.random.default_rng(3), hidden_units=4)
         inputs, targets = np.array([0.5, -1.0, 0.25]), np.array([-1.0, 0.25, 2.0])
-        first = _loss_and_grads(model, inputs, targets)[1]
-        second = _loss_and_grads(model, inputs, targets)[1]
+        first = loss_and_grads(model, inputs, targets)[1]
+        second = loss_and_grads(model, inputs, targets)[1]
         for name in ("w_x", "w_h", "b", "w_out"):
             assert np.array_equal(first[name], second[name])
             assert not np.shares_memory(first[name], second[name])
@@ -351,7 +416,7 @@ class TestPredictNext:
             for model, window in extreme_cases():
                 assert np.isfinite(predict_next(model, window))
                 normed = z_scored(model, window)
-                loss, grads = _loss_and_grads(model, normed[:-1], normed[1:])
+                loss, grads = loss_and_grads(model, normed[:-1], normed[1:])
                 assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
             for window in windows:
                 assert np.isfinite(train(window, LstmConfig(seed=3)).final_loss)

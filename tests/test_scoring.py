@@ -42,6 +42,12 @@ class TestAare:
         with pytest.raises(ValueError):
             aare([1.0], [1.0], epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # a NaN floor used to divide by zero, an infinite one to score 0.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            aare([0.0, 2.0], [1.0, 1.0], epsilon=epsilon)
+
     @pytest.mark.parametrize(
         "observed,predicted",
         [
