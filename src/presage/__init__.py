@@ -42,7 +42,7 @@ from .evaluation import (
     summarize_run,
 )
 from .forecaster import LstmConfig, LstmModel, TrainOutcome, init_model, predict_next, train
-from .scoring import aare, threshold
+from .scoring import aare
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "read_report",
     "read_series",
     "summarize_run",
-    "threshold",
     "train",
     "write_summary",
 ]

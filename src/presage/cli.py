@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -29,33 +28,12 @@ from .scoring import DEFAULT_EPSILON
 __all__ = ["main", "build_parser", "run_detect", "run_evaluate"]
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
-
-
 def _minutes_arg(text: str) -> float:
     value = float(text)
     try:
         _span(value, "a span")
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
-    return value
-
-
-def _look_back_arg(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"look-back must be at least 2, got {text}")
     return value
 
 
@@ -80,12 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run summary JSON to write (default: report path with .summary.json)",
     )
     detect.add_argument(
-        "--look-back", type=_look_back_arg, default=3,
+        "--look-back", type=int, default=3,
         help="number of recent points used for training and prediction (default 3)",
     )
-    detect.add_argument("--seed", type=_seed_arg, default=42, help="seed for model initialization")
+    detect.add_argument("--seed", type=int, default=42, help="seed for model initialization")
     detect.add_argument(
-        "--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
+        "--epsilon", type=float, default=DEFAULT_EPSILON,
         help="denominator floor for the relative-error score",
     )
     detect.set_defaults(func=run_detect)
@@ -119,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_detect(args: argparse.Namespace) -> int:
-    observations = read_series(args.input)
     config = DetectorConfig(
         look_back=args.look_back, epsilon=args.epsilon, lstm=LstmConfig(seed=args.seed)
     )
+    observations = read_series(args.input)
     detector = Detector(config)
     summary_path = args.summary or args.report.with_suffix(".summary.json")
 
@@ -228,8 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        parser.error(str(exc))
     except (PresageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

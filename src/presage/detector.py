@@ -32,7 +32,7 @@ from typing import Protocol, Sequence
 from . import forecaster, scoring
 from .errors import ConfigError, DataError, OrderingError
 from .forecaster import LstmConfig
-from .scoring import _HUGE_SCORE, DEFAULT_EPSILON, _unit_of
+from .scoring import _WELFORD_EMPTY, DEFAULT_EPSILON, _welford_add, _welford_std
 
 __all__ = [
     "Phase",
@@ -143,37 +143,6 @@ class LstmEngine:
         return forecaster.predict_next(model, window)
 
 
-#: The running (count, mean, M2 / unit², unit) of no values; see ``_welford_add``.
-_WELFORD_EMPTY = (0, 0.0, 0.0, 1.0)
-
-
-def _welford_add(
-    state: tuple[int, float, float, float], x: float
-) -> tuple[int, float, float, float]:
-    """Running (count, mean, M2 / unit², unit) with ``x`` added (Welford 1962).
-
-    M2 is kept in units of a power of two (Chan, Golub & LeVeque 1983) that
-    grows with the scores as ``scoring.threshold``'s does, so it cannot
-    overflow. Scaling by a power of two is exact: until a score passes
-    ``_HUGE_SCORE`` the unit is 1 and M2 the plain Welford sum.
-    """
-    count, mean, m2, unit = state
-    if abs(x) > unit * _HUGE_SCORE:
-        grown = _unit_of(x)
-        m2 = m2 * (unit / grown) * (unit / grown)
-        unit = grown
-    count += 1
-    delta = x - mean
-    mean += delta / count
-    return count, mean, m2 + (delta / unit) * ((x - mean) / unit), unit
-
-
-def _welford_std(state: tuple[int, float, float, float]) -> float:
-    """Population standard deviation of the values a Welford state has seen."""
-    count, _, m2, unit = state
-    return unit * math.sqrt(m2 / count)
-
-
 class Detector:
     """Sequential per-point anomaly detector over one stream.
 
@@ -211,10 +180,11 @@ class Detector:
     def step(self, value: float, timestamp: datetime | None = None) -> DetectionRecord:
         """Ingest one observation and return the decision for it.
 
-        All or nothing: ``DataError`` for a non-finite value or for a
-        timestamp whose timezone awareness differs from the previous one's,
-        ``OrderingError`` for a timestamp behind the previous one, and any
-        exception an engine raises leave the detector as it was.
+        All or nothing: ``DataError`` for a non-finite value, for a score
+        past the float range or for a timestamp whose timezone awareness
+        differs from the previous one's, ``OrderingError`` for a timestamp
+        behind the previous one, and any exception an engine raises leave
+        the detector as it was.
         """
         value = float(value)
         if not math.isfinite(value):
@@ -248,7 +218,7 @@ class Detector:
         if phase is Phase.WARMUP or phase is Phase.BOOTSTRAP:
             model = self.engine.train(window)
         elif phase is Phase.DETECTING:
-            thd = welford[1] + 3.0 * _welford_std(welford)  # scoring.threshold
+            thd = welford[1] + 3.0 * _welford_std(welford)
             if aare_value <= thd:
                 verdict = Verdict.NORMAL
             else:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
-from .detector import _WELFORD_EMPTY, DetectionRecord, Verdict, _welford_add, _welford_std
+from .detector import DetectionRecord, Verdict
 from .errors import ConfigError, DataError, OrderingError, StateError
+from .scoring import _WELFORD_EMPTY, _welford_add, _welford_std
 
 __all__ = [
     "LeadStatus",
@@ -214,15 +215,16 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
     """Account for a run in one pass over its records: points, retrains,
     anomalies, and the decision-time mean and std (Welford's update).
 
-    A negative decision time is a ``DataError``.
+    A negative or non-finite decision time is a ``DataError``.
     """
     retrains = 0
     timing = _WELFORD_EMPTY
     anomalies = []
     for record in records:
-        if record.decision_time < 0:
+        if not 0 <= record.decision_time < math.inf:  # NaN fails too
             raise DataError(
-                f"record at index {record.time_index}: decision times must be non-negative"
+                f"record at index {record.time_index}: decision times must be "
+                f"finite and non-negative, got {record.decision_time}"
             )
         retrains += record.retrained
         timing = _welford_add(timing, record.decision_time)

@@ -71,15 +71,17 @@ class LstmConfig:
     def __post_init__(self):
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.min_epochs < 1:
             raise ConfigError(f"min_epochs must be >= 1, got {self.min_epochs}")
         if self.max_epochs < self.min_epochs:
             raise ConfigError(
                 f"max_epochs ({self.max_epochs}) must be >= min_epochs ({self.min_epochs})"
             )
-        if self.early_stop_delta < 0:
+        if not self.early_stop_delta >= 0:  # NaN fails too
             raise ConfigError(f"early_stop_delta must be >= 0, got {self.early_stop_delta}")
         if self.early_stop_patience < 1:
             raise ConfigError(

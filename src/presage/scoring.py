@@ -1,9 +1,10 @@
 """Prediction-error scoring for the streaming detector.
 
-Two pure functions live here: ``aare``, the average absolute relative
-error between a window of observed values and the one-step forecasts
-made for them, and ``threshold``, the three-sigma detection threshold
-derived from every error score seen so far.
+``aare`` is the average absolute relative error between a window of
+observed values and the one-step forecasts made for them. The running
+statistics (``_welford_add``, ``_welford_std``) hold the mean and spread of
+every score seen so far, from which the detector takes its three-sigma
+threshold.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, StateError
+from .errors import DataError
 
-__all__ = ["aare", "threshold"]
+__all__ = ["aare"]
 
 #: Default floor applied to |observed| in the AARE denominator so that
 #: near-zero observations yield a large-but-finite relative error.
@@ -43,7 +44,8 @@ def aare(
         epsilon: denominator floor, must be positive and finite.
 
     Returns:
-        A non-negative, finite relative-error score.
+        A non-negative, finite relative-error score; one past the float
+        range is a ``DataError``.
     """
     if not 0 < epsilon < math.inf:  # NaN fails too
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -65,7 +67,10 @@ def aare(
         total += abs(o - p) / max(abs(o), epsilon)
     if total == math.inf:  # o - p overflowed: divide before subtracting
         scales = [max(abs(o), epsilon) for o in obs]
-        return sum(abs(o / s - p / s) / len(obs) for o, p, s in zip(obs, pred, scales))
+        total = sum(abs(o / s - p / s) / len(obs) for o, p, s in zip(obs, pred, scales))
+        if total == math.inf:
+            raise DataError("score overflows the float range")
+        return total
     return total / len(obs)
 
 
@@ -75,27 +80,38 @@ def _items(values: Sequence[float]):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def threshold(history: Sequence[float]) -> float:
-    """Dynamic detection threshold: mean + 3 * population stddev.
-
-    Both statistics are taken over every stored error score, normalized
-    by the actual count of scores. With all scores equal the threshold
-    degenerates to the mean itself. Huge scores are taken in units of a
-    power of two, so the threshold is finite whenever it is representable.
-    """
-    arr = np.asarray(history, dtype=float)
-    if arr.size == 0:
-        raise StateError("cannot compute a threshold from an empty history")
-    if not np.isfinite(arr).all():
-        raise DataError("history contains non-finite values")
-    unit = _unit_of(float(np.abs(arr).max()))
-    arr = arr / unit
-    mu = float(arr.mean())
-    sigma = float(np.sqrt(np.mean((arr - mu) ** 2)))
-    return unit * (mu + 3.0 * sigma)
-
-
 def _unit_of(score: float) -> float:
     """The power of two a score is taken in: 1 up to ``_HUGE_SCORE``, else
     the largest power of two not above ``|score|``."""
     return 1.0 if abs(score) <= _HUGE_SCORE else math.ldexp(1.0, math.frexp(score)[1] - 1)
+
+
+#: The running (count, mean, M2 / unit², unit) of no values; see ``_welford_add``.
+_WELFORD_EMPTY = (0, 0.0, 0.0, 1.0)
+
+
+def _welford_add(
+    state: tuple[int, float, float, float], x: float
+) -> tuple[int, float, float, float]:
+    """Running (count, mean, M2 / unit², unit) with ``x`` added (Welford 1962).
+
+    M2 is kept in units of a power of two (Chan, Golub & LeVeque 1983) that
+    grows with the values, so it cannot overflow. Scaling by a power of two
+    is exact: until a value passes ``_HUGE_SCORE`` the unit is 1 and M2 the
+    plain Welford sum.
+    """
+    count, mean, m2, unit = state
+    if abs(x) > unit * _HUGE_SCORE:
+        grown = _unit_of(x)
+        m2 = m2 * (unit / grown) * (unit / grown)
+        unit = grown
+    count += 1
+    delta = x - mean
+    mean += delta / count
+    return count, mean, m2 + (delta / unit) * ((x - mean) / unit), unit
+
+
+def _welford_std(state: tuple[int, float, float, float]) -> float:
+    """Population standard deviation of the values a Welford state has seen."""
+    count, _, m2, unit = state
+    return unit * math.sqrt(m2 / count)

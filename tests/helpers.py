@@ -15,12 +15,15 @@ import os
 import statistics
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from presage import forecaster
+from presage import forecaster, scoring
 from presage.data_io import REPORT_COLUMNS, ReportWriter
 from presage.detector import DetectionRecord, LstmEngine, Phase, Verdict
+from presage.errors import DataError, StateError
+from presage.scoring import _unit_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LABELS_PATH = REPO_ROOT / "data" / "labels" / "combined_labels.json"
@@ -137,6 +140,35 @@ def threshold_oracle(history) -> float:
     mu = statistics.fmean(values)
     sigma = math.sqrt(statistics.fmean([(v - mu) ** 2 for v in values]))
     return mu + 3.0 * sigma
+
+
+def threshold(history: Sequence[float]) -> float:
+    """Dynamic detection threshold: mean + 3 * population stddev.
+
+    Both statistics are taken over every stored error score, normalized
+    by the actual count of scores. With all scores equal the threshold
+    degenerates to the mean itself. Huge scores are taken in units of a
+    power of two, so the threshold is finite whenever it is representable.
+    """
+    arr = np.asarray(history, dtype=float)
+    if arr.size == 0:
+        raise StateError("cannot compute a threshold from an empty history")
+    if not np.isfinite(arr).all():
+        raise DataError("history contains non-finite values")
+    unit = _unit_of(float(np.abs(arr).max()))
+    arr = arr / unit
+    mu = float(arr.mean())
+    sigma = float(np.sqrt(np.mean((arr - mu) ** 2)))
+    return unit * (mu + 3.0 * sigma)
+
+
+def running_threshold(history) -> float:
+    """The detector's threshold after scoring ``history``: mean + 3 * stddev
+    of the running statistics ``scoring._welford_add`` keeps."""
+    state = scoring._WELFORD_EMPTY
+    for score in history:
+        state = scoring._welford_add(state, float(score))
+    return state[1] + 3.0 * scoring._welford_std(state)
 
 
 def descent(model, inputs, targets=None):

@@ -20,7 +20,7 @@ from presage.data_io import read_labels, read_series
 from presage.detector import Detector, DetectorConfig, Phase, Verdict, phase_of
 from presage.evaluation import LeadStatus, lead_time, summarize_run
 from presage.forecaster import LstmConfig
-from presage.scoring import aare, threshold
+from presage.scoring import aare
 
 from helpers import (
     CPU_B3B_KEY,
@@ -37,6 +37,7 @@ from helpers import (
     max_relative_gradient_error,
     missing_dataset_reason,
     mtsf_path,
+    running_threshold,
     spike_timestamps,
     spike_values,
     threshold_oracle,
@@ -149,11 +150,13 @@ def test_criterion_4_threshold_oracle_equivalence():
     for _ in range(1000):
         size = int(rng.integers(1, 51))
         history = rng.uniform(0, 5, size)
-        assert threshold(history) == pytest.approx(threshold_oracle(history), abs=1e-12)
-    assert threshold([0.1, 0.2, 0.3]) == pytest.approx(0.44495, abs=1e-5)
+        assert running_threshold(history) == pytest.approx(
+            threshold_oracle(history), abs=1e-12
+        )
+    assert running_threshold([0.1, 0.2, 0.3]) == pytest.approx(0.44495, abs=1e-5)
     print(
-        "\n[PASS] criterion 4: threshold matches two-pass mean + 3*sigma on 1000 "
-        "random histories and the 0.44495 fixture"
+        "\n[PASS] criterion 4: the running threshold matches two-pass mean + 3*sigma "
+        "on 1000 random histories and the 0.44495 fixture"
     )
 
 

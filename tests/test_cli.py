@@ -215,6 +215,17 @@ class TestDetect:
             assert "Traceback" not in capsys.readouterr().err
         assert not report.exists()
 
+    def test_config_is_checked_before_the_input_is_opened(self, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        missing = tmp_path / "missing.csv"
+        for flag in (["--seed", "-1"], ["--look-back", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(detect_args(missing, report, flag))
+            assert exc.value.code == 2, flag
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "missing.csv" not in err
+        assert not report.exists()
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -326,6 +337,22 @@ class TestEvaluate:
         )
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
+
+    def test_nan_decision_time_exits_one(self, tmp_path, spike_report, capsys):
+        # It once passed the sign check and the evaluation JSON said NaN.
+        lines = spike_report.read_text().splitlines(keepends=True)
+        lines[10] = lines[10].rsplit(",", 1)[0] + ",nan\n"
+        spike_report.write_text("".join(lines))
+        labels = tmp_path / "labels.json"
+        labels.write_text("[]")
+        summary_path = tmp_path / "eval.json"
+        capsys.readouterr()
+        argv = ["evaluate", "--report", str(spike_report), "--labels", str(labels),
+                "--summary", str(summary_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "decision times must be finite" in err and "Traceback" not in err
+        assert not summary_path.exists()
 
     def test_report_shorter_than_the_ramp_exits_one(self, tmp_path, spike_report, capsys):
         short = tmp_path / "short.csv"

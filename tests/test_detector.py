@@ -5,7 +5,6 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from presage import scoring
 from presage.detector import (
     Detector,
     DetectorConfig,
@@ -24,6 +23,7 @@ from helpers import (
     PerfectEngine,
     RecordingEngine,
     ScriptedEngine,
+    threshold,
     without_timing,
 )
 
@@ -231,7 +231,7 @@ class TestDoubleCheck:
         aares = [r.aare for r in records if r.aare is not None]
         for later in records[self.SABOTAGE_T + 1 :]:
             prefix = aares[: later.time_index - (2 * self.B - 1) + 1]
-            assert later.threshold == scoring.threshold(prefix)
+            assert later.threshold == threshold(prefix)
         # the record carries the corrected forecast
         assert record.predicted == pytest.approx(series[self.SABOTAGE_T])
         assert all(r.verdict is not Verdict.ANOMALY for r in records)
@@ -359,7 +359,7 @@ class TestThresholdBookkeeping:
                     continue
                 prefix = aares[: record.time_index - (2 * b - 1) + 1]
                 assert record.threshold == pytest.approx(
-                    scoring.threshold(prefix), rel=1e-9, abs=1e-12
+                    threshold(prefix), rel=1e-9, abs=1e-12
                 )
 
     def test_engine_epoch_accounting(self):
@@ -420,8 +420,29 @@ class TestOverflow:
             if not record.retrained:
                 prefix = aares[: record.time_index - (2 * 3 - 1) + 1]
                 assert record.threshold == pytest.approx(
-                    scoring.threshold(prefix), rel=1e-9, abs=1e-12
+                    threshold(prefix), rel=1e-9, abs=1e-12
                 )
+
+    def test_score_past_the_float_range_is_rejected_and_leaves_no_trace(self):
+        # The forecast for the 0.0 is about 1e301, so its relative error is
+        # about 1e309. It once scored inf, the running statistics became NaN,
+        # and every later point was rechecked and reported an anomaly.
+        series = [1e301, 2e301, 1.5e301, 1.2e301, 1.7e301, 1.1e301, 1.3e301, 1.6e301]
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        records = [detector.step(v) for v in series]
+        state = (detector.model, list(detector._buffer), list(detector._forecasts),
+                 detector._welford, detector.retrain_count)
+        with pytest.raises(DataError, match="score overflows"):
+            detector.step(0.0)
+        assert detector.time_index == 7
+        assert state == (detector.model, list(detector._buffer), list(detector._forecasts),
+                         detector._welford, detector.retrain_count)
+        records.append(detector.step(1.4e301))
+        twin = Detector(DetectorConfig(lstm=FAST_LSTM))
+        assert without_timing(records) == without_timing(
+            [twin.step(v) for v in series + [1.4e301]]
+        )
+        assert math.isfinite(records[-1].threshold)
 
     def test_huge_spike_is_an_anomaly(self):
         series = [float(v) for v in 50 + 3 * np.sin(np.arange(40) / 4)]

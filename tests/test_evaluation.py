@@ -1,3 +1,4 @@
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -192,6 +193,14 @@ class TestTimingStats:
             summarize_run([make_record(0, decision_time=-1.0)], 3)
         with pytest.raises(DataError):
             evaluate_run([make_record(k, decision_time=-1.0) for k in range(10)], [T0], 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # A NaN time once passed the sign check and made the mean NaN.
+        with pytest.raises(DataError, match="finite"):
+            summarize_run([make_record(0), make_record(1, decision_time=bad)], 3)
+        with pytest.raises(DataError, match="finite"):
+            evaluate_run([make_record(k, decision_time=bad) for k in range(10)], [T0], 3)
 
     def test_generator_input(self):
         records = (make_record(k, decision_time=0.001 * k) for k in range(10))

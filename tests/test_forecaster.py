@@ -87,9 +87,12 @@ class TestConfig:
             {"hidden_units": 0},
             {"learning_rate": 0.0},
             {"learning_rate": -1.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
             {"min_epochs": 0},
             {"min_epochs": 10, "max_epochs": 5},
             {"early_stop_delta": -1e-9},
+            {"early_stop_delta": float("nan")},
             {"early_stop_patience": 0},
             {"seed": -1},
         ],

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from presage.errors import DataError, StateError
-from presage.scoring import aare, threshold
+from presage.errors import DataError
+from presage.scoring import aare
 
-from helpers import aare_oracle, threshold_oracle
+from helpers import aare_oracle, running_threshold, threshold_oracle
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -105,6 +105,14 @@ class TestAare:
     def test_huge_differences_do_not_overflow(self, observed, predicted, expected):
         assert aare(observed, predicted) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "observed, predicted", [([0.0], [1e301]), ([1e-10, 0.0], [1e300, -1e301])]
+    )
+    def test_score_past_the_float_range_is_a_data_error(self, observed, predicted):
+        # The relative error is about 1e309; it once came back as inf.
+        with pytest.raises(DataError, match="score overflows"):
+            aare(observed, predicted)
+
     @given(st.lists(finite_values, min_size=1, max_size=10))
     def test_non_negative(self, values):
         shifted = [v + 1.0 for v in values]
@@ -133,30 +141,24 @@ class TestAare:
 
 
 class TestThreshold:
+    """The detector's threshold, mean + 3 * stddev of the running statistics."""
+
     def test_equal_history_collapses_to_mean(self):
-        assert threshold([0.1, 0.1, 0.1]) == pytest.approx(0.1, abs=1e-15)
+        assert running_threshold([0.1, 0.1, 0.1]) == pytest.approx(0.1, abs=1e-15)
 
     def test_single_value(self):
-        assert threshold([0.42]) == pytest.approx(0.42, abs=1e-15)
+        assert running_threshold([0.42]) == pytest.approx(0.42, abs=1e-15)
 
     def test_reference_history(self):
         # mean 0.2, population sigma sqrt(0.02/3)
-        assert threshold([0.1, 0.2, 0.3]) == pytest.approx(0.44495, abs=1e-5)
-
-    def test_empty_history(self):
-        with pytest.raises(StateError):
-            threshold([])
-
-    def test_non_finite_history(self):
-        with pytest.raises(DataError):
-            threshold([0.1, float("nan")])
+        assert running_threshold([0.1, 0.2, 0.3]) == pytest.approx(0.44495, abs=1e-5)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(202)
         for _ in range(200):
             size = rng.integers(1, 21)
             history = rng.uniform(0, 10, size)
-            assert threshold(history) == pytest.approx(
+            assert running_threshold(history) == pytest.approx(
                 threshold_oracle(history), abs=1e-12
             )
 
@@ -165,13 +167,14 @@ class TestThreshold:
         # The squared deviations of these scores overflow; taken in units of
         # a power of two, the threshold scales with them bit for bit.
         history = np.random.default_rng(5).uniform(0, 10, 20)
-        assert threshold(history * 2.0**exponent) == threshold(history) * 2.0**exponent
+        scaled = running_threshold(history * 2.0**exponent)
+        assert scaled == running_threshold(history) * 2.0**exponent
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=30))
     def test_never_below_mean(self, history):
-        assert threshold(history) >= np.mean(history) - 1e-12
+        assert running_threshold(history) >= np.mean(history) - 1e-12
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=30))
     def test_appending_the_mean_never_raises_it(self, history):
         mean = float(np.mean(history))
-        assert threshold(history + [mean]) <= threshold(history) + 1e-12
+        assert running_threshold(history + [mean]) <= running_threshold(history) + 1e-12
