@@ -37,8 +37,6 @@ from .evaluation import (
     LeadTimeResult,
     RunSummary,
     evaluate_run,
-    false_warnings,
-    lead_time,
     summarize_run,
 )
 from .forecaster import LstmConfig, LstmModel, TrainOutcome, init_model, predict_next, train
@@ -70,9 +68,7 @@ __all__ = [
     "Verdict",
     "aare",
     "evaluate_run",
-    "false_warnings",
     "init_model",
-    "lead_time",
     "phase_of",
     "predict_next",
     "read_labels",

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon", type=float, default=DEFAULT_EPSILON,
         help="denominator floor for the relative-error score",
     )
-    detect.set_defaults(func=run_detect)
+    detect.set_defaults(func=run_detect, parser=detect)
 
     evaluate = sub.add_parser(
         "evaluate",
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evaluation summary JSON to write (default: report path with .eval.json)",
     )
-    evaluate.set_defaults(func=run_evaluate)
+    evaluate.set_defaults(func=run_evaluate, parser=evaluate)
     return parser
 
 
@@ -201,12 +201,11 @@ def _write_evaluation(summary, args, look_back: int, path: Path):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    except ConfigError as exc:  # the subcommand's usage, as for argparse's own errors
+        args.parser.error(str(exc))
     except (PresageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,14 +8,15 @@ File formats (all documented here, bit-exactly):
 * Labels: JSON. Either a plain list of timestamps (all anomalies), or a
   map from dataset key to an entry; an entry is a list of anomaly
   timestamps or an object ``{"anomalies": [...], "signs": [...]}`` where
-  ``signs`` holds labeled precursor instants. Signs are accepted and
-  checked like anomalies, but not scored: ``read_labels`` returns only
-  the anomalies.
+  ``signs`` holds labeled precursor instants; any other key is an error.
+  Signs are accepted and checked like anomalies, but not scored:
+  ``read_labels`` returns only the anomalies.
 * Report output: CSV with one row per ingested point and columns
   ``index,timestamp,value,predicted,aare,threshold,phase,verdict,
   retrained,decision_time_s``. Fields that are undefined for the row's
-  phase are left empty. Floats use shortest round-trip repr, so a report
-  read back yields the records it was written from.
+  phase are left empty; ``retrained`` is ``true`` or ``false``. Floats use
+  shortest round-trip repr, so a report read back yields the records it
+  was written from.
 * Run summary: JSON of an ``evaluation.RunSummary`` (its retraining
   ratio included, anomalies as index and timestamp) plus the detector
   config it came from.
@@ -222,6 +223,11 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> list[dateti
     context = f"{path}[{dataset_key}]"
     if not isinstance(entry, dict):
         return _parse_label_list(entry, context)
+    unknown = sorted(entry.keys() - {"anomalies", "signs"})
+    if unknown:
+        raise DataError(
+            f"{context}: unknown entry key {unknown[0]!r}; entries take only 'anomalies' and 'signs'"
+        )
     anomalies = _parse_label_list(entry.get("anomalies", []), context)
     _parse_label_list(entry.get("signs", []), context)
     return anomalies
@@ -280,6 +286,8 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
                 timestamp = datetime.fromisoformat(row[1].strip()) if row[1] else None
             except ValueError:
                 raise DataError(f"{path}:{lineno}: unparsable timestamp {row[1]!r}") from None
+            if row[8] not in ("true", "false"):
+                raise DataError(f"{path}:{lineno}: retrained must be true or false, got {row[8]!r}")
             try:
                 records.append(
                     DetectionRecord(

@@ -2,7 +2,8 @@
 
 ``summarize_run`` is the one place that accounts for a run: its points,
 retrains, anomalies and decision times, from which the retraining ratio
-follows.
+follows. ``evaluate_run`` is the one scorer: it adds lead times and false
+warnings to that account, from the same pass over the records.
 
 The central idea is lead time: for each labeled anomaly instant T we
 look for the earliest anomaly report inside an evaluation window
@@ -32,8 +33,6 @@ __all__ = [
     "LeadTimeResult",
     "RunSummary",
     "EvaluationSummary",
-    "lead_time",
-    "false_warnings",
     "summarize_run",
     "evaluate_run",
 ]
@@ -91,10 +90,12 @@ def _checked(
 ) -> Iterator[DetectionRecord]:
     """Yield ``records`` as they come, each after checking that it is in
     time order, agrees with the labels on timezone awareness and, if an
-    anomaly, has a timestamp."""
+    anomaly, has a timestamp. Labels that mix awareness are rejected first."""
     # Aware and naive instants do not compare: the first label, or without
     # labels the first timestamped record, fixes which kind the run uses.
     naive = labels[0].tzinfo is None if labels else None
+    if any((label.tzinfo is None) != naive for label in labels):
+        raise DataError("labels mix timezone-aware and naive instants")
     previous = None
     for record in records:
         if record.timestamp is not None:
@@ -124,91 +125,6 @@ def _span(minutes: float, name: str) -> timedelta:
         return timedelta(minutes=minutes)
     except OverflowError:
         raise ConfigError(f"{name} of {minutes} minutes is longer than a time span can be") from None
-
-
-def _spans(pre_window_minutes: float, grace_minutes: float) -> tuple[timedelta, timedelta]:
-    return _span(pre_window_minutes, "pre_window_minutes"), _span(grace_minutes, "grace_minutes")
-
-
-def _attribute(
-    records: Iterable[DetectionRecord],
-    labels: Sequence[datetime],
-    pre: timedelta,
-    grace: timedelta,
-) -> tuple[dict[int, list[DetectionRecord]], list[DetectionRecord]]:
-    """Assign each anomaly report among ``records`` to the nearest covering
-    label, or to the false-warning pool."""
-    buckets: dict[int, list[DetectionRecord]] = {i: [] for i in range(len(labels))}
-    unmatched: list[DetectionRecord] = []
-    ordered = sorted(range(len(labels)), key=lambda i: labels[i])
-
-    for record in records:
-        if record.verdict is not Verdict.ANOMALY:
-            continue
-        best = None
-        best_distance = None
-        for i in ordered:
-            # A label plus or minus a wide span can leave datetime's
-            # range; the difference of two datetimes cannot.
-            offset = record.timestamp - labels[i]
-            if -pre <= offset <= grace:
-                distance = abs(offset)
-                if best_distance is None or distance < best_distance:
-                    best, best_distance = i, distance
-        if best is None:
-            unmatched.append(record)
-        else:
-            buckets[best].append(record)
-    return buckets, unmatched
-
-
-def lead_time(
-    records: Sequence[DetectionRecord],
-    labels: Sequence[datetime],
-    pre_window_minutes: float = DEFAULT_PRE_WINDOW_MINUTES,
-    grace_minutes: float = DEFAULT_GRACE_MINUTES,
-) -> list[LeadTimeResult]:
-    """Lead time of the earliest report attributed to each label.
-
-    Positive lead minutes mean the warning preceded the labeled instant.
-    A label with no attributed report is ``MISSED``.
-    """
-    spans = _spans(pre_window_minutes, grace_minutes)
-    buckets, _ = _attribute(_checked(records, labels), labels, *spans)
-    return _lead_times(buckets, labels)
-
-
-def _lead_times(
-    buckets: dict[int, list[DetectionRecord]], labels: Sequence[datetime]
-) -> list[LeadTimeResult]:
-    results = []
-    for i, instant in enumerate(labels):
-        matched = buckets[i]
-        if not matched:
-            results.append(LeadTimeResult(instant, None, None, LeadStatus.MISSED))
-            continue
-        first = min(record.timestamp for record in matched)
-        lead = (instant - first).total_seconds() / 60.0
-        if lead > 0:
-            status = LeadStatus.PROACTIVE
-        elif lead == 0:
-            status = LeadStatus.ON_TIME
-        else:
-            status = LeadStatus.LATE
-        results.append(LeadTimeResult(instant, first, lead, status))
-    return results
-
-
-def false_warnings(
-    records: Sequence[DetectionRecord],
-    labels: Sequence[datetime],
-    pre_window_minutes: float = DEFAULT_PRE_WINDOW_MINUTES,
-    grace_minutes: float = DEFAULT_GRACE_MINUTES,
-) -> int:
-    """Count anomaly reports outside every label's evaluation window."""
-    spans = _spans(pre_window_minutes, grace_minutes)
-    _, unmatched = _attribute(_checked(records, labels), labels, *spans)
-    return len(unmatched)
 
 
 def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSummary:
@@ -249,15 +165,48 @@ def evaluate_run(
     grace_minutes: float = DEFAULT_GRACE_MINUTES,
 ) -> EvaluationSummary:
     """Full scoreboard for one run from one pass over its records: per-label
-    lead times, false warnings, and the run summary. A run that never left
-    the preparation ramp (an empty one included) has no retraining ratio:
-    ``StateError``."""
-    spans = _spans(pre_window_minutes, grace_minutes)
+    lead times, false warnings, and the run summary. Positive lead minutes
+    mean the warning preceded the labeled instant; a label with no
+    attributed report is ``MISSED``. A run that never left the preparation
+    ramp (an empty one included) has no retraining ratio: ``StateError``."""
+    pre = _span(pre_window_minutes, "pre_window_minutes")
+    grace = _span(grace_minutes, "grace_minutes")
     run = summarize_run(_checked(records, labels), look_back)
     if not run.eligible_points:
         raise StateError(
             f"run of {run.total_points} points never left the preparation ramp "
             f"(needs more than {2 * look_back - 1})"
         )
-    buckets, unmatched = _attribute(run.anomalies, labels, *spans)
-    return EvaluationSummary(_lead_times(buckets, labels), len(unmatched), run)
+    # The anomalies are in time order, so a label's first report is its earliest.
+    first: dict[int, datetime] = {}
+    false_warning_count = 0
+    ordered = sorted(range(len(labels)), key=lambda i: labels[i])
+    for record in run.anomalies:
+        best = best_distance = None
+        for i in ordered:
+            # A label plus or minus a wide span can leave datetime's
+            # range; the difference of two datetimes cannot.
+            offset = record.timestamp - labels[i]
+            if -pre <= offset <= grace:
+                distance = abs(offset)
+                if best_distance is None or distance < best_distance:
+                    best, best_distance = i, distance
+        if best is None:
+            false_warning_count += 1
+        else:
+            first.setdefault(best, record.timestamp)
+
+    lead_times = []
+    for i, instant in enumerate(labels):
+        if i not in first:
+            lead_times.append(LeadTimeResult(instant, None, None, LeadStatus.MISSED))
+            continue
+        lead = (instant - first[i]).total_seconds() / 60.0
+        if lead > 0:
+            status = LeadStatus.PROACTIVE
+        elif lead == 0:
+            status = LeadStatus.ON_TIME
+        else:
+            status = LeadStatus.LATE
+        lead_times.append(LeadTimeResult(instant, first[i], lead, status))
+    return EvaluationSummary(lead_times, false_warning_count, run)

@@ -102,11 +102,11 @@ class LstmModel:
     z-scored with them before entering the network and forecasts are
     mapped back afterwards.
 
-    ``predict_next`` keeps the recurrence states of the last forecast
-    window's suffixes, and the step weights it builds from ``w_x``, ``w_h``
-    and ``b``, on the model, keyed by the identity of those three arrays:
-    reassign them to change them, never write into them. ``train`` returns
-    its arrays read-only.
+    ``predict_next`` keeps one memo on the model: the step weights it
+    builds from ``w_x``, ``w_h`` and ``b`` and the recurrence states of the
+    last forecast window's suffixes, keyed by the identity of those three
+    arrays: reassign them to change them, never write into them. ``train``
+    returns its arrays read-only.
     """
 
     w_x: np.ndarray  # (4H,)
@@ -116,8 +116,7 @@ class LstmModel:
     b_out: float
     norm_mean: float = 0.0
     norm_std: float = 1.0
-    _suffixes: tuple | None = field(default=None, init=False, repr=False)
-    _prepared: tuple | None = field(default=None, init=False, repr=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def hidden_units(self) -> int:
@@ -165,7 +164,7 @@ def _sigmoid_row_scale(h: int) -> np.ndarray:
     laid out flat like ``_Descent.theta``, 1 on the candidate's; read-only.
     The step and the descent both halve by one multiply with it: exact
     unless a halved value is subnormal, an underflow as harmless as the
-    step's own and ignored where it is (``train``, ``predict_next``'s retry)."""
+    step's own and ignored where it is (``train``, ``_step_weights``)."""
     scale = np.concatenate([np.repeat((0.5, 1.0), (3 * n, n)) for n in (h * h, h, h)])
     scale.flags.writeable = False
     return scale
@@ -398,42 +397,30 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
 
 
 def _step_weights(model: LstmModel, n: int) -> tuple:
-    """The weights of a step on n rows, built once per model and row count.
+    """The weights of a step on n rows, with the sigmoid gates' rows halved.
 
-    All have the sigmoid gates' rows halved. ``w_h`` is viewed as
-    ``(4, H, H)``, so one ``np.matmul(hidden, w_h)`` gives the gate-major
-    ``(4, n, H)`` pre-activations, and ``w_x`` and ``b`` are tiled to that
-    shape, so no operation of the step broadcasts. They are kept on the
-    model, keyed like its suffix states by the identity of ``w_x``, ``w_h``
-    and ``b``, and by n.
+    ``w_h`` is viewed as ``(4, H, H)``, so one ``np.matmul(hidden, w_h)``
+    gives the gate-major ``(4, n, H)`` pre-activations, and ``w_x`` and
+    ``b`` are tiled to that shape, so no operation of the step broadcasts.
     """
-    prep = model._prepared
-    if (
-        prep is None
-        or prep[0] is not model.w_x
-        or prep[1] is not model.w_h
-        or prep[2] is not model.b
-        or prep[3] != n
-    ):
-        h = model.hidden_units
+    h = model.hidden_units
+    with np.errstate(under="ignore"):
         halved = np.concatenate((model.w_h.ravel(), model.w_x, model.b)) * _sigmoid_row_scale(h)
-        w_h, w_x, b, _ = _views(halved, h)
-        w_h = w_h.reshape(4, h, h).transpose(0, 2, 1)
-        w_x = np.repeat(w_x.reshape(4, 1, h), n, axis=1)
-        b = np.repeat(b.reshape(4, 1, h), n, axis=1)
-        prep = model._prepared = (model.w_x, model.w_h, model.b, n, w_h, w_x, b)
-    return prep[4:]
+    w_h, w_x, b, _ = _views(halved, h)
+    w_h = w_h.reshape(4, h, h).transpose(0, 2, 1)
+    return w_h, np.repeat(w_x.reshape(4, 1, h), n, axis=1), np.repeat(b.reshape(4, 1, h), n, axis=1)
 
 
-def _advance(model: LstmModel, feed, hidden: np.ndarray, cell: np.ndarray):
-    """Feed each value of ``feed`` to all n rows of the carried states.
+def _advance(model: LstmModel, weights: tuple, feed, hidden: np.ndarray, cell: np.ndarray):
+    """Feed each value of ``feed`` to all n rows of the carried states,
+    stepping with ``weights`` from ``_step_weights`` for n rows.
 
     Each step writes into fresh arrays of n + 1 rows whose last row stays
     zero. Returns the output of row 0, which spans every value fed, and
     the other n rows of hidden and cell state.
     """
     n, h = hidden.shape
-    w_h, w_x, b = _step_weights(model, n)
+    w_h, w_x, b = weights
     for x in feed:
         act = np.matmul(hidden, w_h)
         cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
@@ -451,14 +438,17 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     is mapped back to the raw scale.
 
     Consecutive windows of a stream share all but one value, so the model
-    keeps the states that the window's proper suffixes reach from zero.
-    They are carried as ``(b, H)`` hidden and cell arrays, longest suffix
-    first, whose last row is the zero state. When the next window is this
-    one moved on by one point and ``w_x``, ``w_h`` and ``b`` are the same
-    arrays, a single batched step advances every row by the new value, and
-    the row that now spans the whole window gives the forecast. Any other
-    call starts every row from zero and feeds the whole window through the
-    same step. A step writes into fresh arrays, never into carried ones.
+    keeps one memo: ``w_x``, ``w_h`` and ``b``, the step weights built from
+    them for the window's length, and the states that the window's proper
+    suffixes reach from zero. The states are carried as ``(b, H)`` hidden
+    and cell arrays, longest suffix first, whose last row is the zero state.
+    A call whose three arrays or window length differ rebuilds the weights.
+    When the next window is this one moved on by one point, a single
+    batched step advances every row by the new value, and the row that now
+    spans the whole window gives the forecast. Any other call starts every
+    row from zero and feeds the whole window through the same step. A step
+    writes into fresh arrays, never into carried ones, and the memo is
+    replaced only when a forecast returns.
     """
     mean, std = model.norm_mean, model.norm_std
     try:
@@ -471,29 +461,33 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
         raise ValueError("prediction window must be non-empty")
     if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
-    memo = model._suffixes  # (normalized window[1:], w_x, w_h, b, hiddens, cells)
+    memo = model._memo  # (w_x, w_h, b, step weights, normalized window[1:], hiddens, cells)
     if (
-        memo is not None
-        and memo[0] == normed[:-1]
-        and memo[1] is model.w_x
-        and memo[2] is model.w_h
-        and memo[3] is model.b
+        memo is None
+        or memo[0] is not model.w_x
+        or memo[1] is not model.w_h
+        or memo[2] is not model.b
+        or len(memo[4]) != len(normed) - 1
     ):
-        feed, hidden, cell = normed[-1:], memo[4], memo[5]
+        weights, warm = _step_weights(model, len(normed)), False
+    else:
+        weights, warm = memo[3], memo[4] == normed[:-1]
+    if warm:
+        feed, hidden, cell = normed[-1:], memo[5], memo[6]
     else:
         feed = normed
         hidden = cell = np.zeros((len(normed), model.hidden_units))
     try:
-        output, hidden, cell = _advance(model, feed, hidden, cell)
+        output, hidden, cell = _advance(model, weights, feed, hidden, cell)
     except FloatingPointError:
         # Only a caller that makes numpy raise gets here. Underflow is as
         # harmless as in train, and the step is pure, so it is run again
         # with underflow ignored; entering np.errstate on every call would
         # cost about a twentieth of a step.
         with np.errstate(under="ignore"):
-            output, hidden, cell = _advance(model, feed, hidden, cell)
+            output, hidden, cell = _advance(model, weights, feed, hidden, cell)
     forecast = output * model.norm_std + model.norm_mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
-    model._suffixes = (normed[1:], model.w_x, model.w_h, model.b, hidden, cell)
+    model._memo = (model.w_x, model.w_h, model.b, weights, normed[1:], hidden, cell)
     return forecast

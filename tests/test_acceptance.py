@@ -18,7 +18,7 @@ import pytest
 from presage.cli import main
 from presage.data_io import read_labels, read_series
 from presage.detector import Detector, DetectorConfig, Phase, Verdict, phase_of
-from presage.evaluation import LeadStatus, lead_time, summarize_run
+from presage.evaluation import LeadStatus, evaluate_run, summarize_run
 from presage.forecaster import LstmConfig
 from presage.scoring import aare
 
@@ -78,7 +78,7 @@ def test_criterion_1_cpu_b3b_replay(cpu_replay):
     assert len(records) == 4032
 
     labels = read_labels(LABELS_PATH, CPU_B3B_KEY)
-    results = lead_time(records, labels)
+    results = evaluate_run(records, labels, detector.config.look_back).lead_times
     for result in results:
         assert result.status in (LeadStatus.ON_TIME, LeadStatus.PROACTIVE), (
             f"label {result.label_timestamp} has status {result.status.value}"
@@ -103,7 +103,7 @@ def test_criterion_2_mtsf_replay(mtsf_replay):
     assert len(records) == 22695
 
     labels = read_labels(LABELS_PATH, MTSF_KEY)
-    results = lead_time(records, labels)
+    results = evaluate_run(records, labels, detector.config.look_back).lead_times
     assert all(result.status is not LeadStatus.MISSED for result in results), (
         f"statuses: {[r.status.value for r in results]}"
     )

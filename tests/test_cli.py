@@ -224,6 +224,7 @@ class TestDetect:
             assert exc.value.code == 2, flag
             err = capsys.readouterr().err
             assert "Traceback" not in err and "missing.csv" not in err
+        assert "presage detect: error: look_back must be >= 2, got 1" in err
         assert not report.exists()
 
 

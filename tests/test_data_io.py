@@ -214,6 +214,19 @@ class TestReadLabels:
         with pytest.raises(DataError, match="strictly increasing"):
             read_labels(path, "k")
 
+    def test_unknown_entry_key_rejected(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"x.csv": {"anomaly": ["2020-01-01 00:00:00"]}}))
+        with pytest.raises(DataError, match="unknown entry key 'anomaly'"):
+            read_labels(path, "x.csv")
+
+    def test_unknown_entry_key_beside_anomalies_rejected(self, tmp_path):
+        path = tmp_path / "labels.json"
+        entry = {"anomalies": ["2020-01-01 00:00:00"], "note": "checked by hand"}
+        path.write_text(json.dumps({"x.csv": entry}))
+        with pytest.raises(DataError, match="unknown entry key 'note'"):
+            read_labels(path, "x.csv")
+
     def test_plain_list_mode(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps(["2020-01-01 10:00:00", "2020-01-02 10:00:00"]))
@@ -357,6 +370,19 @@ class TestReport:
         with pytest.raises(DataError) as exc:
             read_report(path)
         assert str(exc.value) == f"{path}:3: unparsable timestamp ' noon '"
+
+    @pytest.mark.parametrize("cell", ["yes", "True", "1", ""])
+    def test_retrained_other_than_true_or_false_rejected(self, tmp_path, cell):
+        path = tmp_path / "report.csv"
+        write_records(sample_records()[:3], path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[8] = cell
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            read_report(path)
+        assert str(exc.value) == f"{path}:4: retrained must be true or false, got {cell!r}"
 
     @settings(max_examples=300, deadline=None)
     @given(records=st.lists(RECORDS, max_size=6))

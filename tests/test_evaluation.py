@@ -9,8 +9,6 @@ from presage.errors import ConfigError, DataError, OrderingError, StateError
 from presage.evaluation import (
     LeadStatus,
     evaluate_run,
-    false_warnings,
-    lead_time,
     summarize_run,
 )
 
@@ -28,30 +26,39 @@ def normal_at(ts, index=0):
     return make_record(index, timestamp=ts, verdict=Verdict.NORMAL)
 
 
+# The look-back-3 preparation ramp of 5 points, as untimed normal records:
+# ahead of the records under test, it lets ``evaluate_run`` score any of them.
+RAMP = [make_record(k) for k in range(5)]
+
+
+def score(records, labels, **spans):
+    return evaluate_run([*RAMP, *records], labels, look_back=3, **spans)
+
+
 class TestLeadTime:
     def test_proactive_report(self):
         label = T0 + 1000 * MIN
         records = [anomaly_at(label - 450 * MIN)]
-        (result,) = lead_time(records, [label])
+        (result,) = score(records, [label]).lead_times
         assert result.status is LeadStatus.PROACTIVE
         assert result.lead_minutes == pytest.approx(450.0)
 
     def test_on_time_report(self):
         label = T0
-        (result,) = lead_time([anomaly_at(label)], [label])
+        (result,) = score([anomaly_at(label)], [label]).lead_times
         assert result.status is LeadStatus.ON_TIME
         assert result.lead_minutes == 0.0
 
     def test_late_report_within_grace(self):
         label = T0
-        (result,) = lead_time([anomaly_at(label + 30 * MIN)], [label])
+        (result,) = score([anomaly_at(label + 30 * MIN)], [label]).lead_times
         assert result.status is LeadStatus.LATE
         assert result.lead_minutes == pytest.approx(-30.0)
 
     def test_missed_label(self):
         label = T0 + 5000 * MIN
         records = [anomaly_at(T0)]  # far outside [label-1440, label+60]
-        (result,) = lead_time(records, [label])
+        (result,) = score(records, [label]).lead_times
         assert result.status is LeadStatus.MISSED
         assert result.first_report_timestamp is None
         assert result.lead_minutes is None
@@ -63,27 +70,34 @@ class TestLeadTime:
             anomaly_at(label - 400 * MIN, index=0),
         ]
         records.sort(key=lambda r: r.timestamp)
-        (result,) = lead_time(records, [label])
+        (result,) = score(records, [label]).lead_times
         assert result.lead_minutes == pytest.approx(400.0)
 
     def test_unordered_records_rejected(self):
         records = [anomaly_at(T0 + 10 * MIN, index=1), anomaly_at(T0, index=0)]
         with pytest.raises(OrderingError):
-            lead_time(records, [T0])
+            score(records, [T0])
 
     def test_anomaly_without_timestamp_rejected(self):
         with pytest.raises(DataError):
-            lead_time([make_record(0, timestamp=None, verdict=Verdict.ANOMALY)], [T0])
+            score([make_record(0, timestamp=None, verdict=Verdict.ANOMALY)], [T0])
 
     def test_aware_records_against_naive_labels_rejected(self):
         aware = T0.replace(tzinfo=timezone.utc)
         with pytest.raises(DataError, match="timezone"):
-            lead_time([normal_at(aware), anomaly_at(aware + MIN, index=1)], [T0])
+            score([normal_at(aware), anomaly_at(aware + MIN, index=1)], [T0])
+
+    def test_labels_mixing_aware_and_naive_rejected(self):
+        labels = [datetime(2020, 1, 1), datetime(2020, 1, 2, tzinfo=timezone.utc)]
+        with pytest.raises(DataError, match="labels mix timezone"):
+            evaluate_run([make_record(k) for k in range(10)], labels, 3)
+        with pytest.raises(DataError, match="labels mix timezone"):
+            evaluate_run([make_record(k) for k in range(10)], labels[::-1], 3)
 
     def test_records_mixing_aware_and_naive_rejected(self):
         records = [anomaly_at(T0.replace(tzinfo=timezone.utc)), anomaly_at(T0 + MIN, index=1)]
         with pytest.raises(DataError, match="timezone"):
-            false_warnings(records, [])
+            score(records, [])
 
 
 class TestAttribution:
@@ -91,16 +105,16 @@ class TestAttribution:
         first = T0 + 1000 * MIN
         second = T0 + 1100 * MIN
         report = anomaly_at(first + 70 * MIN)  # 70 min after first, 30 before second
-        results = lead_time([report], [first, second])
+        results = score([report], [first, second]).lead_times
         assert results[0].status is LeadStatus.MISSED
         assert results[1].status is LeadStatus.PROACTIVE
-        assert false_warnings([report], [first, second]) == 0
+        assert score([report], [first, second]).false_warning_count == 0
 
     def test_tie_goes_to_earlier_label(self):
         first = T0 + 1000 * MIN
         second = T0 + 1200 * MIN
         midpoint = first + 100 * MIN  # equidistant and inside both windows
-        results = lead_time([anomaly_at(midpoint)], [first, second], grace_minutes=120)
+        results = score([anomaly_at(midpoint)], [first, second], grace_minutes=120).lead_times
         assert results[0].status is LeadStatus.LATE  # attributed to the earlier label
         assert results[1].status is LeadStatus.MISSED
 
@@ -109,27 +123,27 @@ class TestAttribution:
         inside = anomaly_at(label - 60 * MIN, index=1)
         outside = anomaly_at(T0, index=0)
         records = [outside, inside]
-        assert false_warnings(records, [label]) == 1
-        (result,) = lead_time(records, [label])
+        assert score(records, [label]).false_warning_count == 1
+        (result,) = score(records, [label]).lead_times
         assert result.first_report_timestamp == inside.timestamp
 
 
 class TestFalseWarnings:
     def test_no_anomalies(self):
-        assert false_warnings([normal_at(T0)], [T0 + 100 * MIN]) == 0
+        assert score([normal_at(T0)], [T0 + 100 * MIN]).false_warning_count == 0
 
     def test_report_inside_window_is_not_false(self):
         label = T0 + 500 * MIN
-        assert false_warnings([anomaly_at(label - 5 * MIN)], [label]) == 0
+        assert score([anomaly_at(label - 5 * MIN)], [label]).false_warning_count == 0
 
     def test_reports_far_from_all_labels(self):
         label = T0 + 5000 * MIN
         records = [anomaly_at(T0 + k * MIN, index=k) for k in (10, 20)]
-        assert false_warnings(records, [label]) == 2
+        assert score(records, [label]).false_warning_count == 2
 
     def test_no_labels_everything_is_false(self):
         records = [anomaly_at(T0 + k * MIN, index=k) for k in range(3)]
-        assert false_warnings(records, []) == 3
+        assert score(records, []).false_warning_count == 3
 
     def test_widening_pre_window_is_monotone(self):
         rng = np.random.default_rng(99)
@@ -139,13 +153,14 @@ class TestFalseWarnings:
                 anomaly_at(T0 + int(m) * MIN, index=k)
                 for k, m in enumerate(sorted(rng.integers(-500, 3500, 6)))
             ]
-            narrow_results = lead_time(records, labels, pre_window_minutes=200)
-            wide_results = lead_time(records, labels, pre_window_minutes=800)
+            narrow_results = score(records, labels, pre_window_minutes=200).lead_times
+            wide_results = score(records, labels, pre_window_minutes=800).lead_times
             narrow_hits = sum(r.status is not LeadStatus.MISSED for r in narrow_results)
             wide_hits = sum(r.status is not LeadStatus.MISSED for r in wide_results)
             assert wide_hits >= narrow_hits
-            assert false_warnings(records, labels, pre_window_minutes=800) <= false_warnings(
-                records, labels, pre_window_minutes=200
+            assert (
+                score(records, labels, pre_window_minutes=800).false_warning_count
+                <= score(records, labels, pre_window_minutes=200).false_warning_count
             )
 
 
@@ -264,23 +279,21 @@ def unread_records():
 class TestSpans:
     """Both spans must be finite, non-negative and fit a timedelta."""
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300, -5.0])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 1e300, -5.0]
+    )
     @pytest.mark.parametrize("span", ["pre_window_minutes", "grace_minutes"])
     @pytest.mark.parametrize(
-        "score",
-        [
-            lambda records, labels, **span: lead_time(records, labels, **span),
-            lambda records, labels, **span: false_warnings(records, labels, **span),
-            lambda records, labels, **span: evaluate_run(records, labels, look_back=3, **span),
-        ],
-        ids=["lead_time", "false_warnings", "evaluate_run"],
+        "labels", [[datetime(2020, 1, 1)], []], ids=["evaluate_run", "evaluate_run_no_labels"]
     )
-    def test_bad_span_is_a_config_error_before_any_record(self, score, span, value):
+    def test_bad_span_is_a_config_error_before_any_record(self, labels, span, value):
+        # Checked even when no label would ever use the span.
         with pytest.raises(ConfigError, match=span):
-            score(unread_records(), [datetime(2020, 1, 1)], **{span: value})
+            evaluate_run(unread_records(), labels, look_back=3, **{span: value})
 
     def test_zero_spans_match_only_the_labeled_instant(self):
         records = [anomaly_at(T0 - MIN, 0), anomaly_at(T0, 1), anomaly_at(T0 + MIN, 2)]
-        [result] = lead_time(records, [T0], pre_window_minutes=0.0, grace_minutes=0.0)
+        summary = score(records, [T0], pre_window_minutes=0.0, grace_minutes=0.0)
+        [result] = summary.lead_times
         assert result.status is LeadStatus.ON_TIME
-        assert false_warnings(records, [T0], pre_window_minutes=0.0, grace_minutes=0.0) == 2
+        assert summary.false_warning_count == 2

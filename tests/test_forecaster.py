@@ -494,8 +494,8 @@ def assert_forecast(model: LstmModel, window, forecast: float):
 def poison(model: LstmModel):
     """Shift the carried suffix states, keeping the memo's key, so that a
     call which reuses them is visibly wrong."""
-    key_and_weights, (hidden, cell) = model._suffixes[:4], model._suffixes[4:]
-    model._suffixes = (*key_and_weights, hidden + 0.5, cell - 0.5)
+    key_and_weights, (hidden, cell) = model._memo[:5], model._memo[5:]
+    model._memo = (*key_and_weights, hidden + 0.5, cell - 0.5)
 
 
 class TestSuffixStates:
@@ -560,7 +560,7 @@ class TestSuffixStates:
                 self.calls = []
 
             def predict(self, model, window):
-                cold = model._suffixes is None
+                cold = model._memo is None
                 forecast = super().predict(model, window)
                 self.calls.append((model, list(window), cold, forecast))
                 return forecast
@@ -586,12 +586,12 @@ class TestSuffixStates:
         series = rng.standard_normal(10)
         # cold, then warm twice, then cold again after a gap
         for start in (0, 1, 2, 4):
-            memo = model._suffixes
-            snapshot = None if memo is None else [a.copy() for a in memo[4:]]
+            memo = model._memo
+            snapshot = None if memo is None else [a.copy() for a in memo[5:]]
             predict_next(model, series[start : start + 4])
             if memo is not None:
-                assert all(np.array_equal(a, s) for a, s in zip(memo[4:], snapshot))
-            for carried in model._suffixes[4:]:
+                assert all(np.array_equal(a, s) for a, s in zip(memo[5:], snapshot))
+            for carried in model._memo[5:]:
                 assert carried.shape == (4, 6)
                 assert not carried[-1].any()
 
@@ -603,8 +603,16 @@ class TestSuffixStates:
 
     def test_overflowing_forecast_rejected_and_memo_kept(self):
         model, series = self._primed()
-        memo = model._suffixes
+        memo = model._memo
         model.norm_std, model.b_out = 1e308, 10.0
         with pytest.raises(DataError, match="forecast overflows"):
             predict_next(model, series[1:5])
-        assert model._suffixes is memo
+        assert model._memo is memo
+
+    def test_overflowing_cold_forecast_stores_no_memo(self):
+        rng = np.random.default_rng(43)
+        model = random_model(rng, 6, 5.0)
+        model.norm_mean, model.norm_std, model.b_out = 1.0, 1e308, 10.0
+        with pytest.raises(DataError, match="forecast overflows"):
+            predict_next(model, 1.0 + 2.0 * rng.standard_normal(4))
+        assert model._memo is None
