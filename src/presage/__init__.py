@@ -21,6 +21,7 @@ from .data_io import (
     read_labels,
     read_report,
     read_series,
+    write_evaluation,
     write_summary,
 )
 from .errors import (
@@ -76,5 +77,6 @@ __all__ = [
     "read_series",
     "summarize_run",
     "train",
+    "write_evaluation",
     "write_summary",
 ]

@@ -7,34 +7,22 @@ Exit codes: 0 success, 1 data/runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .data_io import read_labels, read_report, read_series, ReportWriter, write_summary
+from .data_io import (
+    ReportWriter, read_labels, read_report, read_series, write_evaluation, write_summary
+)
 from .detector import Detector, DetectorConfig, Phase, Verdict
 from .errors import ConfigError, PresageError
 from .evaluation import (
-    DEFAULT_GRACE_MINUTES,
-    DEFAULT_PRE_WINDOW_MINUTES,
-    _span,
-    evaluate_run,
-    summarize_run,
+    DEFAULT_GRACE_MINUTES, DEFAULT_PRE_WINDOW_MINUTES, _span, evaluate_run, summarize_run
 )
 from .forecaster import LstmConfig
-from .scoring import DEFAULT_EPSILON
 
 __all__ = ["main", "build_parser", "run_detect", "run_evaluate"]
-
-
-def _minutes_arg(text: str) -> float:
-    value = float(text)
-    try:
-        _span(value, "a span")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,19 +40,20 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--input", required=True, type=Path, help="series file (timestamp,value)")
     detect.add_argument("--report", required=True, type=Path, help="per-point report CSV to write")
     detect.add_argument(
-        "--summary",
-        type=Path,
-        default=None,
+        "--summary", type=Path,
         help="run summary JSON to write (default: report path with .summary.json)",
     )
     detect.add_argument(
-        "--look-back", type=int, default=3,
-        help="number of recent points used for training and prediction (default 3)",
+        "--look-back", type=int, default=DetectorConfig.look_back,
+        help="number of recent points used for training and prediction (default %(default)s)",
     )
-    detect.add_argument("--seed", type=int, default=42, help="seed for model initialization")
     detect.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON,
-        help="denominator floor for the relative-error score",
+        "--seed", type=int, default=LstmConfig.seed,
+        help="seed for model initialization (default %(default)s)",
+    )
+    detect.add_argument(
+        "--epsilon", type=float, default=DetectorConfig.epsilon,
+        help="denominator floor for the relative-error score (default %(default)s)",
     )
     detect.set_defaults(func=run_detect, parser=detect)
 
@@ -79,17 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="key into a combined labels map (unused for plain-list label files)",
     )
     evaluate.add_argument(
-        "--pre-window", type=_minutes_arg, default=DEFAULT_PRE_WINDOW_MINUTES,
-        help="minutes before a label in which a report counts for it (default 1440)",
+        "--pre-window", type=float, default=DEFAULT_PRE_WINDOW_MINUTES,
+        help="minutes before a label in which a report counts for it (default %(default)s)",
     )
     evaluate.add_argument(
-        "--grace", type=_minutes_arg, default=DEFAULT_GRACE_MINUTES,
-        help="minutes after a label in which a report still counts (default 60)",
+        "--grace", type=float, default=DEFAULT_GRACE_MINUTES,
+        help="minutes after a label in which a report still counts (default %(default)s)",
     )
     evaluate.add_argument(
-        "--summary",
-        type=Path,
-        default=None,
+        "--summary", type=Path,
         help="evaluation summary JSON to write (default: report path with .eval.json)",
     )
     evaluate.set_defaults(func=run_evaluate, parser=evaluate)
@@ -100,12 +87,13 @@ def run_detect(args: argparse.Namespace) -> int:
     config = DetectorConfig(
         look_back=args.look_back, epsilon=args.epsilon, lstm=LstmConfig(seed=args.seed)
     )
+    summary_path = args.summary or args.report.with_suffix(".summary.json")
+    _check_outputs([args.input], [args.report, summary_path])
     observations = read_series(args.input)
     detector = Detector(config)
-    summary_path = args.summary or args.report.with_suffix(".summary.json")
 
     with ReportWriter(args.report) as writer:
-        summary = summarize_run(_decide(observations, detector, writer), config.look_back)
+        summary = summarize_run(_decide(observations, detector, writer))
     write_summary(summary, config, summary_path)
     print(
         f"processed {summary.total_points} points: "
@@ -132,6 +120,17 @@ def _decide(observations, detector, writer):
         yield record
 
 
+def _check_outputs(inputs: list[Path], outputs: list[Path]):
+    """``ConfigError`` when an output path names an input or an earlier
+    output, by resolved path or, for files that exist, by identity."""
+    for k, output in enumerate(outputs):
+        for other in [*inputs, *outputs[:k]]:
+            if os.path.realpath(output) == os.path.realpath(other) or (
+                output.exists() and other.exists() and os.path.samefile(output, other)
+            ):
+                raise ConfigError(f"output {output} would overwrite {other}")
+
+
 def _infer_look_back(records) -> int:
     for record in records:
         if record.phase is Phase.WARMUP:
@@ -140,14 +139,16 @@ def _infer_look_back(records) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
+    spans = {"pre_window_minutes": args.pre_window, "grace_minutes": args.grace}
+    for name, minutes in spans.items():  # before the report is read, like the paths
+        _span(minutes, name)
+    summary_path = args.summary or args.report.with_suffix(".eval.json")
+    _check_outputs([args.report, args.labels], [summary_path])
     records = read_report(args.report)
     labels = read_labels(args.labels, args.dataset_key)
-    look_back = _infer_look_back(records)
-    summary = evaluate_run(
-        records, labels, look_back, pre_window_minutes=args.pre_window, grace_minutes=args.grace
-    )
-    summary_path = args.summary or args.report.with_suffix(".eval.json")
-    _write_evaluation(summary, args, look_back, summary_path)
+    params = {**spans, "look_back": _infer_look_back(records), "dataset_key": args.dataset_key}
+    summary = evaluate_run(records, labels, **spans)
+    write_evaluation(summary, params, summary_path)
 
     for result in summary.lead_times:
         line = f"label {result.label_timestamp.isoformat(sep=' ')}  {result.status.value}"
@@ -169,35 +170,6 @@ def run_evaluate(args: argparse.Namespace) -> int:
     )
     print(f"summary: {summary_path}")
     return 0
-
-
-def _write_evaluation(summary, args, look_back: int, path: Path):
-    payload = {
-        "labels": [
-            {
-                "label_timestamp": r.label_timestamp.isoformat(sep=" "),
-                "first_report_timestamp": (
-                    r.first_report_timestamp.isoformat(sep=" ")
-                    if r.first_report_timestamp
-                    else None
-                ),
-                "lead_minutes": r.lead_minutes,
-                "status": r.status.value,
-            }
-            for r in summary.lead_times
-        ],
-        "false_warnings": summary.false_warning_count,
-        "retraining_ratio": summary.run.retraining_ratio,
-        "avg_decision_time_s": summary.run.avg_decision_time,
-        "std_decision_time_s": summary.run.std_decision_time,
-        "params": {
-            "pre_window_minutes": args.pre_window,
-            "grace_minutes": args.grace,
-            "look_back": look_back,
-            "dataset_key": args.dataset_key,
-        },
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""Reading time series and labels, writing detection reports and summaries.
+"""Reading time series and labels, writing reports, run summaries and evaluations.
 
 File formats (all documented here, bit-exactly):
 
@@ -20,6 +20,9 @@ File formats (all documented here, bit-exactly):
 * Run summary: JSON of an ``evaluation.RunSummary`` (its retraining
   ratio included, anomalies as index and timestamp) plus the detector
   config it came from.
+* Evaluation: JSON of an ``evaluation.EvaluationSummary`` (a lead time per
+  label, the false warnings, the run summary's ratio and decision times)
+  plus the settings it was scored with.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterator
 
-from .detector import DetectionRecord, DetectorConfig, Phase, Verdict
-from .errors import DataError, DatasetKeyError
-from .evaluation import RunSummary
+from .detector import DetectionRecord, DetectorConfig, Phase, Verdict, _check_order
+from .errors import DataError, DatasetKeyError, OrderingError
+from .evaluation import EvaluationSummary, RunSummary
 
 __all__ = [
     "Observation",
@@ -46,6 +49,7 @@ __all__ = [
     "ReportWriter",
     "read_report",
     "write_summary",
+    "write_evaluation",
 ]
 
 REPORT_COLUMNS = [
@@ -68,11 +72,13 @@ class Observation:
     value: float
 
 
-def _parse_timestamp(text: str, context: str) -> datetime:
+def _parse_timestamp(text: str, context: object, lineno: int | None = None) -> datetime:
+    """The one timestamp parser; ``DataError`` at ``context[:lineno]`` if unparsable."""
     try:
         return datetime.fromisoformat(text.strip())
     except ValueError:
-        raise DataError(f"{context}: unparsable timestamp {text!r}") from None
+        where = context if lineno is None else f"{context}:{lineno}"
+        raise DataError(f"{where}: unparsable timestamp {text!r}") from None
 
 
 @contextmanager
@@ -92,8 +98,9 @@ def read_series(path: str | Path) -> Iterator[Observation]:
     """Iterate over a series file's observations, parsing each row as it
     is consumed; the file is opened and its header checked on the call.
 
-    A decreasing timestamp, one whose timezone awareness differs from the
-    first, or a non-finite value is a ``DataError`` with the line number;
+    A timestamp whose timezone awareness differs from the previous one's,
+    or a non-finite value, is a ``DataError`` with the line number, and a
+    decreasing timestamp an ``OrderingError`` (a ``DataError`` too);
     duplicate timestamps are accepted in order, and a UTF-8 byte-order
     mark before the header is skipped. At the end, a file without rows is
     a ``DataError``, and a ``UserWarning`` says when intervals deviate
@@ -125,38 +132,29 @@ def _series_rows(path: Path):
         val_col = names.index("value")
         yield None
 
-        first = previous = None
+        previous = None
         intervals: Counter = Counter()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) <= max(ts_col, val_col):
                 raise DataError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
-            try:  # not through _parse_timestamp: its context costs a format per row
-                ts = datetime.fromisoformat(row[ts_col].strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable timestamp {row[ts_col]!r}") from None
+            ts = _parse_timestamp(row[ts_col], path, lineno)
             try:
                 value = float(row[val_col])
             except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: unparsable value {row[val_col]!r}"
-                ) from None
+                raise DataError(f"{path}:{lineno}: unparsable value {row[val_col]!r}") from None
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: non-finite value {value}")
-            if previous is None:
-                first = ts
-            elif (ts.tzinfo is None) != (first.tzinfo is None):
-                raise DataError(
-                    f"{path}:{lineno}: timestamp {ts} mixes timezone-aware and naive "
-                    f"timestamps (first was {first})"
-                )
-            elif ts < previous:
-                raise DataError(f"{path}:{lineno}: timestamp {ts} precedes previous {previous}")
-            elif (delta := ts - previous) in intervals or len(intervals) < _CADENCE_SLOTS:
-                intervals[delta] += 1
-            else:
-                intervals[None] += 1
+            if previous is not None:
+                try:
+                    _check_order(previous, ts)
+                except DataError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
+                if (delta := ts - previous) in intervals or len(intervals) < _CADENCE_SLOTS:
+                    intervals[delta] += 1
+                else:
+                    intervals[None] += 1
             previous = ts
             yield Observation(ts, value)
 
@@ -179,12 +177,13 @@ def _parse_label_list(entries, context: str) -> list[datetime]:
         raise DataError(f"{context}: expected a list of timestamps, got {type(entries).__name__}")
     stamps = [_parse_timestamp(str(entry), context) for entry in entries]
     for earlier, later in zip(stamps, stamps[1:]):
-        if (later.tzinfo is None) != (earlier.tzinfo is None):
-            raise DataError(
-                f"{context}: label {later} mixes timezone-aware and naive timestamps"
-            )
-        if later <= earlier:
-            raise DataError(f"{context}: label timestamps must be strictly increasing")
+        try:
+            _check_order(earlier, later)
+            if later == earlier:
+                raise OrderingError(f"timestamp {later} repeats the previous one")
+        except DataError as exc:
+            rule = "label timestamps must be strictly increasing, all aware or all naive"
+            raise type(exc)(f"{context}: {rule}: {exc}") from None
     return stamps
 
 
@@ -264,10 +263,6 @@ class ReportWriter:
         self.close()
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return float(text) if text else None
-
-
 def read_report(path: str | Path) -> list[DetectionRecord]:
     """Read a report back into the records it was written from."""
     path = Path(path)
@@ -282,10 +277,7 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
                 continue
             if len(row) != len(REPORT_COLUMNS):
                 raise DataError(f"{path}:{lineno}: malformed report row")
-            try:  # not through _parse_timestamp: its context costs a format per row
-                timestamp = datetime.fromisoformat(row[1].strip()) if row[1] else None
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable timestamp {row[1]!r}") from None
+            timestamp = _parse_timestamp(row[1], path, lineno) if row[1] else None
             if row[8] not in ("true", "false"):
                 raise DataError(f"{path}:{lineno}: retrained must be true or false, got {row[8]!r}")
             try:
@@ -294,9 +286,9 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
                         time_index=int(row[0]),
                         timestamp=timestamp,
                         value=float(row[2]),
-                        predicted=_parse_optional_float(row[3]),
-                        aare=_parse_optional_float(row[4]),
-                        threshold=_parse_optional_float(row[5]),
+                        predicted=float(row[3]) if row[3] else None,
+                        aare=float(row[4]) if row[4] else None,
+                        threshold=float(row[5]) if row[5] else None,
                         phase=Phase(row[6]),
                         verdict=Verdict(row[7]),
                         retrained=row[8] == "true",
@@ -308,14 +300,21 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
     return records
 
 
+def _run_fields(run: RunSummary) -> dict:
+    """The fields both summary files take from a ``RunSummary``."""
+    return {
+        "retraining_ratio": run.retraining_ratio,
+        "avg_decision_time_s": run.avg_decision_time,
+        "std_decision_time_s": run.std_decision_time,
+    }
+
+
 def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path):
     payload = {
         "total_points": summary.total_points,
         "retrain_count": summary.retrain_count,
         "eligible_points": summary.eligible_points,
-        "retraining_ratio": summary.retraining_ratio,
-        "avg_decision_time_s": summary.avg_decision_time,
-        "std_decision_time_s": summary.std_decision_time,
+        **_run_fields(summary),
         "anomalies": [
             {"index": r.time_index, "timestamp": r.timestamp and r.timestamp.isoformat(sep=" ")}
             for r in summary.anomalies
@@ -326,6 +325,28 @@ def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path)
             "seed": config.lstm.seed,
             "epsilon": config.epsilon,
         },
+    }
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def write_evaluation(summary: EvaluationSummary, params: dict, path: str | Path):
+    """Write an evaluation's scoreboard, with ``params`` (the settings it
+    was scored with) echoed under ``"params"``."""
+    payload = {
+        "labels": [
+            {
+                "label_timestamp": r.label_timestamp.isoformat(sep=" "),
+                "first_report_timestamp": (
+                    r.first_report_timestamp and r.first_report_timestamp.isoformat(sep=" ")
+                ),
+                "lead_minutes": r.lead_minutes,
+                "status": r.status.value,
+            }
+            for r in summary.lead_times
+        ],
+        "false_warnings": summary.false_warning_count,
+        **_run_fields(summary.run),
+        "params": params,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 

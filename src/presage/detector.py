@@ -74,6 +74,18 @@ def phase_of(t: int, look_back: int) -> Phase:
     return Phase.DETECTING
 
 
+def _check_order(previous: datetime, timestamp: datetime) -> None:
+    """The one rule for consecutive timestamps: ``DataError`` if they differ in
+    timezone awareness, ``OrderingError`` if ``timestamp`` comes earlier."""
+    if (timestamp.utcoffset() is None) != (previous.utcoffset() is None):
+        raise DataError(
+            f"timestamp {timestamp} mixes timezone-aware and naive timestamps "
+            f"(previous was {previous})"
+        )
+    if timestamp < previous:
+        raise OrderingError(f"timestamp {timestamp} precedes previous {previous}")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detector parameters. Forecasts are always one point ahead."""
@@ -163,7 +175,6 @@ class Detector:
         )
         b = self.config.look_back
         self.model: object | None = None
-        self.retrain_count = 0
         self._t = -1
         self._buffer: deque[float] = deque(maxlen=b)
         # _forecasts[i] is the forecast made after ingesting _buffer[i], so
@@ -189,15 +200,8 @@ class Detector:
         value = float(value)
         if not math.isfinite(value):
             raise DataError(f"observation at t={self._t + 1} is not finite: {value}")
-        previous = self._last_timestamp
-        if timestamp is not None and previous is not None:
-            if (timestamp.utcoffset() is None) != (previous.utcoffset() is None):
-                raise DataError(
-                    f"timestamp {timestamp} mixes timezone-aware and naive "
-                    f"timestamps (previous was {previous})"
-                )
-            if timestamp < previous:
-                raise OrderingError(f"timestamp {timestamp} precedes previous {previous}")
+        if timestamp is not None and self._last_timestamp is not None:
+            _check_order(self._last_timestamp, timestamp)
 
         started = time.perf_counter()
         t = self._t + 1
@@ -247,7 +251,6 @@ class Detector:
         self._forecasts.append(forecast)
         self._welford = welford
         self.model = model
-        self.retrain_count += retrained
         if timestamp is not None:
             self._last_timestamp = timestamp
         return DetectionRecord(

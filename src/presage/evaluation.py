@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
-from .detector import DetectionRecord, Verdict
-from .errors import ConfigError, DataError, OrderingError, StateError
+from .detector import DetectionRecord, Phase, Verdict, _check_order
+from .errors import ConfigError, DataError, StateError
 from .scoring import _WELFORD_EMPTY, _welford_add, _welford_std
 
 __all__ = [
@@ -60,8 +60,8 @@ class LeadTimeResult:
 class RunSummary:
     """Aggregate outcome of one detection run.
 
-    ``eligible_points`` counts the points past the preparation ramp of
-    ``2*look_back - 1`` points; ``anomalies`` holds the anomaly records.
+    ``eligible_points`` counts the scored points, the records in phase
+    ``bootstrap`` or ``detecting``; ``anomalies`` holds the anomaly records.
     Decision times are in seconds, their std the population one.
     """
 
@@ -74,7 +74,7 @@ class RunSummary:
 
     @property
     def retraining_ratio(self) -> float:
-        """Retrains per eligible point; 0 for a run that never left the ramp."""
+        """Retrains per scored point; 0 for a run that never left the ramp."""
         return self.retrain_count / self.eligible_points if self.eligible_points else 0.0
 
 
@@ -91,26 +91,23 @@ def _checked(
     """Yield ``records`` as they come, each after checking that it is in
     time order, agrees with the labels on timezone awareness and, if an
     anomaly, has a timestamp. Labels that mix awareness are rejected first."""
-    # Aware and naive instants do not compare: the first label, or without
-    # labels the first timestamped record, fixes which kind the run uses.
-    naive = labels[0].tzinfo is None if labels else None
-    if any((label.tzinfo is None) != naive for label in labels):
+    # Aware and naive instants do not compare. Each timestamped record is
+    # checked against the one before it, so the first must match the labels.
+    naive = labels[0].utcoffset() is None if labels else None
+    if any((label.utcoffset() is None) != naive for label in labels):
         raise DataError("labels mix timezone-aware and naive instants")
     previous = None
     for record in records:
-        if record.timestamp is not None:
-            if naive is None:
-                naive = record.timestamp.tzinfo is None
-            elif (record.timestamp.tzinfo is None) != naive:
-                raise DataError(
-                    f"record at index {record.time_index} mixes timezone-aware and "
-                    "naive timestamps with the labels or the records before it"
-                )
-            if previous is not None and record.timestamp < previous:
-                raise OrderingError(
-                    f"records are not time-ordered at index {record.time_index}"
-                )
-            previous = record.timestamp
+        timestamp = record.timestamp
+        if timestamp is not None:
+            try:
+                if previous is not None:
+                    _check_order(previous, timestamp)
+                elif labels and (timestamp.utcoffset() is None) != naive:
+                    raise DataError(f"timestamp {timestamp} and labels mix timezone awareness")
+            except DataError as exc:
+                raise type(exc)(f"record at index {record.time_index}: {exc}") from None
+            previous = timestamp
         elif record.verdict is Verdict.ANOMALY:
             raise DataError(f"anomaly record at index {record.time_index} has no timestamp")
         yield record
@@ -127,13 +124,14 @@ def _span(minutes: float, name: str) -> timedelta:
         raise ConfigError(f"{name} of {minutes} minutes is longer than a time span can be") from None
 
 
-def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSummary:
-    """Account for a run in one pass over its records: points, retrains,
-    anomalies, and the decision-time mean and std (Welford's update).
+def summarize_run(records: Iterable[DetectionRecord]) -> RunSummary:
+    """Account for a run in one pass over its records: points, scored
+    points, retrains, anomalies, and the decision-time mean and std
+    (Welford's update). Each record's ``phase`` says whether it was scored.
 
     A negative or non-finite decision time is a ``DataError``.
     """
-    retrains = 0
+    retrains = scored = 0
     timing = _WELFORD_EMPTY
     anomalies = []
     for record in records:
@@ -143,6 +141,7 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
                 f"finite and non-negative, got {record.decision_time}"
             )
         retrains += record.retrained
+        scored += record.phase is Phase.BOOTSTRAP or record.phase is Phase.DETECTING
         timing = _welford_add(timing, record.decision_time)
         if record.verdict is Verdict.ANOMALY:
             anomalies.append(record)
@@ -150,7 +149,7 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
     return RunSummary(
         total_points=total,
         retrain_count=retrains,
-        eligible_points=max(0, total - (2 * look_back - 1)),
+        eligible_points=scored,
         avg_decision_time=mean,
         std_decision_time=_welford_std(timing) if total else 0.0,
         anomalies=anomalies,
@@ -160,7 +159,7 @@ def summarize_run(records: Iterable[DetectionRecord], look_back: int) -> RunSumm
 def evaluate_run(
     records: Iterable[DetectionRecord],
     labels: Sequence[datetime],
-    look_back: int,
+    *,
     pre_window_minutes: float = DEFAULT_PRE_WINDOW_MINUTES,
     grace_minutes: float = DEFAULT_GRACE_MINUTES,
 ) -> EvaluationSummary:
@@ -171,11 +170,11 @@ def evaluate_run(
     ramp (an empty one included) has no retraining ratio: ``StateError``."""
     pre = _span(pre_window_minutes, "pre_window_minutes")
     grace = _span(grace_minutes, "grace_minutes")
-    run = summarize_run(_checked(records, labels), look_back)
+    run = summarize_run(_checked(records, labels))
     if not run.eligible_points:
         raise StateError(
             f"run of {run.total_points} points never left the preparation ramp "
-            f"(needs more than {2 * look_back - 1})"
+            "(no record was scored)"
         )
     # The anomalies are in time order, so a label's first report is its earliest.
     first: dict[int, datetime] = {}

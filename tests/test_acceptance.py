@@ -78,13 +78,13 @@ def test_criterion_1_cpu_b3b_replay(cpu_replay):
     assert len(records) == 4032
 
     labels = read_labels(LABELS_PATH, CPU_B3B_KEY)
-    results = evaluate_run(records, labels, detector.config.look_back).lead_times
+    results = evaluate_run(records, labels).lead_times
     for result in results:
         assert result.status in (LeadStatus.ON_TIME, LeadStatus.PROACTIVE), (
             f"label {result.label_timestamp} has status {result.status.value}"
         )
 
-    run = summarize_run(records, detector.config.look_back)
+    run = summarize_run(records)
     ratio = run.retraining_ratio
     assert ratio <= 0.03
     avg_decision = run.avg_decision_time
@@ -103,14 +103,14 @@ def test_criterion_2_mtsf_replay(mtsf_replay):
     assert len(records) == 22695
 
     labels = read_labels(LABELS_PATH, MTSF_KEY)
-    results = evaluate_run(records, labels, detector.config.look_back).lead_times
+    results = evaluate_run(records, labels).lead_times
     assert all(result.status is not LeadStatus.MISSED for result in results), (
         f"statuses: {[r.status.value for r in results]}"
     )
     first = results[0]
     assert first.status is LeadStatus.PROACTIVE and first.lead_minutes >= 60
 
-    ratio = summarize_run(records, detector.config.look_back).retraining_ratio
+    ratio = summarize_run(records).retraining_ratio
     assert ratio <= 0.03
 
     # ``read_labels`` does not return signs: read the precursor instant directly
@@ -200,7 +200,7 @@ def test_criterion_6_perfect_predictor_never_alarms():
         engine = PerfectEngine(series, look_back)
         detector = Detector(DetectorConfig(look_back=look_back), engine=engine)
         records = [detector.step(v) for v in series]
-        assert detector.retrain_count == 0
+        assert not any(r.retrained for r in records)
         assert all(r.verdict is not Verdict.ANOMALY for r in records)
     print(
         "\n[PASS] criterion 6: a perfect predictor yields zero retrains and zero "

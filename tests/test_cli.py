@@ -3,13 +3,14 @@ import csv
 import io
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from presage.cli import main
+from presage.cli import build_parser, main
 from presage.data_io import read_report, read_series, write_summary
 from presage.detector import Detector, DetectorConfig, Verdict, phase_of
 from presage.evaluation import summarize_run
@@ -367,6 +368,82 @@ class TestEvaluate:
         assert "preparation ramp" in err and "Traceback" not in err
 
 
+def refused(argv, capsys):
+    """Run ``argv`` and expect a usage error naming an output path."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"presage {argv[0]}: error: output" in err and "Traceback" not in err
+
+
+def alias_of(path, kind):
+    """Another spelling, or another directory entry, of the file ``path``."""
+    if kind == "same":
+        return path
+    if kind == "dotdot":
+        return path.parent / "sub" / ".." / path.name
+    alias = path.with_name(f"{kind}-{path.name}")
+    if kind == "symlink":
+        alias.symlink_to(path)
+    else:
+        os.link(path, alias)
+    return alias
+
+
+class TestOutputsNeverOverwriteInputs:
+    """An output path naming an input or another output is a usage error,
+    found before any file is opened."""
+
+    @pytest.mark.parametrize("kind", ["same", "dotdot", "symlink", "hardlink"])
+    def test_detect_report_naming_the_input(self, tmp_path, spike_csv, capsys, kind):
+        before = spike_csv.read_bytes()
+        refused(detect_args(spike_csv, alias_of(spike_csv, kind)), capsys)
+        assert spike_csv.read_bytes() == before
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_detect_summary_naming_the_input_or_the_report(self, tmp_path, spike_csv, capsys):
+        before = spike_csv.read_bytes()
+        report = tmp_path / "report.csv"
+        for summary in (spike_csv, report):
+            refused(detect_args(spike_csv, report, ["--summary", str(summary)]), capsys)
+            assert spike_csv.read_bytes() == before
+            assert not report.exists()
+
+    def test_detect_default_summary_naming_the_input(self, tmp_path, spike_csv, capsys):
+        series = tmp_path / "run.summary.json"
+        series.write_bytes(spike_csv.read_bytes())
+        refused(detect_args(series, tmp_path / "run.csv"), capsys)
+        assert series.read_bytes() == spike_csv.read_bytes()
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_symlink_loop_output_is_a_data_error(self, tmp_path, spike_csv, capsys):
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to(loop)
+        assert main(detect_args(spike_csv, loop)) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_evaluate_summary_naming_an_input(self, tmp_path, spike_csv, capsys):
+        report = tmp_path / "report.csv"
+        assert main(detect_args(spike_csv, report)) == 0
+        labels = tmp_path / "labels.json"
+        labels.write_text("[]")
+        inputs = {path: path.read_bytes() for path in (report, labels)}
+        for target in (report, labels):
+            argv = ["evaluate", "--report", str(report), "--labels", str(labels)]
+            refused([*argv, "--summary", str(target)], capsys)
+            assert {path: path.read_bytes() for path in inputs} == inputs
+        assert not report.with_suffix(".eval.json").exists()
+
+
+def test_parser_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["detect", "--input", "s.csv", "--report", "r.csv"])
+    config = DetectorConfig()
+    assert (args.look_back, args.seed, args.epsilon) == (
+        config.look_back, config.lstm.seed, config.epsilon
+    )
+
+
 GOLDEN_START = datetime(2021, 6, 1)
 GOLDEN_TICK = timedelta(minutes=5)
 
@@ -431,7 +508,7 @@ def golden_records():
 def test_summary_and_evaluation_json_golden(tmp_path):
     records = golden_records()
     summary_path = tmp_path / "summary.json"
-    write_summary(summarize_run(records, 3), DetectorConfig(), summary_path)
+    write_summary(summarize_run(records), DetectorConfig(), summary_path)
     summary = json.loads(summary_path.read_text())
     assert set(summary) == set(GOLDEN_SUMMARY) | DECISION_TIME_KEYS
     assert {k: v for k, v in summary.items() if k not in DECISION_TIME_KEYS} == GOLDEN_SUMMARY

@@ -14,7 +14,7 @@ from presage.data_io import (
     read_series,
     write_summary,
 )
-from presage.detector import DetectionRecord, DetectorConfig, Phase, Verdict
+from presage.detector import DetectionRecord, DetectorConfig, Phase, Verdict, phase_of
 from presage.errors import DataError, DatasetKeyError
 from presage.evaluation import summarize_run
 
@@ -396,10 +396,10 @@ class TestReport:
 class TestSummary:
     def test_retraining_ratio_denominator(self):
         records = [
-            make_record(k, retrained=(k < 38), decision_time=0.002)
+            make_record(k, retrained=(k < 38), decision_time=0.002, phase=phase_of(k, 3))
             for k in range(4032)
         ]
-        summary = summarize_run(records, look_back=3)
+        summary = summarize_run(records)
         assert summary.retrain_count == 38
         assert summary.eligible_points == 4027
         assert summary.retraining_ratio == pytest.approx(38 / 4027)
@@ -415,17 +415,17 @@ class TestSummary:
             )
             for k in range(12)
         ]
-        summary = summarize_run(records, look_back=3)
+        summary = summarize_run(records)
         assert [record.time_index for record in summary.anomalies] == [7, 9]
 
     def test_short_run_reports_zero_ratio(self):
         records = [make_record(k, phase=Phase.COLLECTING, verdict=Verdict.PENDING) for k in range(3)]
-        summary = summarize_run(records, look_back=3)
+        summary = summarize_run(records)
         assert summary.retraining_ratio == 0.0
         assert summary.eligible_points == 0
 
     def test_json_shape(self, tmp_path):
-        summary = summarize_run(sample_records(), look_back=3)
+        summary = summarize_run(sample_records())
         path = tmp_path / "summary.json"
         write_summary(summary, DetectorConfig(), path)
         payload = json.loads(path.read_text())

@@ -144,14 +144,14 @@ class TestStepValidation:
         for v in [50.0, 51.0, 49.0, 50.5]:
             detector.step(v)
             twin.step(v)
-        before = (detector.time_index, detector.retrain_count)
+        before = detector.time_index
         with pytest.raises(DataError):
             detector.step(float("nan"))
-        assert (detector.time_index, detector.retrain_count) == before
+        assert detector.time_index == before
         # the stream continues with contiguous indices, as if the NaN never came
         after = [50.2, 49.7, 50.9, 50.1, 49.6]
         records = [detector.step(v) for v in after]
-        assert records[0].time_index == before[0] + 1
+        assert records[0].time_index == before + 1
         assert without_timing(records) == without_timing([twin.step(v) for v in after])
 
     def test_timestamp_regression_rejected(self):
@@ -184,7 +184,6 @@ class TestStepValidation:
         twin = Detector(config)
         expected = [twin.step(v, s) for t, (v, s) in enumerate(zip(series, stamps)) if t != failed_t]
         assert without_timing(records) == without_timing(expected)
-        assert detector.retrain_count == twin.retrain_count
 
 
 class TestDoubleCheck:
@@ -202,7 +201,7 @@ class TestDoubleCheck:
         engine = PerfectEngine(series, self.B)
         detector = Detector(DetectorConfig(look_back=self.B), engine=engine)
         records = [detector.step(v) for v in series]
-        assert detector.retrain_count == 0
+        assert not any(r.retrained for r in records)
         assert all(r.verdict is not Verdict.ANOMALY for r in records)
         assert all(r.aare is None or r.aare == 0.0 for r in records)
 
@@ -222,7 +221,7 @@ class TestDoubleCheck:
         record = records[self.SABOTAGE_T]
         assert record.retrained is True
         assert record.verdict is Verdict.NORMAL
-        assert detector.retrain_count == 1
+        assert [r.time_index for r in records if r.retrained] == [self.SABOTAGE_T]
         # the candidate model replaced the old one
         assert detector.model is not model_before
         # the recomputed (perfect) error is the point's score, and it entered
@@ -251,7 +250,7 @@ class TestDoubleCheck:
         record = records[self.SABOTAGE_T]
         assert record.verdict is Verdict.ANOMALY
         assert record.retrained is True
-        assert detector.retrain_count == 1
+        assert [r.time_index for r in records if r.retrained] == [self.SABOTAGE_T]
         # anomaly branch retains the previous model
         assert detector.model is model_before
         expected_error = (
@@ -280,11 +279,10 @@ class TestReplayDeterminism:
 
         def run():
             detector = Detector(DetectorConfig(lstm=LstmConfig(seed=5)))
-            return [detector.step(v) for v in series], detector
+            return [detector.step(v) for v in series]
 
-        first, det_a = run()
-        second, det_b = run()
-        assert det_a.retrain_count == det_b.retrain_count
+        first = run()
+        second = run()
         for rec_a, rec_b in zip(first, second):
             assert rec_a.verdict == rec_b.verdict
             assert rec_a.predicted == rec_b.predicted
@@ -336,7 +334,6 @@ class TestEngineFailure:
         twin = Detector(config)
         expected = [twin.step(v) for t, v in enumerate(series) if t != failed_t]
         assert without_timing(records) == without_timing(expected)
-        assert detector.retrain_count == twin.retrain_count
 
 
 class TestThresholdBookkeeping:
@@ -431,12 +428,12 @@ class TestOverflow:
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
         records = [detector.step(v) for v in series]
         state = (detector.model, list(detector._buffer), list(detector._forecasts),
-                 detector._welford, detector.retrain_count)
+                 detector._welford)
         with pytest.raises(DataError, match="score overflows"):
             detector.step(0.0)
         assert detector.time_index == 7
         assert state == (detector.model, list(detector._buffer), list(detector._forecasts),
-                         detector._welford, detector.retrain_count)
+                         detector._welford)
         records.append(detector.step(1.4e301))
         twin = Detector(DetectorConfig(lstm=FAST_LSTM))
         assert without_timing(records) == without_timing(

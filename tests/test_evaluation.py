@@ -4,7 +4,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from presage.detector import Verdict
+from presage.data_io import read_series
+from presage.detector import Detector, DetectorConfig, Verdict, phase_of
 from presage.errors import ConfigError, DataError, OrderingError, StateError
 from presage.evaluation import (
     LeadStatus,
@@ -12,7 +13,7 @@ from presage.evaluation import (
     summarize_run,
 )
 
-from helpers import make_record
+from helpers import PerfectEngine, make_record
 
 T0 = datetime(2021, 6, 1, 0, 0)
 MIN = timedelta(minutes=1)
@@ -26,13 +27,14 @@ def normal_at(ts, index=0):
     return make_record(index, timestamp=ts, verdict=Verdict.NORMAL)
 
 
-# The look-back-3 preparation ramp of 5 points, as untimed normal records:
-# ahead of the records under test, it lets ``evaluate_run`` score any of them.
-RAMP = [make_record(k) for k in range(5)]
+# The look-back-3 preparation ramp of 5 points, as untimed records in the
+# phases such a detector writes: ahead of the records under test, which are
+# scored points, it lets ``evaluate_run`` score any of them.
+RAMP = [make_record(k, phase=phase_of(k, 3)) for k in range(5)]
 
 
 def score(records, labels, **spans):
-    return evaluate_run([*RAMP, *records], labels, look_back=3, **spans)
+    return evaluate_run([*RAMP, *records], labels, **spans)
 
 
 class TestLeadTime:
@@ -90,9 +92,9 @@ class TestLeadTime:
     def test_labels_mixing_aware_and_naive_rejected(self):
         labels = [datetime(2020, 1, 1), datetime(2020, 1, 2, tzinfo=timezone.utc)]
         with pytest.raises(DataError, match="labels mix timezone"):
-            evaluate_run([make_record(k) for k in range(10)], labels, 3)
+            evaluate_run([make_record(k) for k in range(10)], labels)
         with pytest.raises(DataError, match="labels mix timezone"):
-            evaluate_run([make_record(k) for k in range(10)], labels[::-1], 3)
+            evaluate_run([make_record(k) for k in range(10)], labels[::-1])
 
     def test_records_mixing_aware_and_naive_rejected(self):
         records = [anomaly_at(T0.replace(tzinfo=timezone.utc)), anomaly_at(T0 + MIN, index=1)]
@@ -166,60 +168,62 @@ class TestFalseWarnings:
 
 class TestRetrainingRatio:
     def test_reference_denominators(self):
-        records = [make_record(k, retrained=k < 38) for k in range(4032)]
-        assert summarize_run(records, 3).retraining_ratio == pytest.approx(38 / 4027)
-        records = [make_record(k, retrained=k < 134) for k in range(22695)]
-        summary = summarize_run(records, 3)
+        records = [make_record(k, retrained=k < 38, phase=phase_of(k, 3)) for k in range(4032)]
+        assert summarize_run(records).retraining_ratio == pytest.approx(38 / 4027)
+        records = [make_record(k, retrained=k < 134, phase=phase_of(k, 3)) for k in range(22695)]
+        summary = summarize_run(records)
         assert summary.retraining_ratio == pytest.approx(134 / 22690)
         assert summary.retraining_ratio == pytest.approx(0.0059, abs=2e-4)
 
     def test_zero_retrains(self):
         records = [make_record(k) for k in range(100)]
-        assert summarize_run(records, 3).retraining_ratio == 0.0
+        assert summarize_run(records).retraining_ratio == 0.0
 
     def test_run_shorter_than_ramp(self):
-        records = [make_record(k) for k in range(5)]
-        assert summarize_run(records, 3).retraining_ratio == 0.0
-        with pytest.raises(StateError):
-            evaluate_run(records, [T0], look_back=3)
+        records = [make_record(k, phase=phase_of(k, 3)) for k in range(5)]
+        assert summarize_run(records).retraining_ratio == 0.0
+        with pytest.raises(StateError, match="never left the preparation ramp"):
+            evaluate_run(records, [T0])
 
 
 class TestTimingStats:
     def test_constant_times(self):
         records = [make_record(k, decision_time=0.02) for k in range(5)]
-        summary = summarize_run(records, 3)
+        summary = summarize_run(records)
         assert (summary.avg_decision_time, summary.std_decision_time) == pytest.approx(
             (0.02, 0.0)
         )
 
     def test_two_values(self):
         records = [make_record(0, decision_time=0.01), make_record(1, decision_time=0.03)]
-        summary = summarize_run(records, 3)
+        summary = summarize_run(records)
         assert summary.avg_decision_time == pytest.approx(0.02)
         assert summary.std_decision_time == pytest.approx(0.01)
 
     def test_empty_run(self):
-        assert summarize_run([], 3).total_points == 0
+        assert summarize_run([]).total_points == 0
         with pytest.raises(StateError):
-            evaluate_run([], [T0], look_back=3)
+            evaluate_run([], [T0])
 
     def test_negative_time_rejected(self):
         with pytest.raises(DataError):
-            summarize_run([make_record(0, decision_time=-1.0)], 3)
+            summarize_run([make_record(0, decision_time=-1.0)])
         with pytest.raises(DataError):
-            evaluate_run([make_record(k, decision_time=-1.0) for k in range(10)], [T0], 3)
+            evaluate_run([make_record(k, decision_time=-1.0) for k in range(10)], [T0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, bad):
         # A NaN time once passed the sign check and made the mean NaN.
         with pytest.raises(DataError, match="finite"):
-            summarize_run([make_record(0), make_record(1, decision_time=bad)], 3)
+            summarize_run([make_record(0), make_record(1, decision_time=bad)])
         with pytest.raises(DataError, match="finite"):
-            evaluate_run([make_record(k, decision_time=bad) for k in range(10)], [T0], 3)
+            evaluate_run([make_record(k, decision_time=bad) for k in range(10)], [T0])
 
     def test_generator_input(self):
-        records = (make_record(k, decision_time=0.001 * k) for k in range(10))
-        summary = summarize_run(records, 3)
+        records = (
+            make_record(k, decision_time=0.001 * k, phase=phase_of(k, 3)) for k in range(10)
+        )
+        summary = summarize_run(records)
         assert (summary.total_points, summary.eligible_points) == (10, 5)
         assert summary.avg_decision_time == pytest.approx(0.0045)
 
@@ -234,10 +238,11 @@ class TestEvaluateRun:
                 verdict=Verdict.ANOMALY if k == 150 else Verdict.NORMAL,
                 retrained=k in (80, 150),
                 decision_time=0.002,
+                phase=phase_of(k, 3),
             )
             for k in range(300)
         ]
-        summary = evaluate_run(records, [label], look_back=3)
+        summary = evaluate_run(records, [label])
         assert summary.lead_times[0].status is LeadStatus.PROACTIVE
         assert summary.lead_times[0].lead_minutes == pytest.approx(1000 - 150 * 5)
         assert summary.false_warning_count == 0
@@ -258,17 +263,17 @@ class TestEvaluateRun:
             )
             for k in range(300)
         ]
-        expected = evaluate_run(records, labels, look_back=3)
+        expected = evaluate_run(records, labels)
         assert [r.status for r in expected.lead_times] == [LeadStatus.LATE, LeadStatus.PROACTIVE]
         assert expected.false_warning_count == 1
-        assert evaluate_run(iter(records), labels, look_back=3) == expected
-        assert evaluate_run((r for r in records), labels, look_back=3) == expected
+        assert evaluate_run(iter(records), labels) == expected
+        assert evaluate_run((r for r in records), labels) == expected
 
     def test_generator_input_is_checked_in_the_same_pass(self):
         records = [normal_at(T0 + k * MIN, index=k) for k in range(10)]
         records[6] = normal_at(T0, index=6)
         with pytest.raises(OrderingError, match="index 6"):
-            evaluate_run((r for r in records), [], look_back=3)
+            evaluate_run((r for r in records), [])
 
 
 def unread_records():
@@ -289,7 +294,12 @@ class TestSpans:
     def test_bad_span_is_a_config_error_before_any_record(self, labels, span, value):
         # Checked even when no label would ever use the span.
         with pytest.raises(ConfigError, match=span):
-            evaluate_run(unread_records(), labels, look_back=3, **{span: value})
+            evaluate_run(unread_records(), labels, **{span: value})
+
+    def test_spans_are_keyword_only(self):
+        # A positional 3, once the look-back, must not become a 3-minute pre-window.
+        with pytest.raises(TypeError):
+            evaluate_run(unread_records(), [T0], 3)
 
     def test_zero_spans_match_only_the_labeled_instant(self):
         records = [anomaly_at(T0 - MIN, 0), anomaly_at(T0, 1), anomaly_at(T0 + MIN, 2)]
@@ -297,3 +307,55 @@ class TestSpans:
         [result] = summary.lead_times
         assert result.status is LeadStatus.ON_TIME
         assert summary.false_warning_count == 2
+
+
+@pytest.mark.parametrize("look_back", range(2, 7))
+def test_scored_points_are_the_points_past_the_ramp(look_back):
+    # The phases a detector writes carry the ramp: no look-back is passed.
+    ramp = 2 * look_back - 1
+    for n in (0, 1, ramp - 1, ramp, ramp + 1, ramp + 2, ramp + 9):
+        series = np.random.default_rng(n).uniform(10, 90, n)
+        detector = Detector(DetectorConfig(look_back=look_back), PerfectEngine(series, look_back))
+        records = [detector.step(v) for v in series]
+        assert summarize_run(records).eligible_points == max(0, n - ramp), n
+
+
+NAIVE = datetime(2021, 1, 1)
+AWARE = NAIVE.replace(tzinfo=timezone.utc)
+ORDER_CASES = {
+    "equal": (NAIVE, NAIVE, None),
+    "later": (NAIVE, NAIVE + MIN, None),
+    "earlier": (NAIVE, NAIVE - MIN, OrderingError),
+    "aware_after_naive": (NAIVE, AWARE + MIN, DataError),
+    "naive_after_aware": (AWARE, NAIVE + MIN, DataError),
+}
+
+
+def step_pair(first, second, tmp_path):
+    detector = Detector()
+    detector.step(1.0, first)
+    detector.step(2.0, second)
+
+
+def read_pair(first, second, tmp_path):
+    path = tmp_path / "pair.csv"
+    path.write_text(f"timestamp,value\n{first.isoformat(sep=' ')},1\n{second.isoformat(sep=' ')},2\n")
+    list(read_series(path))
+
+
+def evaluate_pair(first, second, tmp_path):
+    evaluate_run([make_record(0, timestamp=first), make_record(1, timestamp=second)], [])
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+@pytest.mark.parametrize("consume", [step_pair, read_pair, evaluate_pair])
+def test_one_timestamp_order_rule(consume, case, tmp_path):
+    """The detector, the series reader and the scorer judge the same pair of
+    consecutive timestamps alike, down to the exception class."""
+    first, second, expected = ORDER_CASES[case]
+    if expected is None:
+        consume(first, second, tmp_path)
+        return
+    with pytest.raises(expected) as exc:
+        consume(first, second, tmp_path)
+    assert type(exc.value) is expected
