@@ -101,7 +101,7 @@ class DetectorConfig:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionRecord:
     """Outcome of ingesting one data point.
 
@@ -109,7 +109,7 @@ class DetectionRecord:
     phase schedule makes them meaningful; ``aare`` carries the final
     score used for the verdict (the re-computed one when the double
     check ran). ``decision_time`` is wall-clock seconds spent deciding,
-    excluding I/O.
+    excluding I/O. Slotted: a record takes no other attributes.
     """
 
     time_index: int

@@ -23,6 +23,12 @@ that a pass reads, are made once and reused by every epoch; and step 0 skips
 the products of the zero start state. Trained models are bit-identical to
 those of a plain descent that allocates afresh and computes those products
 (``tests/helpers.reference_train`` and ``plain_forward``).
+
+Forecasting keeps a workspace per model in the model's memo: two sets of
+step arrays. A step on consecutive windows writes into the set the memo
+does not carry, never into carried states, so forecasts are bit-identical
+to steps that allocate afresh (``tests/helpers.reference_predict``). A copy
+of a model gets no memo, so no two models write into one workspace.
 """
 
 from __future__ import annotations
@@ -103,10 +109,12 @@ class LstmModel:
     mapped back afterwards.
 
     ``predict_next`` keeps one memo on the model: the step weights it
-    builds from ``w_x``, ``w_h`` and ``b`` and the recurrence states of the
-    last forecast window's suffixes, keyed by the identity of those three
-    arrays: reassign them to change them, never write into them. ``train``
-    returns its arrays read-only.
+    builds from ``w_x``, ``w_h`` and ``b``, the workspace its steps write
+    into, and the recurrence states of the last forecast window's suffixes,
+    keyed by the identity of those three arrays: reassign them to change
+    them, never write into them. ``train`` returns its arrays read-only.
+    ``copy.copy``, ``copy.deepcopy`` and pickling leave the memo behind, and
+    one model must not forecast in two threads at once.
     """
 
     w_x: np.ndarray  # (4H,)
@@ -121,6 +129,10 @@ class LstmModel:
     @property
     def hidden_units(self) -> int:
         return self.w_out.size
+
+    def __getstate__(self) -> dict:
+        """A copy or an unpickled model starts with no memo."""
+        return {**self.__dict__, "_memo": None}
 
 
 @dataclass(frozen=True)
@@ -411,23 +423,32 @@ def _step_weights(model: LstmModel, n: int) -> tuple:
     return w_h, np.repeat(w_x.reshape(4, 1, h), n, axis=1), np.repeat(b.reshape(4, 1, h), n, axis=1)
 
 
-def _advance(model: LstmModel, weights: tuple, feed, hidden: np.ndarray, cell: np.ndarray):
+def _workspace(n: int, h: int) -> tuple:
+    """Two sets of the arrays a step on n rows writes: the ``(4, n, H)``
+    pre-activations, then views of ``(n + 1, H)`` cell and hidden arrays whose
+    last row stays zero: the rows a step writes, row 0 of the hidden state,
+    and the rows carried to the next step."""
+    return tuple(
+        (np.empty((4, n, h)), cells[:-1], hiddens[:-1], hiddens[0], hiddens[1:], cells[1:])
+        for cells, hiddens in np.zeros((2, 2, n + 1, h))
+    )
+
+
+def _advance(model: LstmModel, weights: tuple, feed, hidden: np.ndarray, cell: np.ndarray, sets):
     """Feed each value of ``feed`` to all n rows of the carried states,
     stepping with ``weights`` from ``_step_weights`` for n rows.
 
-    Each step writes into fresh arrays of n + 1 rows whose last row stays
-    zero. Returns the output of row 0, which spans every value fed, and
-    the other n rows of hidden and cell state.
+    Step k writes into ``sets[k % 2]`` from ``_workspace``, never into
+    ``hidden`` or ``cell``. Returns the output of row 0, which spans every
+    value fed, and the other n rows of hidden and cell state.
     """
-    n, h = hidden.shape
     w_h, w_x, b = weights
-    for x in feed:
-        act = np.matmul(hidden, w_h)
-        cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
-        out = hiddens[:-1]
-        _gates(act, x, w_x, b, cell, cells[:-1], out, out)
-        hidden, cell = hiddens[1:], cells[1:]
-    return float(model.w_out @ hiddens[0]) + model.b_out, hidden, cell
+    for k, x in enumerate(feed):
+        act, cells, hiddens, first, hidden_next, cell_next = sets[k % 2]
+        np.matmul(hidden, w_h, out=act)
+        _gates(act, x, w_x, b, cell, cells, hiddens, hiddens)
+        hidden, cell = hidden_next, cell_next
+    return float(model.w_out @ first) + model.b_out, hidden, cell
 
 
 def predict_next(model: LstmModel, window: Sequence[float]) -> float:
@@ -446,9 +467,11 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     When the next window is this one moved on by one point, a single
     batched step advances every row by the new value, and the row that now
     spans the whole window gives the forecast. Any other call starts every
-    row from zero and feeds the whole window through the same step. A step
-    writes into fresh arrays, never into carried ones, and the memo is
-    replaced only when a forecast returns.
+    row from zero and feeds the whole window through the same step, in a
+    fresh workspace of two sets of step arrays. A step writes into the set
+    whose states the memo does not carry, so a call that raises leaves the
+    memo usable, and the memo is replaced only when a forecast returns. A
+    copy of the model starts with no memo and builds its own workspace.
     """
     mean, std = model.norm_mean, model.norm_std
     try:
@@ -461,33 +484,33 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
         raise ValueError("prediction window must be non-empty")
     if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
-    memo = model._memo  # (w_x, w_h, b, step weights, normalized window[1:], hiddens, cells)
+    memo = model._memo  # (w_x, w_h, b, (step weights, workspace), window[1:], hidden, cell)
     if (
-        memo is None
-        or memo[0] is not model.w_x
-        or memo[1] is not model.w_h
-        or memo[2] is not model.b
-        or len(memo[4]) != len(normed) - 1
+        memo is not None
+        and memo[0] is model.w_x
+        and memo[1] is model.w_h
+        and memo[2] is model.b
+        and memo[4] == normed[:-1]
     ):
-        weights, warm = _step_weights(model, len(normed)), False
+        state, feed, hidden, cell = memo[3], normed[-1:], memo[5], memo[6]
+        weights, (first, second) = state
+        sets = (second,) if hidden is first[4] else (first,)  # the set not carried
     else:
-        weights, warm = memo[3], memo[4] == normed[:-1]
-    if warm:
-        feed, hidden, cell = normed[-1:], memo[5], memo[6]
-    else:
-        feed = normed
-        hidden = cell = np.zeros((len(normed), model.hidden_units))
+        n, h = len(normed), model.hidden_units
+        state = weights, sets = _step_weights(model, n), _workspace(n, h)
+        feed, hidden = normed, np.zeros((n, h))
+        cell = hidden
     try:
-        output, hidden, cell = _advance(model, weights, feed, hidden, cell)
+        output, hidden, cell = _advance(model, weights, feed, hidden, cell, sets)
     except FloatingPointError:
         # Only a caller that makes numpy raise gets here. Underflow is as
-        # harmless as in train, and the step is pure, so it is run again
-        # with underflow ignored; entering np.errstate on every call would
-        # cost about a twentieth of a step.
+        # harmless as in train, and the step writes only into the workspace,
+        # so it is run again with underflow ignored; entering np.errstate on
+        # every call would cost about a twentieth of a step.
         with np.errstate(under="ignore"):
-            output, hidden, cell = _advance(model, weights, feed, hidden, cell)
+            output, hidden, cell = _advance(model, weights, feed, hidden, cell, sets)
     forecast = output * model.norm_std + model.norm_mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
-    model._memo = (model.w_x, model.w_h, model.b, weights, normed[1:], hidden, cell)
+    model._memo = (model.w_x, model.w_h, model.b, state, normed[1:], hidden, cell)
     return forecast

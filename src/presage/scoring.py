@@ -60,12 +60,13 @@ def aare(
         raise ValueError(
             f"window length mismatch: {len(obs)} observed vs {len(pred)} predicted"
         )
-    if not all(map(math.isfinite, obs + pred)):
-        raise DataError("observed/predicted values must be finite")
     total = 0.0
     for o, p in zip(obs, pred):
         total += abs(o - p) / max(abs(o), epsilon)
-    if total == math.inf:  # o - p overflowed: divide before subtracting
+    if not total < math.inf:  # NaN fails too; a NaN or inf value gives NaN or inf
+        if not all(map(math.isfinite, obs + pred)):
+            raise DataError("observed/predicted values must be finite")
+        # the values are finite, so o - p overflowed: divide before subtracting
         scales = [max(abs(o), epsilon) for o in obs]
         total = sum(abs(o / s - p / s) / len(obs) for o, p, s in zip(obs, pred, scales))
         if total == math.inf:

@@ -302,6 +302,54 @@ def reference_forward(model, inputs):
     return np.array(outputs)
 
 
+def reference_advance(model, weights: tuple, feed, hidden: np.ndarray, cell: np.ndarray):
+    """``forecaster.predict_next``'s step loop writing into fresh arrays, the
+    oracle for its workspace: each step allocates arrays of n + 1 rows whose
+    last row stays zero. Returns the output of row 0 and the other n rows of
+    hidden and cell state."""
+    n, h = hidden.shape
+    w_h, w_x, b = weights
+    for x in feed:
+        act = np.matmul(hidden, w_h)
+        cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
+        out = hiddens[:-1]
+        forecaster._gates(act, x, w_x, b, cell, cells[:-1], out, out)
+        hidden, cell = hiddens[1:], cells[1:]
+    return float(model.w_out @ hiddens[0]) + model.b_out, hidden, cell
+
+
+def reference_predict(model, window, memo=None):
+    """``forecaster.predict_next`` on fresh arrays with the memo passed in and
+    out, never stored on the model: returns ``(forecast, memo)``, the memo
+    ``(w_x, w_h, b, step weights, normalized window[1:], hidden, cell)``. A
+    copy of a model shares its memo; the memo is replaced only when a
+    forecast returns."""
+    mean, std = model.norm_mean, model.norm_std
+    normed = tuple([(float(v) - mean) / std for v in np.asarray(window, dtype=float).tolist()])
+    if not all(map(math.isfinite, normed)):
+        raise DataError("prediction window contains non-finite values, raw or normalized")
+    if (
+        memo is None
+        or memo[0] is not model.w_x
+        or memo[1] is not model.w_h
+        or memo[2] is not model.b
+        or len(memo[4]) != len(normed) - 1
+    ):
+        weights, warm = forecaster._step_weights(model, len(normed)), False
+    else:
+        weights, warm = memo[3], memo[4] == normed[:-1]
+    if warm:
+        feed, hidden, cell = normed[-1:], memo[5], memo[6]
+    else:
+        feed = normed
+        hidden = cell = np.zeros((len(normed), model.hidden_units))
+    output, hidden, cell = reference_advance(model, weights, feed, hidden, cell)
+    forecast = output * model.norm_std + model.norm_mean
+    if not math.isfinite(forecast):
+        raise DataError(f"forecast overflows: {forecast}")
+    return forecast, (model.w_x, model.w_h, model.b, weights, normed[1:], hidden, cell)
+
+
 def max_relative_gradient_error(analytic: dict, numeric: dict) -> float:
     worst = 0.0
     for name, num in numeric.items():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -23,6 +24,7 @@ from helpers import (
     PerfectEngine,
     RecordingEngine,
     ScriptedEngine,
+    make_record,
     threshold,
     without_timing,
 )
@@ -289,6 +291,15 @@ class TestReplayDeterminism:
             assert rec_a.aare == rec_b.aare
             assert rec_a.threshold == rec_b.threshold
             assert rec_a.retrained == rec_b.retrained
+
+
+class TestRecord:
+    def test_takes_no_attribute_beyond_its_fields(self):
+        record = make_record(7, value=2.5)
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+        assert not hasattr(record, "__dict__")
+        assert dataclasses.replace(record, value=3.0) == make_record(7, value=3.0)
 
 
 class TestEngineFailure:

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from helpers import (
     max_relative_gradient_error,
     plain_forward,
     reference_forward,
+    reference_predict,
     reference_train,
     run,
 )
@@ -616,3 +619,70 @@ class TestSuffixStates:
         with pytest.raises(DataError, match="forecast overflows"):
             predict_next(model, 1.0 + 2.0 * rng.standard_normal(4))
         assert model._memo is None
+
+
+def assert_same_as_reference(model: LstmModel, window, memo):
+    """``predict_next`` gives the reference forecast and carried states bit
+    for bit; returns the reference's memo for the next call."""
+    expected, memo = reference_predict(model, window, memo)
+    assert predict_next(model, window) == expected
+    for carried, reference in zip(model._memo[5:], memo[5:]):
+        assert np.array_equal(carried, reference)
+    return memo
+
+
+class TestWorkspace:
+    """A warm step writes into its model's own workspace, and every forecast
+    equals the fresh-array reference bit for bit."""
+
+    def test_sliding_gapped_and_rekeyed_windows_match_the_reference(self):
+        rng = np.random.default_rng(53)
+        for look_back in range(2, 7):
+            for hidden_units in (1, 4, 10, 32):
+                model = random_model(rng, hidden_units, 5.0)
+                model.norm_mean, model.norm_std = 3.0, 2.0
+                series = 3.0 + 2.0 * rng.standard_normal(16)
+                memo, previous = None, None
+                # slides, a gap, a repeat, and at 8 a new key of the same length
+                for start in [0, 1, 2, 3, 5, 6, 7, 7, 8, 9]:
+                    if start == 8:
+                        model.w_x = model.w_x.copy()
+                    state = None if model._memo is None else model._memo[3]
+                    memo = assert_same_as_reference(model, series[start : start + look_back], memo)
+                    if previous is not None and start == previous + 1 and start != 8:
+                        assert model._memo[3] is state  # warm: the same workspace
+                        _, sets = state
+                        assert any(model._memo[5] is s[4] and model._memo[6] is s[5] for s in sets)
+                    previous = start
+
+    def test_a_failed_warm_call_leaves_the_memo_usable(self):
+        rng = np.random.default_rng(59)
+        model = random_model(rng, 6, 5.0)
+        model.norm_mean, model.norm_std = 1.0, 2.0
+        series = 1.0 + 2.0 * rng.standard_normal(8)
+        memo = assert_same_as_reference(model, series[0:4], None)
+        memo = assert_same_as_reference(model, series[1:5], memo)
+        b_out, model.b_out = model.b_out, 1e308
+        with pytest.raises(DataError, match="forecast overflows"):
+            predict_next(model, series[2:6])
+        model.b_out = b_out
+        for start in (2, 3):
+            memo = assert_same_as_reference(model, series[start : start + 4], memo)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_never_write_into_each_others_states(self, duplicate):
+        rng = np.random.default_rng(61)
+        model = random_model(rng, 10, 5.0)
+        model.norm_mean, model.norm_std = 20.0, 4.0
+        series = 20.0 + 4.0 * rng.standard_normal(10)
+        other = series.copy()
+        other[4:] += 3.0  # the same first four values, other last values
+        memo = assert_same_as_reference(model, series[0:4], None)
+        twin, twin_memo = duplicate(model), memo  # a copy shares the reference memo
+        for start in range(1, 6):
+            memo = assert_same_as_reference(model, series[start : start + 4], memo)
+            twin_memo = assert_same_as_reference(twin, other[start : start + 4], twin_memo)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from presage.errors import DataError
 from presage.scoring import aare
@@ -8,6 +10,9 @@ from presage.scoring import aare
 from helpers import aare_oracle, running_threshold, threshold_oracle
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+wide_values = st.builds(
+    math.copysign, st.floats(min_value=1e-300, max_value=1e300), st.sampled_from([1.0, -1.0])
+)
 
 
 class TestAare:
@@ -138,6 +143,22 @@ class TestAare:
         base = aare(observed, predicted)
         scaled = aare([k * o for o in observed], [k * p for p in predicted])
         assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+    @given(st.lists(st.tuples(wide_values, wide_values), min_size=1, max_size=8))
+    def test_finite_windows_give_the_bits_of_the_left_to_right_sum(self, pairs):
+        observed, predicted = [o for o, _ in pairs], [p for _, p in pairs]
+        expected = aare_oracle(observed, predicted)
+        assume(math.isfinite(expected))  # past the range, the sum is taken another way
+        assert aare(observed, predicted) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("argument", ["observed", "predicted"])
+    def test_a_non_finite_value_anywhere_is_a_data_error(self, argument, position, bad):
+        windows = {"observed": [1.0, -2.0, 1e300], "predicted": [1.5, 2.0, -1e300]}
+        windows[argument][position] = bad
+        with pytest.raises(DataError, match=r"^observed/predicted values must be finite$"):
+            aare(windows["observed"], windows["predicted"])
 
 
 class TestThreshold:
