@@ -17,7 +17,6 @@ from .detector import (
     phase_of,
 )
 from .data_io import (
-    Observation,
     read_labels,
     read_report,
     read_series,
@@ -30,7 +29,6 @@ from .errors import (
     DatasetKeyError,
     OrderingError,
     PresageError,
-    StateError,
 )
 from .evaluation import (
     EvaluationSummary,
@@ -40,7 +38,7 @@ from .evaluation import (
     evaluate_run,
     summarize_run,
 )
-from .forecaster import LstmConfig, LstmModel, TrainOutcome, init_model, predict_next, train
+from .forecaster import LstmConfig, LstmModel, TrainOutcome, predict_next, train
 from .scoring import aare
 
 __version__ = "0.1.0"
@@ -59,17 +57,14 @@ __all__ = [
     "LstmConfig",
     "LstmEngine",
     "LstmModel",
-    "Observation",
     "OrderingError",
     "Phase",
     "PresageError",
     "RunSummary",
-    "StateError",
     "TrainOutcome",
     "Verdict",
     "aare",
     "evaluate_run",
-    "init_model",
     "phase_of",
     "predict_next",
     "read_labels",

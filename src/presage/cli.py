@@ -16,7 +16,7 @@ from .data_io import (
     ReportWriter, read_labels, read_report, read_series, write_evaluation, write_summary
 )
 from .detector import Detector, DetectorConfig, Phase, Verdict
-from .errors import ConfigError, PresageError
+from .errors import ConfigError, DataError, PresageError
 from .evaluation import (
     DEFAULT_GRACE_MINUTES, DEFAULT_PRE_WINDOW_MINUTES, _span, evaluate_run, summarize_run
 )
@@ -108,8 +108,8 @@ def run_detect(args: argparse.Namespace) -> int:
 
 
 def _decide(observations, detector, writer):
-    for obs in observations:
-        record = detector.step(obs.value, obs.timestamp)
+    for timestamp, value in observations:
+        record = detector.step(value, timestamp)
         writer.write(record)
         if record.verdict is Verdict.ANOMALY:
             print(
@@ -135,7 +135,7 @@ def _infer_look_back(records) -> int:
     for record in records:
         if record.phase is Phase.WARMUP:
             return record.time_index + 1
-    raise PresageError("cannot infer look-back from the report (no warmup rows)")
+    raise DataError("cannot infer look-back from the report (no warmup rows)")
 
 
 def run_evaluate(args: argparse.Namespace) -> int:

@@ -33,7 +33,6 @@ import math
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Iterator
@@ -43,7 +42,6 @@ from .errors import DataError, DatasetKeyError, OrderingError
 from .evaluation import EvaluationSummary, RunSummary
 
 __all__ = [
-    "Observation",
     "read_series",
     "read_labels",
     "ReportWriter",
@@ -64,12 +62,6 @@ REPORT_COLUMNS = [
     "retrained",
     "decision_time_s",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    timestamp: datetime
-    value: float
 
 
 def _parse_timestamp(text: str, context: object, lineno: int | None = None) -> datetime:
@@ -94,9 +86,10 @@ def _open_text(path: Path, encoding: str = "utf-8"):
         raise DataError(f"{path}: {exc}") from None
 
 
-def read_series(path: str | Path) -> Iterator[Observation]:
-    """Iterate over a series file's observations, parsing each row as it
-    is consumed; the file is opened and its header checked on the call.
+def read_series(path: str | Path) -> Iterator[tuple[datetime, float]]:
+    """Iterate over a series file's ``(timestamp, value)`` pairs, parsing
+    each row as it is consumed; the file is opened and its header checked
+    on the call.
 
     A timestamp whose timezone awareness differs from the previous one's,
     or a non-finite value, is a ``DataError`` with the line number, and a
@@ -156,7 +149,7 @@ def _series_rows(path: Path):
                 else:
                     intervals[None] += 1
             previous = ts
-            yield Observation(ts, value)
+            yield ts, value
 
     if previous is None:
         raise DataError(f"{path}: no data rows")

@@ -17,9 +17,5 @@ class OrderingError(DataError):
     """Timestamps or records arrived out of order."""
 
 
-class StateError(PresageError, RuntimeError):
-    """An operation was invoked in a state where it is undefined."""
-
-
 class DatasetKeyError(PresageError, LookupError):
     """A requested dataset key is absent from a label map."""

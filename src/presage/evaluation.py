@@ -25,7 +25,7 @@ from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
 from .detector import DetectionRecord, Phase, Verdict, _check_order
-from .errors import ConfigError, DataError, StateError
+from .errors import ConfigError, DataError
 from .scoring import _WELFORD_EMPTY, _welford_add, _welford_std
 
 __all__ = [
@@ -167,12 +167,12 @@ def evaluate_run(
     lead times, false warnings, and the run summary. Positive lead minutes
     mean the warning preceded the labeled instant; a label with no
     attributed report is ``MISSED``. A run that never left the preparation
-    ramp (an empty one included) has no retraining ratio: ``StateError``."""
+    ramp (an empty one included) has no retraining ratio: ``DataError``."""
     pre = _span(pre_window_minutes, "pre_window_minutes")
     grace = _span(grace_minutes, "grace_minutes")
     run = summarize_run(_checked(records, labels))
     if not run.eligible_points:
-        raise StateError(
+        raise DataError(
             f"run of {run.total_points} points never left the preparation ramp "
             "(no record was scored)"
         )

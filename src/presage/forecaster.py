@@ -47,7 +47,6 @@ __all__ = [
     "LstmConfig",
     "LstmModel",
     "TrainOutcome",
-    "init_model",
     "train",
     "predict_next",
 ]
@@ -142,23 +141,12 @@ class TrainOutcome:
     final_loss: float
 
 
-def init_model(config: LstmConfig) -> LstmModel:
-    """Create a model with small deterministic random weights.
-
-    Weights are uniform in [-0.5, 0.5] scaled by 1/sqrt(hidden_units);
-    all biases start at zero except the forget gate, which starts at 1
-    so the cell state is initially retained. Normalization statistics are
-    the identity until ``train`` overwrites them. The arrays are fresh.
-    """
-    h = config.hidden_units
-    w_h, w_x, b, w_out = (view.copy() for view in _views(_initial_theta(h, config.seed), h))
-    return LstmModel(w_x=w_x, w_h=w_h, b=b, w_out=w_out, b_out=0.0)
-
-
 @functools.lru_cache(maxsize=32)
 def _initial_theta(h: int, seed: int) -> np.ndarray:
-    """``init_model``'s weights, drawn once per ``h`` and ``seed`` and laid
-    out flat like ``_Descent.theta``; read-only."""
+    """The initial weights of ``h`` units, drawn once per ``h`` and ``seed``
+    and laid out flat like ``_Descent.theta``; read-only. Weights are uniform
+    in ±0.5/sqrt(h); biases are zero but the forget gate's, which start at 1
+    so the cell state is initially retained."""
     rng = np.random.default_rng(seed)
     scale = 0.5 / np.sqrt(h)
     w_x = rng.uniform(-scale, scale, 4 * h)
@@ -365,7 +353,9 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     through one ``_Descent``; the model gets read-only copies of its arrays.
     """
     raw = np.asarray(window, dtype=float)
-    if raw.ndim != 1 or raw.size < 2:
+    if raw.ndim != 1:
+        raise ValueError(f"training window must be one-dimensional, got shape {raw.shape}")
+    if raw.size < 2:
         raise ValueError(f"training window needs at least 2 values, got {raw.size}")
     if not np.isfinite(raw).all():
         raise DataError("training window contains non-finite values")
@@ -477,7 +467,7 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     try:
         normed = tuple([(float(v) - mean) / std for v in _items(window)])
     except TypeError:
-        raise ValueError("prediction window must be non-empty") from None
+        raise ValueError("prediction window must be one-dimensional") from None
     except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
         normed = (math.nan,)
     if not normed:

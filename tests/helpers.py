@@ -22,7 +22,7 @@ import numpy as np
 from presage import forecaster, scoring
 from presage.data_io import REPORT_COLUMNS, ReportWriter
 from presage.detector import DetectionRecord, LstmEngine, Phase, Verdict
-from presage.errors import DataError, StateError
+from presage.errors import DataError
 from presage.scoring import _unit_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -152,7 +152,7 @@ def threshold(history: Sequence[float]) -> float:
     """
     arr = np.asarray(history, dtype=float)
     if arr.size == 0:
-        raise StateError("cannot compute a threshold from an empty history")
+        raise ValueError("cannot compute a threshold from an empty history")
     if not np.isfinite(arr).all():
         raise DataError("history contains non-finite values")
     unit = _unit_of(float(np.abs(arr).max()))
@@ -244,6 +244,16 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
     return grads
 
 
+def init_model(config) -> forecaster.LstmModel:
+    """The model ``forecaster.train`` starts from, in fresh writable arrays:
+    the weights of ``forecaster._initial_theta``, ``b_out`` 0 and identity
+    normalization statistics."""
+    h = config.hidden_units
+    theta = forecaster._initial_theta(h, config.seed)
+    w_h, w_x, b, w_out = (view.copy() for view in forecaster._views(theta, h))
+    return forecaster.LstmModel(w_x=w_x, w_h=w_h, b=b, w_out=w_out, b_out=0.0)
+
+
 def reference_train(window, config):
     """``forecaster.train`` as a plain loop, the oracle for its workspace: each
     epoch takes fresh gradients from ``loss_and_grads`` and updates the five
@@ -257,7 +267,7 @@ def reference_train(window, config):
         std = 1.0 if std <= 1e-12 else std
         normed = (raw - mean) / std
     inputs, targets = normed[:-1], normed[1:]
-    model = forecaster.init_model(config)
+    model = init_model(config)
     model.norm_mean, model.norm_std = mean, std
     lr, prev_loss, stalled = config.learning_rate, None, 0
     with np.errstate(under="ignore"):

@@ -57,7 +57,7 @@ def replay(path, seed=DETECTOR_SEED):
     engine = RecordingEngine(LstmConfig(seed=seed))
     detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
     started = time.perf_counter()
-    records = [detector.step(obs.value, obs.timestamp) for obs in observations]
+    records = [detector.step(value, timestamp) for timestamp, value in observations]
     elapsed = time.perf_counter() - started
     return records, detector, engine, elapsed
 

@@ -185,7 +185,7 @@ class TestDetect:
                 lstm=LstmConfig(seed=config["seed"]),
             )
         )
-        rebuilt = [detector.step(obs.value, obs.timestamp) for obs in read_series(spike_csv)]
+        rebuilt = [detector.step(value, timestamp) for timestamp, value in read_series(spike_csv)]
         written = read_report(report)
         assert len(written) == len(rebuilt) == len(spike_values())
         assert [replace(r, decision_time=0.0) for r in written] == [
@@ -366,6 +366,26 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 1
         assert "preparation ramp" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(2, "cannot infer look-back from the report (no warmup rows)"),
+         (4, "run of 4 points never left the preparation ramp")],
+        ids=["collecting-only", "ramp-only"],
+    )
+    def test_short_report_exits_one_with_one_error_line(
+        self, tmp_path, spike_report, capsys, rows, message
+    ):
+        short = tmp_path / "short.csv"
+        short.write_text("".join(spike_report.read_text().splitlines(keepends=True)[: rows + 1]))
+        labels = tmp_path / "labels.json"
+        labels.write_text("[]")
+        capsys.readouterr()
+        assert main(["evaluate", "--report", str(short), "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not short.with_suffix(".eval.json").exists()
 
 
 def refused(argv, capsys):

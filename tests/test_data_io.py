@@ -36,8 +36,8 @@ class TestReadSeries:
         start = datetime(2021, 5, 1, 12, 0)
         write_series_csv(path, values, start=start)
         observations = list(read_series(path))
-        assert [obs.value for obs in observations] == values
-        assert [obs.timestamp for obs in observations] == [
+        assert [value for _, value in observations] == values
+        assert [timestamp for timestamp, _ in observations] == [
             start + k * timedelta(minutes=5) for k in range(4)
         ]
 
@@ -46,18 +46,21 @@ class TestReadSeries:
         path.write_text("timestamp,value\n2014-04-10 00:02:00,51.846\n")
         observations = list(read_series(path))
         assert len(observations) == 1
-        assert observations[0].value == 51.846
+        _, value = observations[0]
+        assert value == 51.846
 
     def test_minute_resolution_timestamps(self, tmp_path):
         path = tmp_path / "minutes.csv"
         path.write_text("timestamp,value\n2014-04-10 00:02,1.0\n2014-04-10 00:07,2.0\n")
         observations = list(read_series(path))
-        assert observations[0].timestamp == datetime(2014, 4, 10, 0, 2)
+        timestamp, _ = observations[0]
+        assert timestamp == datetime(2014, 4, 10, 0, 2)
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("label,timestamp,value\nx,2020-01-01 00:00:00,3.5\n")
-        assert list(read_series(path))[0].value == 3.5
+        _, value = list(read_series(path))[0]
+        assert value == 3.5
 
     def test_missing_value_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -133,7 +136,7 @@ class TestReadSeries:
             "2020-01-01 00:00:00,1.0\n"
             "2020-01-01 00:00:00,2.0\n"
         )
-        assert [obs.value for obs in read_series(path)] == [1.0, 2.0]
+        assert [value for _, value in read_series(path)] == [1.0, 2.0]
 
     def test_irregular_cadence_warns(self, tmp_path):
         path = tmp_path / "gap.csv"
@@ -164,7 +167,7 @@ class TestReadSeries:
             "timestamp,value\n2020-01-01 00:00:00,1.0\n2020-01-01 00:05:00,2.0\nbad,3.0\n"
         )
         observations = read_series(path)
-        assert [next(observations).value, next(observations).value] == [1.0, 2.0]
+        assert [next(observations)[1], next(observations)[1]] == [1.0, 2.0]
         with pytest.raises(DataError, match=":4: unparsable timestamp"):
             next(observations)
 

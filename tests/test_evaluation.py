@@ -6,7 +6,7 @@ import pytest
 
 from presage.data_io import read_series
 from presage.detector import Detector, DetectorConfig, Verdict, phase_of
-from presage.errors import ConfigError, DataError, OrderingError, StateError
+from presage.errors import ConfigError, DataError, OrderingError
 from presage.evaluation import (
     LeadStatus,
     evaluate_run,
@@ -182,7 +182,7 @@ class TestRetrainingRatio:
     def test_run_shorter_than_ramp(self):
         records = [make_record(k, phase=phase_of(k, 3)) for k in range(5)]
         assert summarize_run(records).retraining_ratio == 0.0
-        with pytest.raises(StateError, match="never left the preparation ramp"):
+        with pytest.raises(DataError, match="never left the preparation ramp"):
             evaluate_run(records, [T0])
 
 
@@ -202,7 +202,7 @@ class TestTimingStats:
 
     def test_empty_run(self):
         assert summarize_run([]).total_points == 0
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             evaluate_run([], [T0])
 
     def test_negative_time_rejected(self):

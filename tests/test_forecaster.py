@@ -9,11 +9,12 @@ import pytest
 from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict
 from presage.errors import ConfigError, DataError
 from presage import forecaster
-from presage.forecaster import LstmConfig, LstmModel, init_model, predict_next, train
+from presage.forecaster import LstmConfig, LstmModel, predict_next, train
 
 from helpers import (
     descent,
     finite_difference_grads,
+    init_model,
     loss_and_grads,
     max_relative_gradient_error,
     plain_forward,
@@ -376,6 +377,28 @@ class TestDescent:
         for name in ("w_x", "w_h", "b", "w_out"):
             assert np.array_equal(first[name], second[name])
             assert not np.shares_memory(first[name], second[name])
+
+
+WINDOW_CALLS = {
+    "train": lambda window: train(window, LstmConfig()),
+    "predict_next": lambda window: predict_next(zero_model(), window),
+}
+
+
+@pytest.mark.parametrize("call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
+@pytest.mark.parametrize(
+    "window", [np.zeros((2, 2)), np.array(1.0), [[1.0], [2.0]]], ids=["2x2", "0-d", "nested"]
+)
+def test_window_that_is_not_one_dimensional_is_named(call, window):
+    with pytest.raises(ValueError, match="must be one-dimensional"):
+        call(window)
+
+
+def test_short_one_dimensional_windows_keep_their_message():
+    with pytest.raises(ValueError, match="at least 2 values, got 1"):
+        train(np.array([1.0]), LstmConfig())
+    with pytest.raises(ValueError, match="must be non-empty"):
+        predict_next(zero_model(), np.array([]))
 
 
 class TestPredictNext:
