@@ -74,11 +74,11 @@ def _parse_timestamp(text: str, context: object, lineno: int | None = None) -> d
 
 
 @contextmanager
-def _open_text(path: Path, encoding: str = "utf-8"):
-    """Open ``path`` for reading; bytes that are not UTF-8 and CSV syntax
-    errors met anywhere in the ``with`` body are a ``DataError``."""
+def _open_text(path: Path):
+    """Open an input file as UTF-8 text, a leading byte-order mark skipped; bytes
+    that are not UTF-8 and CSV errors met in the ``with`` body are a ``DataError``."""
     try:
-        with path.open(newline="", encoding=encoding) as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -94,9 +94,9 @@ def read_series(path: str | Path) -> Iterator[tuple[datetime, float]]:
     A timestamp whose timezone awareness differs from the previous one's,
     or a non-finite value, is a ``DataError`` with the line number, and a
     decreasing timestamp an ``OrderingError`` (a ``DataError`` too);
-    duplicate timestamps are accepted in order, and a UTF-8 byte-order
-    mark before the header is skipped. At the end, a file without rows is
-    a ``DataError``, and a ``UserWarning`` says when intervals deviate
+    duplicate timestamps are accepted in order. The file is decoded as
+    every input file is (``_open_text``). At the end, a file without rows
+    is a ``DataError``, and a ``UserWarning`` says when intervals deviate
     from the modal cadence (points are treated as equally spaced).
     """
     rows = _series_rows(Path(path))
@@ -110,7 +110,7 @@ _CADENCE_SLOTS = 32
 
 
 def _series_rows(path: Path):
-    with _open_text(path, "utf-8-sig") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .scoring import _items
+from .scoring import _floats
 
 __all__ = [
     "LstmConfig",
@@ -351,10 +351,9 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     ``early_stop_delta`` for ``early_stop_patience`` consecutive epochs,
     never before ``min_epochs`` nor after ``max_epochs``. The epochs run
     through one ``_Descent``; the model gets read-only copies of its arrays.
+    ``scoring._floats`` reads the window; a NaN or inf in it is a ``DataError``.
     """
-    raw = np.asarray(window, dtype=float)
-    if raw.ndim != 1:
-        raise ValueError(f"training window must be one-dimensional, got shape {raw.shape}")
+    raw = np.array(_floats(window, "training window"))
     if raw.size < 2:
         raise ValueError(f"training window needs at least 2 values, got {raw.size}")
     if not np.isfinite(raw).all():
@@ -462,12 +461,11 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     whose states the memo does not carry, so a call that raises leaves the
     memo usable, and the memo is replaced only when a forecast returns. A
     copy of the model starts with no memo and builds its own workspace.
+    The window is read, and NaN or inf refused, as in ``train``.
     """
     mean, std = model.norm_mean, model.norm_std
     try:
-        normed = tuple([(float(v) - mean) / std for v in _items(window)])
-    except TypeError:
-        raise ValueError("prediction window must be one-dimensional") from None
+        normed = tuple([(v - mean) / std for v in _floats(window, "prediction window")])
     except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
         normed = (math.nan,)
     if not normed:

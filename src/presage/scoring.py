@@ -39,21 +39,18 @@ def aare(
     pairing each observed value with the forecast that was made for it.
 
     Args:
-        observed: window of observed values.
+        observed: window of observed values, read by ``_floats``.
         predicted: forecasts for the same time points, same length.
         epsilon: denominator floor, must be positive and finite.
 
     Returns:
         A non-negative, finite relative-error score; one past the float
-        range is a ``DataError``.
+        range, or a NaN or inf in either window, is a ``DataError``.
     """
     if not 0 < epsilon < math.inf:  # NaN fails too
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    try:
-        obs = [float(v) for v in _items(observed)]
-        pred = [float(v) for v in _items(predicted)]
-    except TypeError:
-        raise ValueError("observed and predicted must be one-dimensional") from None
+    obs = _floats(observed, "observed window")
+    pred = _floats(predicted, "predicted window")
     if not obs:
         raise ValueError("observed window is empty")
     if len(obs) != len(pred):
@@ -75,10 +72,13 @@ def aare(
     return total / len(obs)
 
 
-def _items(values: Sequence[float]):
-    """``values`` as an iterable of scalars; an ndarray becomes nested lists
-    (a scalar for 0-d), so any shape but 1-D fails ``float`` with TypeError."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
+def _floats(window: Sequence[float], name: str) -> list[float]:
+    """``window`` as a list of floats; any shape but 1-D (an ndarray becomes
+    nested lists first) or an item ``float`` refuses is a ``ValueError`` naming it."""
+    try:
+        return list(map(float, window.tolist() if isinstance(window, np.ndarray) else window))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be one-dimensional, one number per point: {exc}") from None
 
 
 def _unit_of(score: float) -> float:

@@ -407,7 +407,9 @@ class ScriptedEngine(PerfectEngine):
     ``lie_once`` poisons only the first forecast of a target index (the
     retrain re-forecast then tells the truth, exercising the recovered
     branch); ``lie_always`` poisons every forecast of it (true-anomaly
-    branch). Both map target index -> wrong value.
+    branch). Both map target index -> wrong value. ``lie_in_turn`` maps a
+    target index to a list of wrong values, one per forecast of it, after
+    which the forecasts tell the truth.
     """
 
     def __init__(
@@ -416,11 +418,13 @@ class ScriptedEngine(PerfectEngine):
         look_back: int,
         lie_once: dict[int, float] | None = None,
         lie_always: dict[int, float] | None = None,
+        lie_in_turn: dict[int, list[float]] | None = None,
     ):
         super().__init__(series, look_back)
         self._series = [float(v) for v in series]
         self._look_back = look_back
-        self._lie_once = dict(lie_once or {})
+        self._lies = {t: [v] for t, v in (lie_once or {}).items()}
+        self._lies.update({t: list(vs) for t, vs in (lie_in_turn or {}).items()})
         self._lie_always = dict(lie_always or {})
 
     def predict(self, model, window):
@@ -428,8 +432,8 @@ class ScriptedEngine(PerfectEngine):
         target = self._find_start(window) + self._look_back
         if target in self._lie_always:
             return self._lie_always[target]
-        if target in self._lie_once:
-            return self._lie_once.pop(target)
+        if self._lies.get(target):
+            return self._lies[target].pop(0)
         return self._next_value[window]
 
     def _find_start(self, window):

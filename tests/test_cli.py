@@ -258,6 +258,24 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "label" in out and "false warnings" in out and "retraining ratio" in out
 
+    @pytest.mark.parametrize("prefixed", ["report", "labels"])
+    def test_byte_order_mark_is_skipped_in_every_input(self, tmp_path, spike_report, prefixed):
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([spike_timestamps()[SPIKE_SHIFT_INDEX].isoformat(sep=" ")]))
+        inputs = {"report": spike_report, "labels": labels}
+
+        def evaluation(report, labels, name):
+            path = tmp_path / name
+            argv = ["evaluate", "--report", str(report), "--labels", str(labels)]
+            assert main([*argv, "--summary", str(path)]) == 0
+            return path.read_bytes()
+
+        plain = evaluation(inputs["report"], inputs["labels"], "plain.json")
+        bom = tmp_path / f"bom-{inputs[prefixed].name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + inputs[prefixed].read_bytes())
+        inputs[prefixed] = bom
+        assert evaluation(inputs["report"], inputs["labels"], "bom.json") == plain
+
     def test_empty_label_list_counts_all_reports_as_false(self, tmp_path, spike_report):
         labels = tmp_path / "labels.json"
         labels.write_text("[]")

@@ -16,6 +16,7 @@ from presage.detector import (
 )
 from presage.errors import ConfigError, DataError, OrderingError
 from presage.forecaster import LstmConfig
+from presage.scoring import aare
 
 from helpers import (
     EngineFailure,
@@ -259,6 +260,27 @@ class TestDoubleCheck:
             abs(series[self.SABOTAGE_T] - wrong) / series[self.SABOTAGE_T] / self.B
         )
         assert record.aare == pytest.approx(expected_error)
+
+    def test_anomaly_keeps_the_recheck_forecast_for_later_scores(self):
+        # The first pass and the recheck forecast point t differently, so the
+        # forecast stored for t after an ANOMALY shows which one was kept.
+        series = self._series()
+        t = self.SABOTAGE_T
+        first, recheck = 1.5 * series[t], 2.0 * series[t]
+        engine = ScriptedEngine(series, self.B, lie_in_turn={t: [first, recheck]})
+        detector = Detector(DetectorConfig(look_back=self.B), engine=engine)
+        records = [detector.step(v) for v in series]
+
+        assert records[t].verdict is Verdict.ANOMALY
+        assert records[t].predicted == recheck
+        truth = [float(v) for v in series]
+        forecasts = truth[:t] + [recheck] + truth[t + 1 :]
+        for later in (t + 1, t + 2):
+            start = later - self.B + 1
+            assert records[later].aare == aare(
+                truth[start : later + 1], forecasts[start : later + 1]
+            )
+        assert records[t + 3].aare == 0.0
 
     def test_no_anomaly_before_detection_starts(self):
         rng = np.random.default_rng(77)

@@ -10,6 +10,7 @@ from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict
 from presage.errors import ConfigError, DataError
 from presage import forecaster
 from presage.forecaster import LstmConfig, LstmModel, predict_next, train
+from presage.scoring import aare
 
 from helpers import (
     descent,
@@ -379,19 +380,39 @@ class TestDescent:
             assert not np.shares_memory(first[name], second[name])
 
 
+#: Every reader of a window, with the name its errors give the window.
 WINDOW_CALLS = {
-    "train": lambda window: train(window, LstmConfig()),
-    "predict_next": lambda window: predict_next(zero_model(), window),
+    "train": ("training window", lambda window: train(window, LstmConfig())),
+    "predict_next": ("prediction window", lambda window: predict_next(zero_model(), window)),
+    "aare-observed": ("observed window", lambda window: aare(window, [1.0, 2.0, 3.0])),
+    "aare-predicted": ("predicted window", lambda window: aare([1.0, 2.0, 3.0], window)),
 }
 
 
-@pytest.mark.parametrize("call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
+@pytest.mark.parametrize("name,call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
 @pytest.mark.parametrize(
-    "window", [np.zeros((2, 2)), np.array(1.0), [[1.0], [2.0]]], ids=["2x2", "0-d", "nested"]
+    "window",
+    [
+        np.zeros((2, 2)),
+        np.array(1.0),
+        [[1.0], [2.0]],
+        [None, 1.0, 2.0],
+        [[1.0], 2.0, 3.0],
+        [1 + 0j, 2.0, 3.0],
+        np.array([1.0, None, 2.0], dtype=object),
+    ],
+    ids=["2x2", "0-d", "nested", "None", "ragged", "complex", "object-array"],
 )
-def test_window_that_is_not_one_dimensional_is_named(call, window):
-    with pytest.raises(ValueError, match="must be one-dimensional"):
+def test_window_that_is_not_one_dimensional_is_named(name, call, window):
+    with pytest.raises(ValueError, match=f"^{name} must be one-dimensional, one number per point: "):
         call(window)
+
+
+@pytest.mark.parametrize("name,call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_window_value_stays_a_data_error(name, call, bad):
+    with pytest.raises(DataError):
+        call([1.0, bad, 2.0])
 
 
 def test_short_one_dimensional_windows_keep_their_message():
