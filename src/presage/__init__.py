@@ -6,72 +6,20 @@ self-adjusting three-sigma threshold, with a retrain-and-recheck double
 check before any point is reported as an anomaly.
 """
 
-from .detector import (
-    DetectionRecord,
-    Detector,
-    DetectorConfig,
-    ForecastEngine,
-    LstmEngine,
-    Phase,
-    Verdict,
-    phase_of,
-)
-from .data_io import (
-    read_labels,
-    read_report,
-    read_series,
-    write_evaluation,
-    write_summary,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    DatasetKeyError,
-    OrderingError,
-    PresageError,
-)
-from .evaluation import (
-    EvaluationSummary,
-    LeadStatus,
-    LeadTimeResult,
-    RunSummary,
-    evaluate_run,
-    summarize_run,
-)
-from .forecaster import LstmConfig, LstmModel, TrainOutcome, predict_next, train
-from .scoring import aare
+from . import data_io, detector, errors, evaluation, forecaster, scoring
+from .data_io import *
+from .detector import *
+from .errors import *
+from .evaluation import *
+from .forecaster import *
+from .scoring import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DataError",
-    "DatasetKeyError",
-    "DetectionRecord",
-    "Detector",
-    "DetectorConfig",
-    "EvaluationSummary",
-    "ForecastEngine",
-    "LeadStatus",
-    "LeadTimeResult",
-    "LstmConfig",
-    "LstmEngine",
-    "LstmModel",
-    "OrderingError",
-    "Phase",
-    "PresageError",
-    "RunSummary",
-    "TrainOutcome",
-    "Verdict",
-    "aare",
-    "evaluate_run",
-    "phase_of",
-    "predict_next",
-    "read_labels",
-    "read_report",
-    "read_series",
-    "summarize_run",
-    "train",
-    "write_evaluation",
-    "write_summary",
-]
+__all__ = []
+__all__ += data_io.__all__
+__all__ += detector.__all__
+__all__ += errors.__all__
+__all__ += evaluation.__all__
+__all__ += forecaster.__all__
+__all__ += scoring.__all__

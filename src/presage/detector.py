@@ -191,13 +191,16 @@ class Detector:
     def step(self, value: float, timestamp: datetime | None = None) -> DetectionRecord:
         """Ingest one observation and return the decision for it.
 
-        All or nothing: ``DataError`` for a non-finite value, for a score
-        past the float range or for a timestamp whose timezone awareness
-        differs from the previous one's, ``OrderingError`` for a timestamp
-        behind the previous one, and any exception an engine raises leave
-        the detector as it was.
+        All or nothing: ``DataError`` for a non-finite value, for a value or
+        a score past the float range or for a timestamp whose timezone
+        awareness differs from the previous one's, ``OrderingError`` for a
+        timestamp behind the previous one, and any exception an engine
+        raises leave the detector as it was.
         """
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DataError(f"observation at t={self._t + 1} is past the float range") from None
         if not math.isfinite(value):
             raise DataError(f"observation at t={self._t + 1} is not finite: {value}")
         if timestamp is not None and self._last_timestamp is not None:
@@ -223,12 +226,10 @@ class Detector:
             model = self.engine.train(window)
         elif phase is Phase.DETECTING:
             thd = welford[1] + 3.0 * _welford_std(welford)
-            if aare_value <= thd:
-                verdict = Verdict.NORMAL
-            else:
+            if aare_value > thd:
                 # Double check: retrain on the b points preceding t (the
                 # buffer before t) so the suspicious value stays out of its
-                # own training data.
+                # own training data. An anomaly keeps the previous model.
                 retrained = True
                 previous_window = list(self._buffer)
                 candidate = self.engine.train(previous_window)
@@ -236,10 +237,8 @@ class Detector:
                 aare_value = scoring.aare(window, forecasts, self.config.epsilon)
                 welford = _welford_add(self._welford, aare_value)
                 if aare_value <= thd:
-                    verdict = Verdict.NORMAL
                     model = candidate
-                else:
-                    verdict = Verdict.ANOMALY  # keep the previous model
+            verdict = Verdict.NORMAL if aare_value <= thd else Verdict.ANOMALY
         forecast = None if phase is Phase.COLLECTING else self.engine.predict(model, window)
         decision_time = time.perf_counter() - started
 

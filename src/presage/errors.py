@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all presage modules."""
 
+__all__ = ["PresageError", "ConfigError", "DataError", "OrderingError", "DatasetKeyError"]
+
 
 class PresageError(Exception):
     """Base class for every error raised by this package."""

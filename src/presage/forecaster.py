@@ -351,7 +351,8 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     ``early_stop_delta`` for ``early_stop_patience`` consecutive epochs,
     never before ``min_epochs`` nor after ``max_epochs``. The epochs run
     through one ``_Descent``; the model gets read-only copies of its arrays.
-    ``scoring._floats`` reads the window; a NaN or inf in it is a ``DataError``.
+    ``scoring._floats`` reads the window; a NaN, an inf or an int past the
+    float range in it is a ``DataError``.
     """
     raw = np.array(_floats(window, "training window"))
     if raw.size < 2:

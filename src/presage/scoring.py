@@ -74,9 +74,12 @@ def aare(
 
 def _floats(window: Sequence[float], name: str) -> list[float]:
     """``window`` as a list of floats; any shape but 1-D (an ndarray becomes
-    nested lists first) or an item ``float`` refuses is a ``ValueError`` naming it."""
+    nested lists first) or an item ``float`` refuses is a ``ValueError`` naming it;
+    an int past the float range is a ``DataError`` naming it."""
     try:
         return list(map(float, window.tolist() if isinstance(window, np.ndarray) else window))
+    except OverflowError:
+        raise DataError(f"{name} holds a value past the float range") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be one-dimensional, one number per point: {exc}") from None
 

@@ -141,17 +141,20 @@ class TestPhaseSchedule:
 
 
 class TestStepValidation:
-    def test_non_finite_value_rejected_without_state_change(self):
+    @pytest.mark.parametrize(
+        "bad", [pytest.param(float("nan"), id="nan"), pytest.param(10**400, id="int-past-float")]
+    )
+    def test_non_finite_value_rejected_without_state_change(self, bad):
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
         twin = Detector(DetectorConfig(lstm=FAST_LSTM))
         for v in [50.0, 51.0, 49.0, 50.5]:
             detector.step(v)
             twin.step(v)
         before = detector.time_index
-        with pytest.raises(DataError):
-            detector.step(float("nan"))
+        with pytest.raises(DataError, match=f"^observation at t={before + 1} "):
+            detector.step(bad)
         assert detector.time_index == before
-        # the stream continues with contiguous indices, as if the NaN never came
+        # the stream continues with contiguous indices, as if the bad value never came
         after = [50.2, 49.7, 50.9, 50.1, 49.6]
         records = [detector.step(v) for v in after]
         assert records[0].time_index == before + 1

@@ -409,7 +409,16 @@ def test_window_that_is_not_one_dimensional_is_named(name, call, window):
 
 
 @pytest.mark.parametrize("name,call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.nan,
+        np.inf,
+        -np.inf,
+        pytest.param(10**400, id="int-past-float"),
+        pytest.param(-(10**400), id="negative-int-past-float"),
+    ],
+)
 def test_a_non_finite_window_value_stays_a_data_error(name, call, bad):
     with pytest.raises(DataError):
         call([1.0, bad, 2.0])
