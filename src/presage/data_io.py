@@ -274,20 +274,11 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
             if row[8] not in ("true", "false"):
                 raise DataError(f"{path}:{lineno}: retrained must be true or false, got {row[8]!r}")
             try:
-                records.append(
-                    DetectionRecord(
-                        time_index=int(row[0]),
-                        timestamp=timestamp,
-                        value=float(row[2]),
-                        predicted=float(row[3]) if row[3] else None,
-                        aare=float(row[4]) if row[4] else None,
-                        threshold=float(row[5]) if row[5] else None,
-                        phase=Phase(row[6]),
-                        verdict=Verdict(row[7]),
-                        retrained=row[8] == "true",
-                        decision_time=float(row[9]),
-                    )
-                )
+                predicted, aare, threshold = (float(cell) if cell else None for cell in row[3:6])
+                records.append(DetectionRecord(
+                    int(row[0]), timestamp, float(row[2]), predicted, aare, threshold,
+                    Phase(row[6]), Verdict(row[7]), row[8] == "true", float(row[9]),
+                ))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return records

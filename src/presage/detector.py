@@ -31,7 +31,7 @@ from typing import Protocol, Sequence
 
 from . import forecaster, scoring
 from .errors import ConfigError, DataError, OrderingError
-from .forecaster import LstmConfig
+from .forecaster import LstmConfig, _check_types
 from .scoring import _WELFORD_EMPTY, DEFAULT_EPSILON, _welford_add, _welford_std
 
 __all__ = [
@@ -86,6 +86,16 @@ def _check_order(previous: datetime, timestamp: datetime) -> None:
         raise OrderingError(f"timestamp {timestamp} precedes previous {previous}")
 
 
+def _finite_float(number, what: str, t: int) -> float:
+    """``number``, the ``what`` at point ``t``, read where it enters the detector
+    by ``scoring._floats``' rule; NaN or inf is a ``DataError``."""
+    if type(number) is not float:
+        (number,) = scoring._floats((number,), f"{what} at t={t}")
+    if not math.isfinite(number):
+        raise DataError(f"{what} at t={t} is not finite: {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detector parameters. Forecasts are always one point ahead."""
@@ -95,6 +105,7 @@ class DetectorConfig:
     lstm: LstmConfig = field(default_factory=LstmConfig)
 
     def __post_init__(self):
+        _check_types(self)
         if self.look_back < 2:
             raise ConfigError(f"look_back must be >= 2, got {self.look_back}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -127,10 +138,10 @@ class DetectionRecord:
 class ForecastEngine(Protocol):
     """Training/prediction seam used by the detector.
 
-    ``train`` fits a model to a look-back window of raw values and
-    returns it; ``predict`` forecasts the raw value following ``window``
-    using a previously returned model. Implementations must be
-    deterministic for replayability.
+    ``train`` fits a model to a look-back window of raw values and returns
+    it; ``predict`` forecasts the raw value following ``window`` with a
+    previously returned model, as a real number (NaN or inf fails the step).
+    Implementations must be deterministic for replayability.
     """
 
     def train(self, window: Sequence[float]) -> object: ...
@@ -191,23 +202,19 @@ class Detector:
     def step(self, value: float, timestamp: datetime | None = None) -> DetectionRecord:
         """Ingest one observation and return the decision for it.
 
-        All or nothing: ``DataError`` for a non-finite value, for a value or
-        a score past the float range or for a timestamp whose timezone
-        awareness differs from the previous one's, ``OrderingError`` for a
-        timestamp behind the previous one, and any exception an engine
-        raises leave the detector as it was.
+        All or nothing: ``DataError`` for a value or forecast that is not finite
+        or past the float range, for a score past it or for a timestamp whose
+        timezone awareness differs from the previous one's, ``OrderingError``
+        for a timestamp behind the previous one, ``ValueError`` for a value or
+        forecast that is no number, and any exception an engine raises leave
+        the detector as it was.
         """
-        try:
-            value = float(value)
-        except OverflowError:
-            raise DataError(f"observation at t={self._t + 1} is past the float range") from None
-        if not math.isfinite(value):
-            raise DataError(f"observation at t={self._t + 1} is not finite: {value}")
+        t = self._t + 1
+        value = _finite_float(value, "observation", t)
         if timestamp is not None and self._last_timestamp is not None:
             _check_order(self._last_timestamp, timestamp)
 
         started = time.perf_counter()
-        t = self._t + 1
         b = self.config.look_back
         phase = phase_of(t, b)
         window = [*self._buffer, value][-b:]
@@ -233,13 +240,16 @@ class Detector:
                 retrained = True
                 previous_window = list(self._buffer)
                 candidate = self.engine.train(previous_window)
-                forecasts[-1] = self.engine.predict(candidate, previous_window)
+                recheck = self.engine.predict(candidate, previous_window)
+                forecasts[-1] = _finite_float(recheck, "forecast", t)
                 aare_value = scoring.aare(window, forecasts, self.config.epsilon)
                 welford = _welford_add(self._welford, aare_value)
                 if aare_value <= thd:
                     model = candidate
             verdict = Verdict.NORMAL if aare_value <= thd else Verdict.ANOMALY
-        forecast = None if phase is Phase.COLLECTING else self.engine.predict(model, window)
+        forecast = None
+        if phase is not Phase.COLLECTING:
+            forecast = _finite_float(self.engine.predict(model, window), "forecast", t + 1)
         decision_time = time.perf_counter() - started
 
         # Commit point: nothing above changed the detector, so an exception
@@ -252,15 +262,7 @@ class Detector:
         self.model = model
         if timestamp is not None:
             self._last_timestamp = timestamp
+        # positional: keywords cost about twice as much on this hot path
         return DetectionRecord(
-            time_index=t,
-            timestamp=timestamp,
-            value=value,
-            predicted=forecasts[-1],
-            aare=aare_value,
-            threshold=thd,
-            phase=phase,
-            verdict=verdict,
-            retrained=retrained,
-            decision_time=decision_time,
+            t, timestamp, value, forecasts[-1], aare_value, thd, phase, verdict, retrained, decision_time
         )

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +57,17 @@ __all__ = [
 _CONSTANT_STD = 1e-12
 
 
+def _check_types(config) -> None:
+    """The type rule of every config: ``ConfigError`` naming a field declared ``int``
+    that holds no ``int`` (a ``bool`` is none) or ``float`` that holds no real number."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if spec.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
+        if spec.type == "float" and not isinstance(value, numbers.Real):
+            raise ConfigError(f"{spec.name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LstmConfig:
     """Hyperparameters for training the look-back forecaster.
@@ -74,6 +86,7 @@ class LstmConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_types(self)
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -170,37 +183,42 @@ def _sigmoid_row_scale(h: int) -> np.ndarray:
     return scale
 
 
-def _gates(act, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
+def _gate_views(act: np.ndarray) -> tuple:
+    """``act`` and the views of it that ``_gates`` takes: ``act[:3]``, then ``act[0]`` .. ``act[3]``."""
+    return (act, act[:3], *act)
+
+
+def _gates(views, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
     """One recurrence step from the recurrent products, in place.
 
-    ``act`` holds the gate-major pre-activations, shaped ``(4, ..., H)``
-    with one leading entry per gate (i, f, o, g), from weights whose
-    sigmoid-gate rows were halved: ``w_x`` and ``b`` have ``act``'s shape.
-    The step adds ``w_x * x`` and ``b`` and turns ``act`` into the
-    activations with one ``tanh`` over all four gates, since
-    ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The
-    cell state, its tanh and the hidden state are written into ``c``,
-    ``tc`` and ``hidden``; ``tc`` may be ``hidden`` when the caller needs
-    no tanh. ``c_prev`` None is the zero state: ``act`` is only written and
-    the cell is ``i * g``, the full step's values bit for bit while ``b``
-    holds no ``-0.0`` (a zero cell may change sign, nothing else).
+    ``views`` are ``_gate_views(act)``, built once per buffer, where ``act`` holds the
+    gate-major pre-activations, shaped ``(4, ..., H)`` with one leading entry per gate
+    (i, f, o, g), from weights whose sigmoid-gate rows were halved: ``w_x`` and ``b``
+    have ``act``'s shape. The step adds ``w_x * x`` and ``b`` and turns ``act`` into
+    the activations with one ``tanh`` over all four gates, since
+    ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The cell state,
+    its tanh and the hidden state are written into ``c``, ``tc`` and ``hidden``; ``tc``
+    may be ``hidden`` when the caller needs no tanh. ``c_prev`` None is the zero state:
+    ``act`` is only written and the cell is ``i * g``, the full step's values bit for
+    bit while ``b`` holds no ``-0.0`` (a zero cell may change sign, nothing else).
+    ``out`` goes positionally here and in the callers: as a keyword it costs more.
     """
+    act, sigmoids, i, f, o, g = views
     if c_prev is None:
-        np.multiply(w_x, x, out=act)
+        np.multiply(w_x, x, act)
     else:
         act += w_x * x
     act += b
-    np.tanh(act, out=act)
-    sigmoids = act[:3]
+    np.tanh(act, act)
     sigmoids *= 0.5
     sigmoids += 0.5
     if c_prev is None:
-        np.multiply(act[0], act[3], out=c)
+        np.multiply(i, g, c)
     else:
-        np.multiply(act[1], c_prev, out=c)
-        c += act[0] * act[3]
-    np.tanh(c, out=tc)
-    np.multiply(act[2], tc, out=hidden)
+        np.multiply(f, c_prev, c)
+        c += i * g
+    np.tanh(c, tc)
+    np.multiply(o, tc, hidden)
 
 
 def _views(flat: np.ndarray, h: int) -> list:
@@ -254,7 +272,8 @@ class _Descent:
         acts = gates.reshape(steps, 4 * h)
         c_prev, h_prev = [None, *cells[1:-1]], [None, *hiddens[1:-1]]  # step 0: zero state
         self.forward_steps = list(
-            zip(inputs.tolist(), acts, gates, c_prev, cells[1:], tanh_cells, h_prev, hiddens[1:])
+            zip(inputs.tolist(), acts, map(_gate_views, gates), c_prev, cells[1:], tanh_cells,
+                h_prev, hiddens[1:])
         )
         dz, partner = self.dz.reshape(steps, 4, h), self.partner
         self.backward_steps = list(
@@ -263,19 +282,19 @@ class _Descent:
 
     def forward(self) -> np.ndarray:
         """The output after each input, from zero state."""
-        np.multiply(self.gate_theta, self.scale, out=self.half)
+        np.multiply(self.gate_theta, self.scale, self.half)
         w_h, w_x, b = self.half_weights
-        for x, act, gate_act, c_prev, c, tc, h_prev, hidden in self.forward_steps:
+        for x, act, views, c_prev, c, tc, h_prev, hidden in self.forward_steps:
             if h_prev is not None:
-                np.matmul(w_h, h_prev, out=act)
-            _gates(gate_act, x, w_x, b, c_prev, c, tc, hidden)
-        np.matmul(self.h_next, self.w_out, out=self.outputs)
+                np.matmul(w_h, h_prev, act)
+            _gates(views, x, w_x, b, c_prev, c, tc, hidden)
+        np.matmul(self.h_next, self.w_out, self.outputs)
         self.outputs += self.b_out
         return self.outputs
 
     def loss(self) -> float:
         """Mean squared error of a forward pass; leaves the errors in ``d_out``."""
-        err = np.subtract(self.forward(), self.targets, out=self.d_out)
+        err = np.subtract(self.forward(), self.targets, self.d_out)
         return float((err**2).sum() / err.size)
 
     def loss_and_grads(self) -> float:
@@ -296,40 +315,40 @@ class _Descent:
         i, _, o, g = self.act_rows
         part_i, part_f, part_o, part_g = self.partner_rows
         np.copyto(*self.gates_by_gate)
-        np.subtract(1.0, act, out=part)
+        np.subtract(1.0, act, part)
         part *= act
-        np.square(g, out=part_g)
-        np.subtract(1.0, part_g, out=part_g)
+        np.square(g, part_g)
+        np.subtract(1.0, part_g, part_g)
         part_i *= g
         part_f *= self.c_prev_flat
         part_o *= self.tc_flat
         part_g *= i
         np.copyto(self.partner, self.partner_by_step)
         dc_of_dh = self.dc_of_dh_flat
-        np.square(self.tc_flat, out=dc_of_dh)
-        np.subtract(1.0, dc_of_dh, out=dc_of_dh)
+        np.square(self.tc_flat, dc_of_dh)
+        np.subtract(1.0, dc_of_dh, dc_of_dh)
         dc_of_dh *= o
-        np.multiply(self.d_out_column, self.w_out, out=self.dh)
+        np.multiply(self.d_out_column, self.w_out, self.dh)
 
         w_h_t, dc, dc_next, dh_next = self.w_h_t, self.dc, self.dc_next, self.dh_next
         last = d_out.size - 1
         for k, dh, dc_dh, partner, partner_o, dz, dz_o, dz_row, forget in self.backward_steps:
             if k < last:
                 dh += dh_next
-            np.multiply(dh, dc_dh, out=dc)
+            np.multiply(dh, dc_dh, dc)
             if k < last:
                 dc += dc_next
-            np.multiply(partner, dc, out=dz)
-            np.multiply(partner_o, dh, out=dz_o)
+            np.multiply(partner, dc, dz)
+            np.multiply(partner_o, dh, dz_o)
             if k:  # step 0's recurrent errors reach no earlier step
-                np.matmul(w_h_t, dz_row, out=dh_next)
-                np.multiply(dc, forget, out=dc_next)
+                np.matmul(w_h_t, dz_row, dh_next)
+                np.multiply(dc, forget, dc_next)
 
         g_w_h, g_w_x, g_b, g_w_out = self.grads
-        np.matmul(self.inputs, self.dz, out=g_w_x)
-        np.matmul(self.dz_t, self.h_prev, out=g_w_h)
+        np.matmul(self.inputs, self.dz, g_w_x)
+        np.matmul(self.dz_t, self.h_prev, g_w_h)
         np.add.reduce(self.dz, axis=0, out=g_b)
-        np.matmul(d_out, self.h_next, out=g_w_out)
+        np.matmul(d_out, self.h_next, g_w_out)
         self.b_out_grad = float(d_out.sum())
         return loss
 
@@ -414,12 +433,12 @@ def _step_weights(model: LstmModel, n: int) -> tuple:
 
 
 def _workspace(n: int, h: int) -> tuple:
-    """Two sets of the arrays a step on n rows writes: the ``(4, n, H)``
-    pre-activations, then views of ``(n + 1, H)`` cell and hidden arrays whose
-    last row stays zero: the rows a step writes, row 0 of the hidden state,
-    and the rows carried to the next step."""
+    """Two sets of the arrays a step on n rows writes: ``_gate_views`` of the
+    ``(4, n, H)`` pre-activations, then views of ``(n + 1, H)`` cell and hidden
+    arrays whose last row stays zero: the rows a step writes, row 0 of the
+    hidden state, and the rows carried to the next step."""
     return tuple(
-        (np.empty((4, n, h)), cells[:-1], hiddens[:-1], hiddens[0], hiddens[1:], cells[1:])
+        (_gate_views(np.empty((4, n, h))), cells[:-1], hiddens[:-1], hiddens[0], hiddens[1:], cells[1:])
         for cells, hiddens in np.zeros((2, 2, n + 1, h))
     )
 
@@ -434,11 +453,11 @@ def _advance(model: LstmModel, weights: tuple, feed, hidden: np.ndarray, cell: n
     """
     w_h, w_x, b = weights
     for k, x in enumerate(feed):
-        act, cells, hiddens, first, hidden_next, cell_next = sets[k % 2]
-        np.matmul(hidden, w_h, out=act)
-        _gates(act, x, w_x, b, cell, cells, hiddens, hiddens)
+        views, cells, hiddens, first, hidden_next, cell_next = sets[k % 2]
+        np.matmul(hidden, w_h, views[0])
+        _gates(views, x, w_x, b, cell, cells, hiddens, hiddens)
         hidden, cell = hidden_next, cell_next
-    return float(model.w_out @ first) + model.b_out, hidden, cell
+    return float(model.w_out.dot(first)) + model.b_out, hidden, cell
 
 
 def predict_next(model: LstmModel, window: Sequence[float]) -> float:

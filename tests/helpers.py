@@ -206,7 +206,7 @@ def plain_forward(model, inputs) -> np.ndarray:
     for x in np.asarray(inputs, dtype=float).tolist():
         act = np.matmul(w_h, hidden).reshape(4, h)
         c_prev, (cell, tanh_cell, hidden) = cell, np.empty((3, h))
-        forecaster._gates(act, x, w_x, b, c_prev, cell, tanh_cell, hidden)
+        forecaster._gates(forecaster._gate_views(act), x, w_x, b, c_prev, cell, tanh_cell, hidden)
         hiddens.append(hidden)
     outputs = np.matmul(np.array(hiddens), model.w_out)
     outputs += model.b_out
@@ -323,7 +323,7 @@ def reference_advance(model, weights: tuple, feed, hidden: np.ndarray, cell: np.
         act = np.matmul(hidden, w_h)
         cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
         out = hiddens[:-1]
-        forecaster._gates(act, x, w_x, b, cell, cells[:-1], out, out)
+        forecaster._gates(forecaster._gate_views(act), x, w_x, b, cell, cells[:-1], out, out)
         hidden, cell = hiddens[1:], cells[1:]
     return float(model.w_out @ hiddens[0]) + model.b_out, hidden, cell
 
@@ -498,6 +498,20 @@ class FailingEngine:
     def predict(self, model, window):
         self._count("predict")
         return self._engine.predict(model, window)
+
+
+class NanForecastEngine(FailingEngine):
+    """Delegates to ``engine`` but answers the ``call``-th ``predict`` call
+    (1-based) with NaN instead of a forecast."""
+
+    def __init__(self, engine, call: int):
+        super().__init__(engine, "predict", call)
+
+    def predict(self, model, window):
+        try:
+            return super().predict(model, window)
+        except EngineFailure:
+            return math.nan
 
 
 def without_timing(records) -> list[DetectionRecord]:

@@ -1,11 +1,16 @@
 import dataclasses
 import math
 import warnings
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from presage import forecaster, scoring
+from presage.data_io import read_report
 from presage.detector import (
     Detector,
     DetectorConfig,
@@ -22,12 +27,14 @@ from helpers import (
     EngineFailure,
     FailingEngine,
     LargeErrorEngine,
+    NanForecastEngine,
     PerfectEngine,
     RecordingEngine,
     ScriptedEngine,
     make_record,
     threshold,
     without_timing,
+    write_records,
 )
 
 # Small network for tests that exercise the state machine rather than
@@ -89,6 +96,30 @@ class TestConfig:
         for epsilon in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 DetectorConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "make,name,bad",
+        [
+            (DetectorConfig, "look_back", 2.5),
+            (DetectorConfig, "look_back", "3"),
+            (DetectorConfig, "look_back", True),
+            (DetectorConfig, "epsilon", "1"),
+            (LstmConfig, "hidden_units", 2.5),
+            (LstmConfig, "max_epochs", 7.5),
+            (LstmConfig, "min_epochs", True),
+            (LstmConfig, "early_stop_patience", 3.0),
+            (LstmConfig, "seed", 1.5),
+            (LstmConfig, "learning_rate", "0.1"),
+            (LstmConfig, "early_stop_delta", None),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_a_config_error_naming_it(self, make, name, bad):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            make(**{name: bad})
+
+    def test_any_real_number_fills_a_real_field(self):
+        assert DetectorConfig(epsilon=np.float64(1e-6)).epsilon == 1e-6
+        assert LstmConfig(learning_rate=1, early_stop_delta=np.float32(0.5)).learning_rate == 1
 
 
 class TestPhaseSchedule:
@@ -352,20 +383,44 @@ class TestEngineFailure:
         ],
     )
     def test_failed_point_leaves_no_trace(self, method, call, failed_t):
+        unfailing = Detector(DetectorConfig(look_back=self.B, lstm=FAST_LSTM))
+        rechecked = [t for t, v in enumerate(self._series()) if unfailing.step(v).retrained]
+        assert rechecked == [self.SPIKE_T]
+        engine = FailingEngine(LstmEngine(FAST_LSTM), method, call)
+        self._assert_only_point_failed(engine, EngineFailure, failed_t)
+
+    # A NaN forecast made at t = 11 is for t = 12; the recheck forecast at
+    # SPIKE_T is for SPIKE_T itself.
+    @pytest.mark.parametrize("call,failed_t", [(10, 11), (SPIKE_T - 1, SPIKE_T)])
+    def test_a_nan_forecast_fails_only_the_step_that_made_it(self, call, failed_t):
+        engine = NanForecastEngine(LstmEngine(FAST_LSTM), call)
+        self._assert_only_point_failed(engine, DataError, failed_t)
+
+    def test_a_numpy_forecast_is_stored_as_a_float_and_its_report_reads_back(self, tmp_path):
+        class NumpyEngine(LstmEngine):
+            def predict(self, model, window):
+                return np.float64(super().predict(model, window))
+
+        detector = Detector(DetectorConfig(look_back=self.B), engine=NumpyEngine(FAST_LSTM))
+        records = [detector.step(v) for v in self._series()]
+        assert all(type(r.predicted) is float for r in records[self.B :])
+        write_records(records, tmp_path / "report.csv")
+        assert read_report(tmp_path / "report.csv") == records
+
+    def _assert_only_point_failed(self, engine, error, failed_t):
+        """Step the series through ``engine``: only point ``failed_t`` raises
+        ``error``, and the records are a twin's that never saw that point."""
         series = self._series()
         config = DetectorConfig(look_back=self.B, lstm=FAST_LSTM)
-        unfailing = Detector(config)
-        rechecked = [t for t, v in enumerate(series) if unfailing.step(v).retrained]
-        assert rechecked == [self.SPIKE_T]
-
-        detector = Detector(config, engine=FailingEngine(LstmEngine(FAST_LSTM), method, call))
+        detector = Detector(config, engine=engine)
         records, failed = [], []
         for t, value in enumerate(series):
             try:
                 records.append(detector.step(value))
-            except EngineFailure:
+            except error:
                 failed.append(t)
         assert failed == [failed_t]
+        assert [r.time_index for r in records] == list(range(len(series) - 1))
 
         twin = Detector(config)
         expected = [twin.step(v) for t, v in enumerate(series) if t != failed_t]
@@ -483,3 +538,117 @@ class TestOverflow:
         records = self._step_all(series)
         assert [r.time_index for r in records] == list(range(40))
         assert records[30].verdict is Verdict.ANOMALY
+
+
+class TestTracedSeam:
+    """The benchmark's traced run counts the calls to ``scoring.aare``,
+    ``forecaster.train`` and ``forecaster.predict_next`` at those module
+    attributes, so the detector must make every such call through them."""
+
+    def test_every_call_goes_through_the_traced_module_attributes(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in ((scoring, "aare"), (forecaster, "train"), (forecaster, "predict_next")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        n, b = 100, 3
+        rng = np.random.default_rng(1)
+        series = 50 + 3 * np.sin(np.arange(n) / 4) + rng.normal(0, 0.3, n)
+        series[[40, 70]] -= 30.0  # each dip is rechecked three times, at it and after it
+        detector = Detector(DetectorConfig(look_back=b, lstm=FAST_LSTM))
+        rechecks = sum(detector.step(v).retrained for v in series)
+        assert rechecks == 6
+        # the identities bench/run.py checks on every traced replay
+        assert counts == {
+            "aare": n - 2 * b + 1 + rechecks,
+            "train": b + 2 + rechecks,
+            "predict_next": n - b + 1 + rechecks,
+        }
+
+
+# Calm values keep the threshold low, so a spike among them is rechecked once
+# enough scores have come in.
+CALM, SPIKES = st.floats(49.0, 51.0), st.floats(150.0, 250.0)
+VALUES = CALM | SPIKES
+
+
+class AllOrNothing(RuleBasedStateMachine):
+    """A detector whose steps sometimes fail, beside a twin that sees only the
+    valid steps: after every failed step the two go on with equal records."""
+
+    @initialize(look_back=st.integers(2, 4), calm=st.sampled_from([30, 8, 0]))
+    def start(self, look_back, calm):
+        """Two fresh detectors, stepped through the same ``calm`` points: after
+        30 of them there are enough scores for a spike to be rechecked."""
+        config = DetectorConfig(look_back=look_back, lstm=FAST_LSTM)
+        self.engine = LstmEngine(FAST_LSTM)
+        self.detector = Detector(config, engine=self.engine)
+        self.twin = Detector(config)
+        self.stamp = datetime(2021, 1, 1)  # every valid step is stamped from here on
+        self.calm_steps([50.0 + math.sin(k / 3) for k in range(calm)], 1)
+
+    def _both_step(self, record, value):
+        twin_record = self.twin.step(value, self.stamp)
+        assert without_timing([record]) == without_timing([twin_record])
+
+    @rule(values=st.lists(CALM, min_size=1, max_size=6), gap=st.integers(0, 2))
+    def calm_steps(self, values, gap):
+        for value in values:
+            self.stamp += gap * timedelta(minutes=5)
+            self._both_step(self.detector.step(value, self.stamp), value)
+
+    @rule(value=SPIKES)
+    def spike_step(self, value):
+        self._both_step(self.detector.step(value, self.stamp), value)
+
+    @rule()
+    def nan_value(self):
+        with pytest.raises(DataError, match="is not finite"):
+            self.detector.step(math.nan, self.stamp)
+
+    @precondition(lambda self: self.detector.time_index >= 0)
+    @rule(value=VALUES)
+    def out_of_order_timestamp(self, value):
+        with pytest.raises(OrderingError):
+            self.detector.step(value, self.stamp - timedelta(minutes=1))
+
+    @precondition(lambda self: self.detector.time_index >= 0)
+    @rule(value=VALUES)
+    def mixed_timezone_timestamp(self, value):
+        with pytest.raises(DataError, match="timezone-aware and naive"):
+            self.detector.step(value, self.stamp.replace(tzinfo=timezone.utc))
+
+    @rule(value=VALUES, method=st.sampled_from(["train", "predict"]))
+    def raising_engine(self, value, method):
+        self._faulty_step(FailingEngine(self.engine, method, 1), EngineFailure, value)
+
+    @rule(value=VALUES)
+    def nan_forecast(self, value):
+        self._faulty_step(NanForecastEngine(self.engine, 1), DataError, value)
+
+    def _faulty_step(self, engine, error, value):
+        """Step through ``engine`` for one point. A step that makes no call
+        the engine fails (no train call, or none at all while collecting)
+        is a valid step, and the twin takes it too."""
+        self.detector.engine = engine
+        try:
+            record = self.detector.step(value, self.stamp)
+        except error:
+            return
+        finally:
+            self.detector.engine = self.engine
+        self._both_step(record, value)
+
+    @invariant()
+    def same_point_count(self):
+        assert self.detector.time_index == self.twin.time_index
+
+
+TestAllOrNothing = AllOrNothing.TestCase
+TestAllOrNothing.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
