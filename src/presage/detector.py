@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Protocol, Sequence
@@ -170,9 +169,10 @@ class Detector:
     """Sequential per-point anomaly detector over one stream.
 
     Call ``step`` once per observation, in time order. Instances are not
-    thread-safe; run one detector per stream. The state is O(look_back):
-    the last b values, the forecasts made after each of them, and a
-    running mean and variance of the error scores.
+    thread-safe; run one detector per stream. The state is one O(look_back)
+    tuple, replaced whole when a step succeeds: the point index, the last b
+    values, the forecasts made after each of them, a running mean and
+    variance of the error scores, the model and the last timestamp.
     """
 
     def __init__(
@@ -184,20 +184,20 @@ class Detector:
         self.engine: ForecastEngine = (
             engine if engine is not None else LstmEngine(self.config.lstm)
         )
-        b = self.config.look_back
-        self.model: object | None = None
-        self._t = -1
-        self._buffer: deque[float] = deque(maxlen=b)
-        # _forecasts[i] is the forecast made after ingesting _buffer[i], so
-        # for the point after it; None while no model exists.
-        self._forecasts: deque[float | None] = deque([None] * b, maxlen=b)
-        self._welford = _WELFORD_EMPTY
-        self._last_timestamp: datetime | None = None
+        # (t, buffer, forecasts, welford, model, last timestamp); forecasts[i]
+        # is the forecast made after ingesting buffer[i], so for the point
+        # after it, and None while no model exists.
+        self._state = (-1, (), (None,) * self.config.look_back, _WELFORD_EMPTY, None, None)
 
     @property
     def time_index(self) -> int:
         """Index of the most recently ingested point, -1 before any."""
-        return self._t
+        return self._state[0]
+
+    @property
+    def model(self) -> object | None:
+        """The model the next forecast comes from, None before the first."""
+        return self._state[4]
 
     def step(self, value: float, timestamp: datetime | None = None) -> DetectionRecord:
         """Ingest one observation and return the decision for it.
@@ -209,26 +209,25 @@ class Detector:
         forecast that is no number, and any exception an engine raises leave
         the detector as it was.
         """
-        t = self._t + 1
+        t, buffer, forecasts, history, model, last_timestamp = self._state
+        t += 1
         value = _finite_float(value, "observation", t)
-        if timestamp is not None and self._last_timestamp is not None:
-            _check_order(self._last_timestamp, timestamp)
+        if timestamp is not None and last_timestamp is not None:
+            _check_order(last_timestamp, timestamp)
 
         started = time.perf_counter()
         b = self.config.look_back
         phase = phase_of(t, b)
-        window = [*self._buffer, value][-b:]
-        forecasts = list(self._forecasts)  # made for points t-b+1 .. t
-        model = self.model
-        welford = self._welford
+        window = (*buffer, value)[-b:]  # points t-b+1 .. t, as in forecasts
         aare_value: float | None = None
         thd: float | None = None
+        welford = history
         verdict = Verdict.PENDING
         retrained = False
 
         if phase is Phase.BOOTSTRAP or phase is Phase.DETECTING:
             aare_value = scoring.aare(window, forecasts, self.config.epsilon)
-            welford = _welford_add(self._welford, aare_value)
+            welford = _welford_add(history, aare_value)
         if phase is Phase.WARMUP or phase is Phase.BOOTSTRAP:
             model = self.engine.train(window)
         elif phase is Phase.DETECTING:
@@ -238,12 +237,11 @@ class Detector:
                 # buffer before t) so the suspicious value stays out of its
                 # own training data. An anomaly keeps the previous model.
                 retrained = True
-                previous_window = list(self._buffer)
-                candidate = self.engine.train(previous_window)
-                recheck = self.engine.predict(candidate, previous_window)
-                forecasts[-1] = _finite_float(recheck, "forecast", t)
+                candidate = self.engine.train(buffer)
+                recheck = self.engine.predict(candidate, buffer)
+                forecasts = (*forecasts[:-1], _finite_float(recheck, "forecast", t))
                 aare_value = scoring.aare(window, forecasts, self.config.epsilon)
-                welford = _welford_add(self._welford, aare_value)
+                welford = _welford_add(history, aare_value)
                 if aare_value <= thd:
                     model = candidate
             verdict = Verdict.NORMAL if aare_value <= thd else Verdict.ANOMALY
@@ -254,14 +252,8 @@ class Detector:
 
         # Commit point: nothing above changed the detector, so an exception
         # raised there leaves it as it was.
-        self._t = t
-        self._buffer.append(value)
-        self._forecasts[-1] = forecasts[-1]
-        self._forecasts.append(forecast)
-        self._welford = welford
-        self.model = model
-        if timestamp is not None:
-            self._last_timestamp = timestamp
+        self._state = (t, window, (*forecasts[1:], forecast), welford, model,
+                       last_timestamp if timestamp is None else timestamp)
         # positional: keywords cost about twice as much on this hot path
         return DetectionRecord(
             t, timestamp, value, forecasts[-1], aare_value, thd, phase, verdict, retrained, decision_time

@@ -11,15 +11,16 @@ look for the earliest anomaly report inside an evaluation window
 arrived. Reports outside every label's window are false warnings. Each
 anomaly report counts exactly once: it is attributed to the label whose
 instant is nearest (ties to the earlier label), or to the false-warning
-pool. Both spans are given in minutes; one that is not finite, is negative
-or does not fit a ``timedelta`` is a ``ConfigError``, raised before any
-record is read.
+pool. Both spans are given in minutes; one that is not a real number, is
+not finite, is negative or does not fit a ``timedelta`` is a
+``ConfigError``, raised before any record is read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
@@ -114,10 +115,10 @@ def _checked(
 
 
 def _span(minutes: float, name: str) -> timedelta:
-    """``minutes`` as a time span: finite, non-negative and within what a
-    ``timedelta`` holds, else ``ConfigError``."""
-    if not (math.isfinite(minutes) and minutes >= 0):
-        raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {minutes}")
+    """``minutes`` as a time span: a real number, finite, non-negative and
+    within what a ``timedelta`` holds, else ``ConfigError``."""
+    if not (isinstance(minutes, numbers.Real) and math.isfinite(minutes) and minutes >= 0):
+        raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {minutes!r}")
     try:
         return timedelta(minutes=minutes)
     except OverflowError:
@@ -179,33 +180,24 @@ def evaluate_run(
     # The anomalies are in time order, so a label's first report is its earliest.
     first: dict[int, datetime] = {}
     false_warning_count = 0
-    ordered = sorted(range(len(labels)), key=lambda i: labels[i])
     for record in run.anomalies:
-        best = best_distance = None
-        for i in ordered:
-            # A label plus or minus a wide span can leave datetime's
-            # range; the difference of two datetimes cannot.
-            offset = record.timestamp - labels[i]
-            if -pre <= offset <= grace:
-                distance = abs(offset)
-                if best_distance is None or distance < best_distance:
-                    best, best_distance = i, distance
-        if best is None:
-            false_warning_count += 1
+        # A label plus or minus a wide span can leave datetime's range; the
+        # difference of two datetimes cannot. Ties go to the earlier label.
+        near = [(abs(offset), label, i) for i, label in enumerate(labels)
+                if -pre <= (offset := record.timestamp - label) <= grace]
+        if near:
+            first.setdefault(min(near)[2], record.timestamp)
         else:
-            first.setdefault(best, record.timestamp)
+            false_warning_count += 1
 
     lead_times = []
     for i, instant in enumerate(labels):
-        if i not in first:
-            lead_times.append(LeadTimeResult(instant, None, None, LeadStatus.MISSED))
-            continue
-        lead = (instant - first[i]).total_seconds() / 60.0
-        if lead > 0:
-            status = LeadStatus.PROACTIVE
-        elif lead == 0:
-            status = LeadStatus.ON_TIME
+        report = first.get(i)
+        if report is None:
+            lead, status = None, LeadStatus.MISSED
         else:
-            status = LeadStatus.LATE
-        lead_times.append(LeadTimeResult(instant, first[i], lead, status))
+            lead = (instant - report).total_seconds() / 60.0
+            status = (LeadStatus.PROACTIVE if lead > 0
+                      else LeadStatus.ON_TIME if lead == 0 else LeadStatus.LATE)
+        lead_times.append(LeadTimeResult(instant, report, lead, status))
     return EvaluationSummary(lead_times, false_warning_count, run)

@@ -59,13 +59,16 @@ _CONSTANT_STD = 1e-12
 
 def _check_types(config) -> None:
     """The type rule of every config: ``ConfigError`` naming a field declared ``int``
-    that holds no ``int`` (a ``bool`` is none) or ``float`` that holds no real number."""
+    that holds no ``int`` (a ``bool`` is none), ``float`` that holds no real number
+    or ``LstmConfig`` that holds no ``LstmConfig``."""
     for spec in fields(config):
         value = getattr(config, spec.name)
         if spec.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
             raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
         if spec.type == "float" and not isinstance(value, numbers.Real):
             raise ConfigError(f"{spec.name} must be a real number, got {value!r}")
+        if spec.type == "LstmConfig" and not isinstance(value, LstmConfig):
+            raise ConfigError(f"{spec.name} must be an LstmConfig, got {value!r}")
 
 
 @dataclass(frozen=True)

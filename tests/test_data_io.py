@@ -15,7 +15,7 @@ from presage.data_io import (
     write_summary,
 )
 from presage.detector import DetectionRecord, DetectorConfig, Phase, Verdict, phase_of
-from presage.errors import DataError, DatasetKeyError
+from presage.errors import DataError, DatasetKeyError, OrderingError
 from presage.evaluation import summarize_run
 
 from helpers import (
@@ -78,6 +78,16 @@ class TestReadSeries:
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,value\n2020-01-01 00:00:00,oops\n")
         with pytest.raises(DataError, match=":2"):
+            list(read_series(path))
+
+    def test_blank_rows_are_skipped_but_keep_their_line_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "timestamp,value\n\n2020-01-01 00:00:00,1.0\n\n\n2020-01-01 00:05:00,2.0\n"
+        )
+        assert [value for _, value in read_series(path)] == [1.0, 2.0]
+        path.write_text("timestamp,value\n2020-01-01 00:00:00,1.0\n\n2020-01-01 00:05:00,oops\n")
+        with pytest.raises(DataError, match=":4:"):
             list(read_series(path))
 
     def test_non_finite_value_rejected(self, tmp_path):
@@ -258,6 +268,12 @@ class TestReadLabels:
         path = tmp_path / "labels.json"
         path.write_text(json.dumps(["2020-01-02 00:00:00", "2020-01-01 00:00:00"]))
         with pytest.raises(DataError):
+            read_labels(path)
+
+    def test_repeated_label_rejected(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(["2020-01-01 00:00:00", "2020-01-01 00:00:00"]))
+        with pytest.raises(OrderingError, match="repeats the previous one"):
             read_labels(path)
 
     def test_invalid_json(self, tmp_path):

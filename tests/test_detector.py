@@ -104,6 +104,11 @@ class TestConfig:
             (DetectorConfig, "look_back", "3"),
             (DetectorConfig, "look_back", True),
             (DetectorConfig, "epsilon", "1"),
+            # "x" once failed every step from t=b-1 on with an AttributeError,
+            # and None silently ran the default LstmConfig.
+            (DetectorConfig, "lstm", "x"),
+            (DetectorConfig, "lstm", None),
+            (DetectorConfig, "lstm", {}),
             (LstmConfig, "hidden_units", 2.5),
             (LstmConfig, "max_epochs", 7.5),
             (LstmConfig, "min_epochs", True),
@@ -127,6 +132,12 @@ class TestPhaseSchedule:
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
         assert detector.time_index == -1
         assert detector.model is None
+
+    def test_model_and_time_index_are_read_only(self):
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        for name in ("model", "time_index"):
+            with pytest.raises(AttributeError):
+                setattr(detector, name, None)
 
     def test_records_follow_the_schedule(self):
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
@@ -518,13 +529,10 @@ class TestOverflow:
         series = [1e301, 2e301, 1.5e301, 1.2e301, 1.7e301, 1.1e301, 1.3e301, 1.6e301]
         detector = Detector(DetectorConfig(lstm=FAST_LSTM))
         records = [detector.step(v) for v in series]
-        state = (detector.model, list(detector._buffer), list(detector._forecasts),
-                 detector._welford)
+        state = detector._state
         with pytest.raises(DataError, match="score overflows"):
             detector.step(0.0)
-        assert detector.time_index == 7
-        assert state == (detector.model, list(detector._buffer), list(detector._forecasts),
-                         detector._welford)
+        assert detector._state is state
         records.append(detector.step(1.4e301))
         twin = Detector(DetectorConfig(lstm=FAST_LSTM))
         assert without_timing(records) == without_timing(

@@ -282,10 +282,10 @@ def unread_records():
 
 
 class TestSpans:
-    """Both spans must be finite, non-negative and fit a timedelta."""
+    """Both spans must be real numbers, finite, non-negative and fit a timedelta."""
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf"), 1e300, -5.0]
+        "value", [float("nan"), float("inf"), float("-inf"), 1e300, -5.0, "1", None]
     )
     @pytest.mark.parametrize("span", ["pre_window_minutes", "grace_minutes"])
     @pytest.mark.parametrize(
