@@ -193,7 +193,7 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> list[dateti
     try:
         with _open_text(path) as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4300 digits
         raise DataError(f"{path}: invalid JSON: {exc}") from None
 
     if isinstance(payload, list):

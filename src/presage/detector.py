@@ -184,10 +184,10 @@ class Detector:
         self.engine: ForecastEngine = (
             engine if engine is not None else LstmEngine(self.config.lstm)
         )
-        # (t, buffer, forecasts, welford, model, last timestamp); forecasts[i]
-        # is the forecast made after ingesting buffer[i], so for the point
-        # after it, and None while no model exists.
-        self._state = (-1, (), (None,) * self.config.look_back, _WELFORD_EMPTY, None, None)
+        # (t, buffer, forecasts, welford, model, last timestamp); forecasts[-1]
+        # is the forecast for the next point and forecasts[i] the one made after
+        # ingesting buffer[i], None while no model exists. Both grow to b entries.
+        self._state = (-1, (), (None,), _WELFORD_EMPTY, None, None)
 
     @property
     def time_index(self) -> int:
@@ -217,7 +217,7 @@ class Detector:
 
         started = time.perf_counter()
         b = self.config.look_back
-        phase = phase_of(t, b)
+        phase = Phase.DETECTING if t > 2 * b else phase_of(t, b)
         window = (*buffer, value)[-b:]  # points t-b+1 .. t, as in forecasts
         aare_value: float | None = None
         thd: float | None = None
@@ -252,7 +252,7 @@ class Detector:
 
         # Commit point: nothing above changed the detector, so an exception
         # raised there leaves it as it was.
-        self._state = (t, window, (*forecasts[1:], forecast), welford, model,
+        self._state = (t, window, (*forecasts, forecast)[-b:], welford, model,
                        last_timestamp if timestamp is None else timestamp)
         # positional: keywords cost about twice as much on this hot path
         return DetectionRecord(

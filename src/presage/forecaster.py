@@ -24,11 +24,12 @@ the products of the zero start state. Trained models are bit-identical to
 those of a plain descent that allocates afresh and computes those products
 (``tests/helpers.reference_train`` and ``plain_forward``).
 
-Forecasting keeps a workspace per model in the model's memo: two sets of
-step arrays. A step on consecutive windows writes into the set the memo
-does not carry, never into carried states, so forecasts are bit-identical
-to steps that allocate afresh (``tests/helpers.reference_predict``). A copy
-of a model gets no memo, so no two models write into one workspace.
+Forecasting keeps a memo per model, keyed by its weight arrays, norm stats
+and raw window, with two sets of step arrays: a step on the next window
+normalizes only its new value and writes into the set the memo does not
+carry, so forecasts are bit-identical to steps that allocate afresh
+(``tests/helpers.reference_predict``). A copy of a model gets no memo, so no
+two models write into one workspace.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ __all__ = [
 # Windows with a standard deviation at or below this are treated as
 # constant and normalized with std 1 instead.
 _CONSTANT_STD = 1e-12
+
+_HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (``_gates``)
 
 
 def _check_types(config) -> None:
@@ -123,13 +126,13 @@ class LstmModel:
     z-scored with them before entering the network and forecasts are
     mapped back afterwards.
 
-    ``predict_next`` keeps one memo on the model: the step weights it
-    builds from ``w_x``, ``w_h`` and ``b``, the workspace its steps write
-    into, and the recurrence states of the last forecast window's suffixes,
-    keyed by the identity of those three arrays: reassign them to change
-    them, never write into them. ``train`` returns its arrays read-only.
-    ``copy.copy``, ``copy.deepcopy`` and pickling leave the memo behind, and
-    one model must not forecast in two threads at once.
+    ``predict_next`` keeps one memo on the model: the step weights it builds
+    from ``w_x``, ``w_h`` and ``b``, the workspace its steps write into, and
+    the recurrence states of the last forecast window's suffixes, keyed by
+    the raw window, the norm stats and the identity of those arrays:
+    reassign them to change them, never write into them. ``train`` returns
+    its arrays read-only. Copies and pickles leave the memo behind, and one
+    model must not forecast in two threads at once.
     """
 
     w_x: np.ndarray  # (4H,)
@@ -187,8 +190,9 @@ def _sigmoid_row_scale(h: int) -> np.ndarray:
 
 
 def _gate_views(act: np.ndarray) -> tuple:
-    """``act`` and the views of it that ``_gates`` takes: ``act[:3]``, then ``act[0]`` .. ``act[3]``."""
-    return (act, act[:3], *act)
+    """``act``, its views that ``_gates`` takes (``act[:3]``, ``act[0]`` .. ``act[3]``) and a 0-d
+    array for the step's input."""
+    return (act, act[:3], *act, np.empty(()))
 
 
 def _gates(views, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
@@ -204,17 +208,19 @@ def _gates(views, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
     may be ``hidden`` when the caller needs no tanh. ``c_prev`` None is the zero state:
     ``act`` is only written and the cell is ``i * g``, the full step's values bit for
     bit while ``b`` holds no ``-0.0`` (a zero cell may change sign, nothing else).
-    ``out`` goes positionally here and in the callers: as a keyword it costs more.
+    ``out`` goes positionally here and in the callers, as a keyword costs more, and ``x``
+    and the halves go as 0-d arrays: numpy converts and promotes a Python float per call.
     """
-    act, sigmoids, i, f, o, g = views
+    act, sigmoids, i, f, o, g, x_array = views
+    x_array[()] = x
     if c_prev is None:
-        np.multiply(w_x, x, act)
+        np.multiply(w_x, x_array, act)
     else:
-        act += w_x * x
+        act += w_x * x_array
     act += b
     np.tanh(act, act)
-    sigmoids *= 0.5
-    sigmoids += 0.5
+    sigmoids *= _HALF
+    sigmoids += _HALF
     if c_prev is None:
         np.multiply(i, g, c)
     else:
@@ -289,9 +295,9 @@ class _Descent:
         w_h, w_x, b = self.half_weights
         for x, act, views, c_prev, c, tc, h_prev, hidden in self.forward_steps:
             if h_prev is not None:
-                np.matmul(w_h, h_prev, act)
+                np.dot(w_h, h_prev, act)
             _gates(views, x, w_x, b, c_prev, c, tc, hidden)
-        np.matmul(self.h_next, self.w_out, self.outputs)
+        np.dot(self.h_next, self.w_out, self.outputs)
         self.outputs += self.b_out
         return self.outputs
 
@@ -344,14 +350,14 @@ class _Descent:
             np.multiply(partner, dc, dz)
             np.multiply(partner_o, dh, dz_o)
             if k:  # step 0's recurrent errors reach no earlier step
-                np.matmul(w_h_t, dz_row, dh_next)
+                np.dot(w_h_t, dz_row, dh_next)
                 np.multiply(dc, forget, dc_next)
 
         g_w_h, g_w_x, g_b, g_w_out = self.grads
-        np.matmul(self.inputs, self.dz, g_w_x)
-        np.matmul(self.dz_t, self.h_prev, g_w_h)
+        np.dot(self.inputs, self.dz, g_w_x)
+        np.dot(self.dz_t, self.h_prev, g_w_h)
         np.add.reduce(self.dz, axis=0, out=g_b)
-        np.matmul(d_out, self.h_next, g_w_out)
+        np.dot(d_out, self.h_next, g_w_out)
         self.b_out_grad = float(d_out.sum())
         return loss
 
@@ -470,47 +476,46 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     through the recurrence from zero state, and the final step's output
     is mapped back to the raw scale.
 
-    Consecutive windows of a stream share all but one value, so the model
-    keeps one memo: ``w_x``, ``w_h`` and ``b``, the step weights built from
-    them for the window's length, and the states that the window's proper
-    suffixes reach from zero. The states are carried as ``(b, H)`` hidden
-    and cell arrays, longest suffix first, whose last row is the zero state.
-    A call whose three arrays or window length differ rebuilds the weights.
-    When the next window is this one moved on by one point, a single
-    batched step advances every row by the new value, and the row that now
-    spans the whole window gives the forecast. Any other call starts every
-    row from zero and feeds the whole window through the same step, in a
-    fresh workspace of two sets of step arrays. A step writes into the set
-    whose states the memo does not carry, so a call that raises leaves the
-    memo usable, and the memo is replaced only when a forecast returns. A
-    copy of the model starts with no memo and builds its own workspace.
-    The window is read, and NaN or inf refused, as in ``train``.
+    Consecutive windows of a stream share all but one value, so the model keeps
+    one memo: ``w_x``, ``w_h`` and ``b``, the step weights built from them for
+    the window's length, the raw window without its first value, ``norm_mean``
+    and ``norm_std``, and the states that the window's proper suffixes reach
+    from zero. The states are carried as ``(b, H)`` hidden and cell arrays,
+    longest suffix first, whose last row is the zero state. When the three
+    arrays are the same objects, the norm stats equal and the next window is
+    this one moved on by one point, only the new value is normalized and
+    checked, a single batched step advances every row by it, and the row that
+    now spans the whole window gives the forecast. Any other call builds the
+    step weights afresh, starts every row from zero and feeds the whole window
+    through the same step, in a fresh workspace of two sets of step arrays. A
+    step writes into the set whose states the memo does not carry, so a call
+    that raises leaves the memo usable, and the memo is replaced only when a
+    forecast returns. A copy of the model starts with no memo and builds its
+    own workspace. The window is read, and NaN or inf refused, as in ``train``.
     """
-    mean, std = model.norm_mean, model.norm_std
-    try:
-        normed = tuple([(v - mean) / std for v in _floats(window, "prediction window")])
-    except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
-        normed = (math.nan,)
-    if not normed:
+    values = _floats(window, "prediction window")
+    if not values:
         raise ValueError("prediction window must be non-empty")
-    if not all(map(math.isfinite, normed)):
+    mean, std = model.norm_mean, model.norm_std
+    memo = model._memo  # (w_x, w_h, b, (weights, workspace), window[1:], hidden, cell, mean, std)
+    warm = (
+        memo is not None and memo[0] is model.w_x and memo[1] is model.w_h and memo[2] is model.b
+        and memo[7] == mean and memo[8] == std and memo[4] == values[:-1]
+    )
+    try:
+        feed = [(values[-1] - mean) / std] if warm else [(v - mean) / std for v in values]
+    except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
+        feed = [math.nan]
+    if not all(map(math.isfinite, feed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
-    memo = model._memo  # (w_x, w_h, b, (step weights, workspace), window[1:], hidden, cell)
-    if (
-        memo is not None
-        and memo[0] is model.w_x
-        and memo[1] is model.w_h
-        and memo[2] is model.b
-        and memo[4] == normed[:-1]
-    ):
-        state, feed, hidden, cell = memo[3], normed[-1:], memo[5], memo[6]
+    if warm:
+        state, hidden, cell = memo[3], memo[5], memo[6]
         weights, (first, second) = state
         sets = (second,) if hidden is first[4] else (first,)  # the set not carried
     else:
-        n, h = len(normed), model.hidden_units
+        n, h = len(feed), model.hidden_units
         state = weights, sets = _step_weights(model, n), _workspace(n, h)
-        feed, hidden = normed, np.zeros((n, h))
-        cell = hidden
+        hidden = cell = np.zeros((n, h))
     try:
         output, hidden, cell = _advance(model, weights, feed, hidden, cell, sets)
     except FloatingPointError:
@@ -523,5 +528,5 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     forecast = output * model.norm_std + model.norm_mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
-    model._memo = (model.w_x, model.w_h, model.b, state, normed[1:], hidden, cell)
+    model._memo = (model.w_x, model.w_h, model.b, state, values[1:], hidden, cell, mean, std)
     return forecast

@@ -276,6 +276,14 @@ class TestEvaluate:
         inputs[prefixed] = bom
         assert evaluation(inputs["report"], inputs["labels"], "bom.json") == plain
 
+    def test_integer_past_the_digit_limit_in_the_labels_exits_one(self, tmp_path, spike_report, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"other": [%s], "spike": []}' % ("9" * 5000))
+        args = ["evaluate", "--report", str(spike_report), "--labels", str(labels), "--dataset-key", "spike"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and "Traceback" not in err
+
     def test_empty_label_list_counts_all_reports_as_false(self, tmp_path, spike_report):
         labels = tmp_path / "labels.json"
         labels.write_text("[]")

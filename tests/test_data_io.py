@@ -282,6 +282,14 @@ class TestReadLabels:
         with pytest.raises(DataError):
             read_labels(path)
 
+    def test_integer_past_the_digit_limit_anywhere_in_the_file(self, tmp_path):
+        # json.load raises a plain ValueError for an int literal of more than
+        # 4300 digits, under any key
+        path = tmp_path / "labels.json"
+        path.write_text('{"other": %s, "k": []}' % ("1" * 5000))
+        with pytest.raises(DataError, match="invalid JSON"):
+            read_labels(path, "k")
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text("[" * 100_000)

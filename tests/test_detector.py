@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -174,6 +175,22 @@ class TestPhaseSchedule:
         records = [detector.step(50.0 + 0.1 * k) for k in range(20)]
         scored = sum(1 for r in records if r.aare is not None)
         assert scored == detector.time_index - 2 * b + 2
+
+    def test_state_grows_with_the_points_not_with_the_look_back(self):
+        tracemalloc.start()
+        try:
+            detector = Detector(DetectorConfig(look_back=10**7, lstm=FAST_LSTM))
+            records = [detector.step(50.0 + k) for k in range(5)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.phase for r in records] == [Phase.COLLECTING] * 5
+        assert peak < 1024 * 1024  # (None,) * 10**7 alone is 80 MB
+        detector = Detector(DetectorConfig(look_back=3, lstm=FAST_LSTM))
+        for k in range(10):
+            detector.step(50.0 + 0.1 * k)
+            _, buffer, forecasts, *_ = detector._state
+            assert (len(buffer), len(forecasts)) == (min(k + 1, 3), min(k + 2, 3))
 
     def test_look_back_two_starts_detecting_at_five(self):
         detector = Detector(DetectorConfig(look_back=2, lstm=FAST_LSTM))

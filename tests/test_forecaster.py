@@ -292,12 +292,13 @@ class TestDescent:
     """``train`` runs its epochs through one workspace; a plain loop that
     builds everything afresh each epoch must give the same model."""
 
-    def test_matches_the_plain_loop_for_every_look_back(self):
+    @pytest.mark.parametrize("hidden_units", [1, 4, 10, 32])
+    def test_matches_the_plain_loop_for_every_look_back(self, hidden_units):
         rng = np.random.default_rng(61)
-        for look_back in range(2, 9):
+        for look_back in range(2, 18):
             for scale in (1e-5, 1.0, 1e5):
                 window = scale * (3.0 + rng.standard_normal(look_back))
-                config = LstmConfig(seed=int(rng.integers(100)))
+                config = LstmConfig(hidden_units=hidden_units, seed=int(rng.integers(100)))
                 assert_same_outcome(train(window, config), reference_train(window, config))
 
     def test_matches_the_plain_loop_with_other_settings(self):
@@ -319,12 +320,12 @@ class TestDescent:
         with np.errstate(all="raise"):
             assert_same_outcome(train(window, config), reference_train(window, config))
 
-    @pytest.mark.parametrize("hidden_units", [1, 3, 10])
+    @pytest.mark.parametrize("hidden_units", [1, 3, 4, 10, 32])
     def test_forward_equals_the_plain_forward_bit_for_bit(self, hidden_units):
         # Step 0 skips the recurrent products and the forget term of the
         # zero start state; the plain forward computes them.
         rng = np.random.default_rng(67 + hidden_units)
-        for look_back in range(2, 9):
+        for look_back in range(2, 18):
             for _ in range(6):
                 model = random_model(rng, hidden_units)
                 inputs = 2.0 * rng.standard_normal(look_back - 1)
@@ -453,6 +454,10 @@ class TestPredictNext:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             predict_next(zero_model(), [])
+        model = zero_model()
+        predict_next(model, [5.0])  # a memo whose window suffix is empty
+        with pytest.raises(ValueError, match="must be non-empty"):
+            predict_next(model, [])
 
     def test_non_finite_window_rejected(self):
         with pytest.raises(DataError):
@@ -550,8 +555,8 @@ def assert_forecast(model: LstmModel, window, forecast: float):
 def poison(model: LstmModel):
     """Shift the carried suffix states, keeping the memo's key, so that a
     call which reuses them is visibly wrong."""
-    key_and_weights, (hidden, cell) = model._memo[:5], model._memo[5:]
-    model._memo = (*key_and_weights, hidden + 0.5, cell - 0.5)
+    memo = model._memo
+    model._memo = (*memo[:5], memo[5] + 0.5, memo[6] - 0.5, *memo[7:])
 
 
 class TestSuffixStates:
@@ -643,11 +648,11 @@ class TestSuffixStates:
         # cold, then warm twice, then cold again after a gap
         for start in (0, 1, 2, 4):
             memo = model._memo
-            snapshot = None if memo is None else [a.copy() for a in memo[5:]]
+            snapshot = None if memo is None else [a.copy() for a in memo[5:7]]
             predict_next(model, series[start : start + 4])
             if memo is not None:
-                assert all(np.array_equal(a, s) for a, s in zip(memo[5:], snapshot))
-            for carried in model._memo[5:]:
+                assert all(np.array_equal(a, s) for a, s in zip(memo[5:7], snapshot))
+            for carried in model._memo[5:7]:
                 assert carried.shape == (4, 6)
                 assert not carried[-1].any()
 
@@ -679,7 +684,7 @@ def assert_same_as_reference(model: LstmModel, window, memo):
     for bit; returns the reference's memo for the next call."""
     expected, memo = reference_predict(model, window, memo)
     assert predict_next(model, window) == expected
-    for carried, reference in zip(model._memo[5:], memo[5:]):
+    for carried, reference in zip(model._memo[5:7], memo[5:]):
         assert np.array_equal(carried, reference)
     return memo
 
@@ -707,6 +712,28 @@ class TestWorkspace:
                         _, sets = state
                         assert any(model._memo[5] is s[4] and model._memo[6] is s[5] for s in sets)
                     previous = start
+
+    def test_repeated_values_and_signed_zeros_match_the_reference(self):
+        # The memo is keyed on raw values and the norm stats, the reference on
+        # normalized values: -0.0 == 0.0 in both, and repeats make windows
+        # whose suffix equals the last window's although they are no slide.
+        # 1e-20 and 2e-20 normalize alike under mean 1.5: there the reference
+        # steps warm where the raw key starts cold, and the bits still agree.
+        rng = np.random.default_rng(67)
+        series = [0.0, -0.0, 0.0, 1.5, 1.5, -0.0, 1.5, 0.0, 0.0, -0.0, -0.0, 1e-20, 2e-20, 1e-20]
+        series += [1.5, 0.0, 1.5, -0.0, 0.0, 1.5]
+        for look_back in (1, 2, 3, 5):
+            for hidden_units in (1, 4, 10, 32):
+                for mean, std in ((0.0, 1.0), (-0.0, 2.0), (1.5, 0.5)):
+                    model = random_model(rng, hidden_units, 5.0)
+                    model.norm_mean, model.norm_std = mean, std
+                    memo, warm = None, 0
+                    jumps = [3, 4, 4, 0, 1, 13 - look_back, 13]
+                    for start in [*range(len(series) - look_back + 1), *jumps]:
+                        state = None if model._memo is None else model._memo[3]
+                        memo = assert_same_as_reference(model, series[start : start + look_back], memo)
+                        warm += model._memo[3] is state
+                    assert warm >= len(series) - look_back
 
     def test_a_failed_warm_call_leaves_the_memo_usable(self):
         rng = np.random.default_rng(59)
