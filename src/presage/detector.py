@@ -140,7 +140,8 @@ class ForecastEngine(Protocol):
     ``train`` fits a model to a look-back window of raw values and returns
     it; ``predict`` forecasts the raw value following ``window`` with a
     previously returned model, as a real number (NaN or inf fails the step).
-    Implementations must be deterministic for replayability.
+    Implementations must be deterministic for replayability. An engine may
+    keep caches, but its outputs depend only on ``(model, window)``.
     """
 
     def train(self, window: Sequence[float]) -> object: ...
@@ -152,17 +153,24 @@ class LstmEngine:
     """Default engine: a fresh from-scratch LSTM per training call.
 
     Every call trains from the same seed in the config, which keeps
-    whole-stream replays bit-reproducible.
+    whole-stream replays bit-reproducible. The engine holds the memo of
+    ``forecaster.predict_next``, so the next window of its last forecast steps
+    warm; it serves one thread at a time. A copy or an unpickled engine starts
+    with an empty memo, since copying would split its workspace's shared views.
     """
 
     def __init__(self, config: LstmConfig | None = None):
         self.config = config if config is not None else LstmConfig()
+        self._memo = [None]
+
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": [None]}
 
     def train(self, window: Sequence[float]) -> forecaster.LstmModel:
         return forecaster.train(window, self.config).model
 
     def predict(self, model: forecaster.LstmModel, window: Sequence[float]) -> float:
-        return forecaster.predict_next(model, window)
+        return forecaster.predict_next(model, window, self._memo)
 
 
 class Detector:
@@ -206,11 +214,15 @@ class Detector:
         or past the float range, for a score past it or for a timestamp whose
         timezone awareness differs from the previous one's, ``OrderingError``
         for a timestamp behind the previous one, ``ValueError`` for a value or
-        forecast that is no number, and any exception an engine raises leave
-        the detector as it was.
+        forecast that is no number or a timestamp that is neither ``None`` nor a
+        ``datetime``, and any exception an engine raises leave the detector as
+        it was. A value is read by ``float()``, as windows are, so text such as
+        ``"1.5"`` or ``b"2"`` is accepted.
         """
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1
+        if timestamp is not None and not isinstance(timestamp, datetime):
+            raise ValueError(f"timestamp at t={t} must be a datetime or None, got {timestamp!r}")
         value = _finite_float(value, "observation", t)
         if timestamp is not None and last_timestamp is not None:
             _check_order(last_timestamp, timestamp)

@@ -24,12 +24,9 @@ the products of the zero start state. Trained models are bit-identical to
 those of a plain descent that allocates afresh and computes those products
 (``tests/helpers.reference_train`` and ``plain_forward``).
 
-Forecasting keeps a memo per model, keyed by its weight arrays, norm stats
-and raw window, with two sets of step arrays: a step on the next window
-normalizes only its new value and writes into the set the memo does not
-carry, so forecasts are bit-identical to steps that allocate afresh
-(``tests/helpers.reference_predict``). A copy of a model gets no memo, so no
-two models write into one workspace.
+Forecasting may keep a memo that its caller owns, so that a step on the next
+window normalizes only its new value; forecasts are bit-identical to steps
+that allocate afresh (``tests/helpers.reference_predict``).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -115,7 +112,7 @@ class LstmConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LstmModel:
     """Weights of the one-hidden-layer LSTM plus normalization stats.
 
@@ -124,15 +121,8 @@ class LstmModel:
     the linear output layer. ``norm_mean``/``norm_std`` are the
     statistics of the window the model was trained on; raw values are
     z-scored with them before entering the network and forecasts are
-    mapped back afterwards.
-
-    ``predict_next`` keeps one memo on the model: the step weights it builds
-    from ``w_x``, ``w_h`` and ``b``, the workspace its steps write into, and
-    the recurrence states of the last forecast window's suffixes, keyed by
-    the raw window, the norm stats and the identity of those arrays:
-    reassign them to change them, never write into them. ``train`` returns
-    its arrays read-only. Copies and pickles leave the memo behind, and one
-    model must not forecast in two threads at once.
+    mapped back afterwards. A frozen value: ``train`` returns its arrays
+    read-only, and ``dataclasses.replace`` makes a changed model.
     """
 
     w_x: np.ndarray  # (4H,)
@@ -142,15 +132,10 @@ class LstmModel:
     b_out: float
     norm_mean: float = 0.0
     norm_std: float = 1.0
-    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def hidden_units(self) -> int:
         return self.w_out.size
-
-    def __getstate__(self) -> dict:
-        """A copy or an unpickled model starts with no memo."""
-        return {**self.__dict__, "_memo": None}
 
 
 @dataclass(frozen=True)
@@ -469,39 +454,35 @@ def _advance(model: LstmModel, weights: tuple, feed, hidden: np.ndarray, cell: n
     return float(model.w_out.dot(first)) + model.b_out, hidden, cell
 
 
-def predict_next(model: LstmModel, window: Sequence[float]) -> float:
+def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = None) -> float:
     """Forecast the raw value following the given raw window.
 
     The window is normalized with the model's stored statistics, run
     through the recurrence from zero state, and the final step's output
-    is mapped back to the raw scale.
+    is mapped back to the raw scale. The window is read, and NaN or inf
+    refused, as in ``train``.
 
-    Consecutive windows of a stream share all but one value, so the model keeps
-    one memo: ``w_x``, ``w_h`` and ``b``, the step weights built from them for
-    the window's length, the raw window without its first value, ``norm_mean``
-    and ``norm_std``, and the states that the window's proper suffixes reach
-    from zero. The states are carried as ``(b, H)`` hidden and cell arrays,
-    longest suffix first, whose last row is the zero state. When the three
-    arrays are the same objects, the norm stats equal and the next window is
-    this one moved on by one point, only the new value is normalized and
-    checked, a single batched step advances every row by it, and the row that
-    now spans the whole window gives the forecast. Any other call builds the
-    step weights afresh, starts every row from zero and feeds the whole window
-    through the same step, in a fresh workspace of two sets of step arrays. A
-    step writes into the set whose states the memo does not carry, so a call
-    that raises leaves the memo usable, and the memo is replaced only when a
-    forecast returns. A copy of the model starts with no memo and builds its
-    own workspace. The window is read, and NaN or inf refused, as in ``train``.
+    ``memo`` is a one-slot list that the caller owns and passes on every call;
+    no output bit depends on it. The slot keeps the model of the last forecast,
+    its step weights and a workspace of two sets of step arrays, the window
+    without its first value, and the states that the window's proper suffixes
+    reach from zero, as ``(b, H)`` hidden and cell arrays, longest suffix first,
+    whose last row is the zero state. When the model is the same object and the
+    window is the last one moved on by one point, only the new value is
+    normalized and checked, and one batched step advances every row by it; the
+    row that now spans the whole window gives the forecast. Any other call, and
+    every call without a memo, feeds the whole window from zero through fresh
+    step weights and workspace. A step writes into the set whose states the slot
+    does not carry, and the slot is replaced only when a forecast returns, so a
+    call that raises leaves it usable. The key is the model's identity: its
+    arrays must not be written in place.
     """
     values = _floats(window, "prediction window")
     if not values:
         raise ValueError("prediction window must be non-empty")
     mean, std = model.norm_mean, model.norm_std
-    memo = model._memo  # (w_x, w_h, b, (weights, workspace), window[1:], hidden, cell, mean, std)
-    warm = (
-        memo is not None and memo[0] is model.w_x and memo[1] is model.w_h and memo[2] is model.b
-        and memo[7] == mean and memo[8] == std and memo[4] == values[:-1]
-    )
+    last = None if memo is None else memo[0]  # (model, (weights, workspace), window[1:], hidden, cell)
+    warm = last is not None and last[0] is model and last[2] == values[:-1]
     try:
         feed = [(values[-1] - mean) / std] if warm else [(v - mean) / std for v in values]
     except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
@@ -509,7 +490,7 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
     if not all(map(math.isfinite, feed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
     if warm:
-        state, hidden, cell = memo[3], memo[5], memo[6]
+        _, state, _, hidden, cell = last
         weights, (first, second) = state
         sets = (second,) if hidden is first[4] else (first,)  # the set not carried
     else:
@@ -525,8 +506,9 @@ def predict_next(model: LstmModel, window: Sequence[float]) -> float:
         # every call would cost about a twentieth of a step.
         with np.errstate(under="ignore"):
             output, hidden, cell = _advance(model, weights, feed, hidden, cell, sets)
-    forecast = output * model.norm_std + model.norm_mean
+    forecast = output * std + mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
-    model._memo = (model.w_x, model.w_h, model.b, state, values[1:], hidden, cell, mean, std)
+    if memo is not None:
+        memo[0] = (model, state, values[1:], hidden, cell)
     return forecast

@@ -216,7 +216,7 @@ def plain_forward(model, inputs) -> np.ndarray:
 def finite_difference_grads(model, inputs, targets, step=1e-5):
     """Central finite differences of the training loss for every weight."""
 
-    def loss_at():
+    def loss_at(model=model):
         return loss_and_grads(model, inputs, targets)[0]
 
     grads = {}
@@ -235,11 +235,8 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
             grad[idx] = (plus - minus) / (2 * step)
         grads[name] = grad
     original = model.b_out
-    model.b_out = original + step
-    plus = loss_at()
-    model.b_out = original - step
-    minus = loss_at()
-    model.b_out = original
+    plus = loss_at(dataclasses.replace(model, b_out=original + step))
+    minus = loss_at(dataclasses.replace(model, b_out=original - step))
     grads["b_out"] = (plus - minus) / (2 * step)
     return grads
 
@@ -267,17 +264,17 @@ def reference_train(window, config):
         std = 1.0 if std <= 1e-12 else std
         normed = (raw - mean) / std
     inputs, targets = normed[:-1], normed[1:]
-    model = init_model(config)
-    model.norm_mean, model.norm_std = mean, std
+    model = dataclasses.replace(init_model(config), norm_mean=mean, norm_std=std)
+    w_x, w_h, b, w_out = model.w_x, model.w_h, model.b, model.w_out  # written in place
     lr, prev_loss, stalled = config.learning_rate, None, 0
     with np.errstate(under="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             loss, grads = loss_and_grads(model, inputs, targets)
-            model.w_x -= lr * grads["w_x"]
-            model.w_h -= lr * grads["w_h"]
-            model.b -= lr * grads["b"]
-            model.w_out -= lr * grads["w_out"]
-            model.b_out -= lr * grads["b_out"]
+            w_x -= lr * grads["w_x"]
+            w_h -= lr * grads["w_h"]
+            b -= lr * grads["b"]
+            w_out -= lr * grads["w_out"]
+            model = dataclasses.replace(model, b_out=model.b_out - lr * grads["b_out"])
             if prev_loss is not None:
                 improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
                 stalled = stalled + 1 if improvement < config.early_stop_delta else 0

@@ -1,13 +1,16 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from presage import forecaster, scoring
@@ -250,6 +253,25 @@ class TestStepValidation:
         expected = [twin.step(v, s) for t, (v, s) in enumerate(zip(series, stamps)) if t != failed_t]
         assert without_timing(records) == without_timing(expected)
 
+    @pytest.mark.parametrize("stamped_first", [False, True])
+    @pytest.mark.parametrize("bad", ["2020-01-01", 5, 1.0], ids=["str", "int", "float"])
+    def test_a_timestamp_that_is_no_datetime_is_refused_and_leaves_no_trace(self, bad, stamped_first):
+        # Stored, such a timestamp would break the next stamped step's ordering check.
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        t0 = datetime(2021, 1, 1)
+        detector.step(50.0, t0 if stamped_first else None)
+        state = detector._state
+        with pytest.raises(ValueError, match="^timestamp at t=1 must be a datetime or None, got "):
+            detector.step(51.0, bad)
+        assert detector._state is state
+        assert detector.step(51.0, t0 + timedelta(minutes=5)).time_index == 1
+
+    def test_text_values_are_read_by_float(self):
+        texts = ["50.5", b"51", " 49.25 ", b"50", "5e1", b"49.5", "50.75", "51.5"]
+        detector, twin = (Detector(DetectorConfig(look_back=2, lstm=FAST_LSTM)) for _ in range(2))
+        records = [detector.step(text) for text in texts]
+        assert without_timing(records) == without_timing([twin.step(float(t)) for t in texts])
+
 
 class TestDoubleCheck:
     """Drive the retrain/re-check branches with a scripted engine."""
@@ -453,6 +475,67 @@ class TestEngineFailure:
         twin = Detector(config)
         expected = [twin.step(v) for t, v in enumerate(series) if t != failed_t]
         assert without_timing(records) == without_timing(expected)
+
+
+class ColdEngine(LstmEngine):
+    """``LstmEngine`` that forecasts without a memo: every forecast is cold."""
+
+    def predict(self, model, window):
+        return forecaster.predict_next(model, window)
+
+
+def shift_and_dip(seed: int = 0, n: int = 80) -> np.ndarray:
+    """A level shift that ``FAST_LSTM`` rechecks and swaps for at t=32, then a
+    dip it rechecks at t=60..62 and reports as anomalies."""
+    rng = np.random.default_rng(seed)
+    series = 50 + 3 * np.sin(np.arange(n) / 4) + rng.normal(0, 0.3, n)
+    series[30:] += 25.0
+    series[60] -= 40.0
+    return series
+
+
+class TestEngineMemo:
+    """The engine's forecast memo changes no record."""
+
+    def test_records_equal_those_of_forecasts_without_a_memo(self):
+        config = DetectorConfig(lstm=FAST_LSTM)
+        series = shift_and_dip()
+        warm_detector, cold_detector = Detector(config), Detector(config, engine=ColdEngine(FAST_LSTM))
+        warm = [warm_detector.step(v) for v in series]
+        cold = [cold_detector.step(v) for v in series]
+        rechecks = [(r.time_index, r.verdict) for r in warm if r.retrained]
+        assert (32, Verdict.NORMAL) in rechecks and (60, Verdict.ANOMALY) in rechecks
+        assert without_timing(warm) == without_timing(cold)
+
+    def test_one_engine_shared_by_two_detectors(self):
+        config = DetectorConfig(lstm=FAST_LSTM)
+        first, second = shift_and_dip(0), 20.0 + 2.0 * shift_and_dip(1)
+        engine = LstmEngine(FAST_LSTM)
+        shared = [Detector(config, engine=engine) for _ in range(2)]
+        records = [[], []]
+        for pair in zip(first, second):
+            for detector, out, value in zip(shared, records, pair):
+                out.append(detector.step(value))
+        for series, got in zip((first, second), records):
+            own = Detector(config)
+            assert without_timing(got) == without_timing([own.step(v) for v in series])
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_detector_copied_mid_stream_gives_its_twins_records(self, clone):
+        config = DetectorConfig(lstm=FAST_LSTM)
+        series = shift_and_dip()
+        original, twin = Detector(config), Detector(config)
+        for value in series[:40]:
+            original.step(value)
+            twin.step(value)
+        copied = clone(original)
+        expected = without_timing([twin.step(v) for v in series[40:]])
+        assert without_timing([copied.step(v) for v in series[40:]]) == expected
+        assert without_timing([original.step(v) for v in series[40:]]) == expected
 
 
 class TestThresholdBookkeeping:
@@ -677,3 +760,49 @@ class AllOrNothing(RuleBasedStateMachine):
 
 TestAllOrNothing = AllOrNothing.TestCase
 TestAllOrNothing.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
+
+
+def half_plain(plain, *odd):
+    """``plain`` half the time, else one of ``odd``, so that steps reach detection."""
+    return st.booleans().flatmap(lambda take: plain if take else st.one_of(*odd))
+
+
+# Every kind of value and timestamp a caller may hand to ``Detector.step``.
+ANY_VALUE = half_plain(
+    VALUES,
+    st.floats(),
+    st.just(10**400),
+    st.text(max_size=6),
+    st.binary(max_size=4),
+    st.sampled_from(["50.5", b"49", "nan", "-inf", "1e400"]),
+    st.none(),
+    st.lists(st.floats(40.0, 60.0), max_size=2),
+    st.decimals(),
+    st.fractions(),
+    st.builds(Decimal, st.floats(40.0, 60.0)),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+)
+ZONES = st.sampled_from([timezone.utc, timezone(timedelta(hours=-5))])
+ANY_STAMP = half_plain(
+    st.none(),
+    st.datetimes(datetime(2020, 1, 1), datetime(2020, 1, 3)),
+    st.datetimes(datetime(2020, 1, 1), datetime(2020, 1, 3), timezones=ZONES),
+    st.text(max_size=10),
+    st.integers(),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(steps=st.lists(st.tuples(ANY_VALUE, ANY_STAMP), max_size=24))
+def test_a_step_raises_only_input_errors_and_fails_whole(steps):
+    detector = Detector(DetectorConfig(look_back=2, lstm=LstmConfig(hidden_units=2, max_epochs=3)))
+    for k in range(12):  # enough scores for a spike to be rechecked
+        detector.step(50.0 + math.sin(k / 3))
+    for value, stamp in steps:
+        state = detector._state
+        try:
+            detector.step(value, stamp)
+        except (DataError, OrderingError, ValueError):
+            assert detector._state is state

@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import dataclasses
+import math
 import pickle
 import warnings
 
@@ -75,7 +77,7 @@ def extreme_cases(seed=31):
     for hidden_units, weight, (mean, std), centre, spread in EXTREME_CASES:
         for length in (3, 12):
             model = random_model(rng, hidden_units, weight)
-            model.norm_mean, model.norm_std = mean, std
+            model = dataclasses.replace(model, norm_mean=mean, norm_std=std)
             yield model, centre + spread * rng.standard_normal(length)
 
 
@@ -438,8 +440,7 @@ class TestPredictNext:
 
     def test_denormalization_identity(self):
         rng = np.random.default_rng(17)
-        model = random_model(rng, hidden_units=4)
-        model.norm_mean, model.norm_std = 33.0, 4.5
+        model = dataclasses.replace(random_model(rng, hidden_units=4), norm_mean=33.0, norm_std=4.5)
         window = rng.uniform(20, 40, 3)
         raw_output = outputs(model, (window - 33.0) / 4.5)[-1]
         assert predict_next(model, window) == pytest.approx(4.5 * raw_output + 33.0)
@@ -454,16 +455,15 @@ class TestPredictNext:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             predict_next(zero_model(), [])
-        model = zero_model()
-        predict_next(model, [5.0])  # a memo whose window suffix is empty
+        model, memo = zero_model(), [None]
+        predict_next(model, [5.0], memo)  # a memo whose window suffix is empty
         with pytest.raises(ValueError, match="must be non-empty"):
-            predict_next(model, [])
+            predict_next(model, [], memo)
 
     def test_non_finite_window_rejected(self):
         with pytest.raises(DataError):
             predict_next(zero_model(), [1.0, float("nan"), 2.0])
-        model = zero_model()
-        model.norm_std = 0.0
+        model = dataclasses.replace(zero_model(), norm_std=0.0)
         with pytest.raises(DataError):
             predict_next(model, [1.0, 2.0])
 
@@ -487,16 +487,12 @@ class TestPredictNext:
 
 
 def subnormal_weights_model(seed: int) -> LstmModel:
-    model = random_model(np.random.default_rng(seed), 6, 1e-309)
-    model.b_out = 1e-309
-    return model
+    return dataclasses.replace(random_model(np.random.default_rng(seed), 6, 1e-309), b_out=1e-309)
 
 
 def tiny_values_model(seed: int) -> LstmModel:
     # Values near zero normalize to subnormals under a huge spread.
-    model = random_model(np.random.default_rng(seed), 6, 5.0)
-    model.norm_std = 1e300
-    return model
+    return dataclasses.replace(random_model(np.random.default_rng(seed), 6, 5.0), norm_std=1e300)
 
 
 class TestUnderflow:
@@ -508,9 +504,9 @@ class TestUnderflow:
         series = [3e-11, -2e-10, 1e-10, 5e-11, -4e-11, 2e-10, 0.0]
         forecasts = []
         for scope in (contextlib.nullcontext(), np.errstate(all="raise")):
-            model = make(59)
+            model, memo = make(59), [None]
             with scope:
-                forecasts.append([predict_next(model, series[k : k + 3]) for k in range(5)])
+                forecasts.append([predict_next(model, series[k : k + 3], memo) for k in range(5)])
         assert forecasts[0] == forecasts[1]
         assert any(f != 0.0 for f in forecasts[0])
 
@@ -530,12 +526,10 @@ class TestNormalization:
         # that value: predict_next maps back with the stats it z-scores with.
         rng = np.random.default_rng(23)
         values = rng.uniform(-1000, 1000, 50)
-        model = zero_model()
-        model.norm_mean, model.norm_std = 12.5, 7.25
+        model = dataclasses.replace(zero_model(), norm_mean=12.5, norm_std=7.25)
         back = []
         for z in z_scored(model, values):
-            model.b_out = float(z)
-            back.append(predict_next(model, [0.0, 1.0]))
+            back.append(predict_next(dataclasses.replace(model, b_out=float(z)), [0.0, 1.0]))
         assert np.allclose(back, values, atol=1e-12, rtol=0)
 
 
@@ -552,15 +546,16 @@ def assert_forecast(model: LstmModel, window, forecast: float):
     assert forecast == pytest.approx(from_scratch(model, window), rel=1e-12, abs=1e-12 * scale)
 
 
-def poison(model: LstmModel):
+def poison(memo: list):
     """Shift the carried suffix states, keeping the memo's key, so that a
     call which reuses them is visibly wrong."""
-    memo = model._memo
-    model._memo = (*memo[:5], memo[5] + 0.5, memo[6] - 0.5, *memo[7:])
+    last = memo[0]
+    memo[0] = (*last[:3], last[3] + 0.5, last[4] - 0.5)
 
 
 class TestSuffixStates:
-    """``predict_next`` carries the window's suffix states between calls."""
+    """``predict_next`` carries the window's suffix states between calls
+    through the memo its caller passes."""
 
     def test_sliding_replay_matches_from_scratch(self):
         rng = np.random.default_rng(41)
@@ -568,25 +563,32 @@ class TestSuffixStates:
             for hidden_units in (1, 4, 10, 32):
                 for weight in (0.5, 5.0, 50.0):
                     model = random_model(rng, hidden_units, weight)
-                    model.norm_mean, model.norm_std = 20.0, 4.0
+                    model = dataclasses.replace(model, norm_mean=20.0, norm_std=4.0)
                     series = 20.0 + 4.0 * rng.standard_normal(16)
+                    memo = [None]
                     for end in range(look_back, series.size + 1):
                         window = series[end - look_back : end]
-                        assert_forecast(model, window, predict_next(model, window))
+                        assert_forecast(model, window, predict_next(model, window, memo))
 
     def _primed(self, look_back=4, hidden_units=6):
-        """A model whose memo holds poisoned states for window series[0:b]."""
+        """A model and a memo holding poisoned states for window series[0:b]."""
         rng = np.random.default_rng(43)
         model = random_model(rng, hidden_units, 5.0)
-        model.norm_mean, model.norm_std = 1.0, 2.0
+        model = dataclasses.replace(model, norm_mean=1.0, norm_std=2.0)
         series = 1.0 + 2.0 * rng.standard_normal(12)
-        predict_next(model, series[:look_back])
-        poison(model)
-        return model, series
+        memo = [None]
+        predict_next(model, series[:look_back], memo)
+        poison(memo)
+        return model, series, memo
 
     def test_poisoned_states_reach_the_next_adjacent_window(self):
-        model, series = self._primed()
-        assert predict_next(model, series[1:5]) != pytest.approx(from_scratch(model, series[1:5]))
+        model, series, memo = self._primed()
+        forecast = predict_next(model, series[1:5], memo)
+        assert forecast != pytest.approx(from_scratch(model, series[1:5]))
+
+    def test_without_a_memo_every_forecast_is_cold(self):
+        model, series, memo = self._primed()
+        assert_forecast(model, series[1:5], predict_next(model, series[1:5]))
 
     @pytest.mark.parametrize(
         "window",
@@ -594,24 +596,25 @@ class TestSuffixStates:
         ids=["gap", "longer", "shorter", "same-window"],
     )
     def test_other_windows_recompute_from_zero(self, window):
-        model, series = self._primed()
-        assert_forecast(model, series[window], predict_next(model, series[window]))
+        model, series, memo = self._primed()
+        assert_forecast(model, series[window], predict_next(model, series[window], memo))
 
     @pytest.mark.parametrize(
         "change",
         [
-            lambda m: setattr(m, "norm_mean", m.norm_mean + 0.25),
-            lambda m: setattr(m, "norm_std", m.norm_std * 1.5),
-            lambda m: setattr(m, "w_h", m.w_h.copy()),
-            lambda m: setattr(m, "w_x", m.w_x.copy()),
-            lambda m: setattr(m, "b", m.b.copy()),
+            lambda m: dataclasses.replace(m, norm_mean=m.norm_mean + 0.25),
+            lambda m: dataclasses.replace(m, norm_std=m.norm_std * 1.5),
+            lambda m: dataclasses.replace(m, w_h=m.w_h.copy()),
+            lambda m: dataclasses.replace(m, w_x=m.w_x.copy()),
+            lambda m: dataclasses.replace(m, b=m.b.copy()),
+            copy.copy,
         ],
-        ids=["norm_mean", "norm_std", "w_h", "w_x", "b"],
+        ids=["norm_mean", "norm_std", "w_h", "w_x", "b", "copy"],
     )
     def test_changed_model_recomputes_from_zero(self, change):
-        model, series = self._primed()
-        change(model)
-        assert_forecast(model, series[1:5], predict_next(model, series[1:5]))
+        model, series, memo = self._primed()
+        model = change(model)
+        assert_forecast(model, series[1:5], predict_next(model, series[1:5], memo))
 
     def test_candidate_after_a_recheck_starts_from_zero(self):
         # A level shift makes the detector recheck and swap in the candidate.
@@ -621,8 +624,9 @@ class TestSuffixStates:
                 self.calls = []
 
             def predict(self, model, window):
-                cold = model._memo is None
+                last = self._memo[0]
                 forecast = super().predict(model, window)
+                cold = last is None or self._memo[0][1] is not last[1]  # a fresh workspace
                 self.calls.append((model, list(window), cold, forecast))
                 return forecast
 
@@ -645,14 +649,15 @@ class TestSuffixStates:
         rng = np.random.default_rng(47)
         model = random_model(rng, 6, 5.0)
         series = rng.standard_normal(10)
+        memo = [None]
         # cold, then warm twice, then cold again after a gap
         for start in (0, 1, 2, 4):
-            memo = model._memo
-            snapshot = None if memo is None else [a.copy() for a in memo[5:7]]
-            predict_next(model, series[start : start + 4])
-            if memo is not None:
-                assert all(np.array_equal(a, s) for a, s in zip(memo[5:7], snapshot))
-            for carried in model._memo[5:7]:
+            last = memo[0]
+            snapshot = None if last is None else [a.copy() for a in last[3:5]]
+            predict_next(model, series[start : start + 4], memo)
+            if last is not None:
+                assert all(np.array_equal(a, s) for a, s in zip(last[3:5], snapshot))
+            for carried in memo[0][3:5]:
                 assert carried.shape == (4, 6)
                 assert not carried[-1].any()
 
@@ -663,54 +668,68 @@ class TestSuffixStates:
                 weights[0] += 1.0
 
     def test_overflowing_forecast_rejected_and_memo_kept(self):
-        model, series = self._primed()
-        memo = model._memo
-        model.norm_std, model.b_out = 1e308, 10.0
+        model, series, memo = self._primed()
+        last = memo[0]
+        model = dataclasses.replace(model, norm_std=1e308, b_out=10.0)
         with pytest.raises(DataError, match="forecast overflows"):
-            predict_next(model, series[1:5])
-        assert model._memo is memo
+            predict_next(model, series[1:5], memo)
+        assert memo[0] is last
 
     def test_overflowing_cold_forecast_stores_no_memo(self):
         rng = np.random.default_rng(43)
         model = random_model(rng, 6, 5.0)
-        model.norm_mean, model.norm_std, model.b_out = 1.0, 1e308, 10.0
+        model = dataclasses.replace(model, norm_mean=1.0, norm_std=1e308, b_out=10.0)
+        memo = [None]
         with pytest.raises(DataError, match="forecast overflows"):
-            predict_next(model, 1.0 + 2.0 * rng.standard_normal(4))
-        assert model._memo is None
+            predict_next(model, 1.0 + 2.0 * rng.standard_normal(4), memo)
+        assert memo == [None]
+
+    def test_a_model_is_a_frozen_value_that_forecasting_leaves_alone(self):
+        model, series, memo = self._primed()
+        fields = dict(vars(model))
+        for start in (1, 2, 5):
+            predict_next(model, series[start : start + 4], memo)
+            predict_next(model, series[start : start + 4])
+        assert vars(model).keys() == fields.keys()
+        assert all(vars(model)[k] is v for k, v in fields.items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.b_out = 1.0
 
 
-def assert_same_as_reference(model: LstmModel, window, memo):
-    """``predict_next`` gives the reference forecast and carried states bit
-    for bit; returns the reference's memo for the next call."""
+def assert_same_as_reference(model: LstmModel, window, memo, slot: list):
+    """``predict_next`` through the memo ``slot`` gives the reference forecast
+    and carried states bit for bit; returns the reference's memo for the next
+    call."""
     expected, memo = reference_predict(model, window, memo)
-    assert predict_next(model, window) == expected
-    for carried, reference in zip(model._memo[5:7], memo[5:]):
+    assert predict_next(model, window, slot) == expected
+    for carried, reference in zip(slot[0][3:5], memo[5:]):
         assert np.array_equal(carried, reference)
     return memo
 
 
 class TestWorkspace:
-    """A warm step writes into its model's own workspace, and every forecast
-    equals the fresh-array reference bit for bit."""
+    """A warm step writes into the workspace its memo holds, and every
+    forecast equals the fresh-array reference bit for bit."""
 
     def test_sliding_gapped_and_rekeyed_windows_match_the_reference(self):
         rng = np.random.default_rng(53)
         for look_back in range(2, 7):
             for hidden_units in (1, 4, 10, 32):
                 model = random_model(rng, hidden_units, 5.0)
-                model.norm_mean, model.norm_std = 3.0, 2.0
+                model = dataclasses.replace(model, norm_mean=3.0, norm_std=2.0)
                 series = 3.0 + 2.0 * rng.standard_normal(16)
-                memo, previous = None, None
+                memo, slot, previous = None, [None], None
                 # slides, a gap, a repeat, and at 8 a new key of the same length
                 for start in [0, 1, 2, 3, 5, 6, 7, 7, 8, 9]:
                     if start == 8:
-                        model.w_x = model.w_x.copy()
-                    state = None if model._memo is None else model._memo[3]
-                    memo = assert_same_as_reference(model, series[start : start + look_back], memo)
+                        model = dataclasses.replace(model, w_x=model.w_x.copy())
+                    state = None if slot[0] is None else slot[0][1]
+                    window = series[start : start + look_back]
+                    memo = assert_same_as_reference(model, window, memo, slot)
                     if previous is not None and start == previous + 1 and start != 8:
-                        assert model._memo[3] is state  # warm: the same workspace
+                        assert slot[0][1] is state  # warm: the same workspace
                         _, sets = state
-                        assert any(model._memo[5] is s[4] and model._memo[6] is s[5] for s in sets)
+                        assert any(slot[0][3] is s[4] and slot[0][4] is s[5] for s in sets)
                     previous = start
 
     def test_repeated_values_and_signed_zeros_match_the_reference(self):
@@ -726,43 +745,52 @@ class TestWorkspace:
             for hidden_units in (1, 4, 10, 32):
                 for mean, std in ((0.0, 1.0), (-0.0, 2.0), (1.5, 0.5)):
                     model = random_model(rng, hidden_units, 5.0)
-                    model.norm_mean, model.norm_std = mean, std
-                    memo, warm = None, 0
+                    model = dataclasses.replace(model, norm_mean=mean, norm_std=std)
+                    memo, slot, warm = None, [None], 0
                     jumps = [3, 4, 4, 0, 1, 13 - look_back, 13]
                     for start in [*range(len(series) - look_back + 1), *jumps]:
-                        state = None if model._memo is None else model._memo[3]
-                        memo = assert_same_as_reference(model, series[start : start + look_back], memo)
-                        warm += model._memo[3] is state
+                        state = None if slot[0] is None else slot[0][1]
+                        window = series[start : start + look_back]
+                        memo = assert_same_as_reference(model, window, memo, slot)
+                        warm += slot[0][1] is state
                     assert warm >= len(series) - look_back
 
     def test_a_failed_warm_call_leaves_the_memo_usable(self):
+        # A new value whose product with w_x overflows fails inside the warm
+        # step when numpy raises on overflow, and a NaN fails before it.
         rng = np.random.default_rng(59)
-        model = random_model(rng, 6, 5.0)
-        model.norm_mean, model.norm_std = 1.0, 2.0
+        model = dataclasses.replace(random_model(rng, 6, 5.0), norm_mean=1.0, norm_std=2.0)
         series = 1.0 + 2.0 * rng.standard_normal(8)
-        memo = assert_same_as_reference(model, series[0:4], None)
-        memo = assert_same_as_reference(model, series[1:5], memo)
-        b_out, model.b_out = model.b_out, 1e308
-        with pytest.raises(DataError, match="forecast overflows"):
-            predict_next(model, series[2:6])
-        model.b_out = b_out
+        slot = [None]
+        memo = assert_same_as_reference(model, series[0:4], None, slot)
+        memo = assert_same_as_reference(model, series[1:5], memo, slot)
+        last = slot[0]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            predict_next(model, [*series[2:5], 1.7e308], slot)
+        with pytest.raises(DataError, match="non-finite"):
+            predict_next(model, [*series[2:5], math.nan], slot)
+        assert slot[0] is last
         for start in (2, 3):
-            memo = assert_same_as_reference(model, series[start : start + 4], memo)
+            memo = assert_same_as_reference(model, series[start : start + 4], memo, slot)
 
     @pytest.mark.parametrize(
         "duplicate",
         [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
         ids=["copy", "deepcopy", "pickle"],
     )
-    def test_copies_never_write_into_each_others_states(self, duplicate):
+    def test_copies_forecast_the_reference_bits_through_one_memo_and_through_two(self, duplicate):
         rng = np.random.default_rng(61)
         model = random_model(rng, 10, 5.0)
-        model.norm_mean, model.norm_std = 20.0, 4.0
+        model = dataclasses.replace(model, norm_mean=20.0, norm_std=4.0)
         series = 20.0 + 4.0 * rng.standard_normal(10)
         other = series.copy()
         other[4:] += 3.0  # the same first four values, other last values
-        memo = assert_same_as_reference(model, series[0:4], None)
-        twin, twin_memo = duplicate(model), memo  # a copy shares the reference memo
-        for start in range(1, 6):
-            memo = assert_same_as_reference(model, series[start : start + 4], memo)
-            twin_memo = assert_same_as_reference(twin, other[start : start + 4], twin_memo)
+        twin = duplicate(model)
+        memo, twin_memo, slot, twin_slot = None, None, [None], [None]
+        for start in range(6):
+            memo = assert_same_as_reference(model, series[start : start + 4], memo, slot)
+            twin_memo = assert_same_as_reference(twin, other[start : start + 4], twin_memo, twin_slot)
+        memo, slot = None, [None]  # the two take turns in one memo
+        for start in range(6):
+            memo = assert_same_as_reference(model, series[start : start + 4], memo, slot)
+            memo = assert_same_as_reference(twin, other[start : start + 4], memo, slot)
