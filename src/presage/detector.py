@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -86,10 +87,19 @@ def _check_order(previous: datetime, timestamp: datetime) -> None:
 
 
 def _finite_float(number, what: str, t: int) -> float:
-    """``number``, the ``what`` at point ``t``, read where it enters the detector
-    by ``scoring._floats``' rule; NaN or inf is a ``DataError``."""
+    """``number``, the ``what`` at point ``t``, read by ``float()`` where it enters
+    the detector: a complex number (numpy's too, which ``float()`` would cut to its
+    real part) or a value ``float()`` refuses is a ``ValueError``; an int past the
+    float range, NaN or inf is a ``DataError``."""
     if type(number) is not float:
-        (number,) = scoring._floats((number,), f"{what} at t={t}")
+        try:
+            if isinstance(number, numbers.Complex) and not isinstance(number, numbers.Real):
+                raise TypeError
+            number = float(number)
+        except OverflowError:
+            raise DataError(f"{what} at t={t} is past the float range") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} at t={t} must be a real number, got {number!r}") from None
     if not math.isfinite(number):
         raise DataError(f"{what} at t={t} is not finite: {number}")
     return number
@@ -214,10 +224,10 @@ class Detector:
         or past the float range, for a score past it or for a timestamp whose
         timezone awareness differs from the previous one's, ``OrderingError``
         for a timestamp behind the previous one, ``ValueError`` for a value or
-        forecast that is no number or a timestamp that is neither ``None`` nor a
-        ``datetime``, and any exception an engine raises leave the detector as
-        it was. A value is read by ``float()``, as windows are, so text such as
-        ``"1.5"`` or ``b"2"`` is accepted.
+        forecast that is no real number (a complex one too) or a timestamp that
+        is neither ``None`` nor a ``datetime``, and any exception an engine
+        raises leave the detector as it was. A value is read by ``float()``, as
+        windows are, so text such as ``"1.5"`` or ``b"2"`` is accepted.
         """
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1

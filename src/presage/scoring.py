@@ -59,7 +59,8 @@ def aare(
         )
     total = 0.0
     for o, p in zip(obs, pred):
-        total += abs(o - p) / max(abs(o), epsilon)
+        d = abs(o)
+        total += abs(o - p) / (epsilon if epsilon > d else d)  # max(d, epsilon), NaN too, without a call
     if not total < math.inf:  # NaN fails too; a NaN or inf value gives NaN or inf
         if not all(map(math.isfinite, obs + pred)):
             raise DataError("observed/predicted values must be finite")

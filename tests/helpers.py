@@ -497,18 +497,19 @@ class FailingEngine:
         return self._engine.predict(model, window)
 
 
-class NanForecastEngine(FailingEngine):
+class BadForecastEngine(FailingEngine):
     """Delegates to ``engine`` but answers the ``call``-th ``predict`` call
-    (1-based) with NaN instead of a forecast."""
+    (1-based) with ``forecast``, such as NaN, instead of a forecast."""
 
-    def __init__(self, engine, call: int):
+    def __init__(self, engine, call: int, forecast):
         super().__init__(engine, "predict", call)
+        self.forecast = forecast
 
     def predict(self, model, window):
         try:
             return super().predict(model, window)
         except EngineFailure:
-            return math.nan
+            return self.forecast
 
 
 def without_timing(records) -> list[DetectionRecord]:

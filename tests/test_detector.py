@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from presage import forecaster, scoring
@@ -31,7 +31,7 @@ from helpers import (
     EngineFailure,
     FailingEngine,
     LargeErrorEngine,
-    NanForecastEngine,
+    BadForecastEngine,
     PerfectEngine,
     RecordingEngine,
     ScriptedEngine,
@@ -266,6 +266,27 @@ class TestStepValidation:
         assert detector._state is state
         assert detector.step(51.0, t0 + timedelta(minutes=5)).time_index == 1
 
+    @pytest.mark.parametrize(
+        "bad,shown",
+        [
+            (np.complex64(3 + 4j), "np.complex64(3+4j)"),  # float() would keep 3.0 and warn
+            (np.complex128(3 + 4j), "np.complex128(3+4j)"),
+            (3 + 4j, "(3+4j)"),
+            (None, "None"),
+            ([1.0], "[1.0]"),
+            ("x1", "'x1'"),
+        ],
+    )
+    def test_a_value_that_is_no_real_number_is_named_and_leaves_no_trace(self, bad, shown):
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        for v in [50.0, 51.0, 49.0, 50.5]:
+            detector.step(v)
+        state = detector._state
+        with pytest.raises(ValueError) as raised:
+            detector.step(bad)
+        assert str(raised.value) == f"observation at t=4 must be a real number, got {shown}"
+        assert detector._state is state
+
     def test_text_values_are_read_by_float(self):
         texts = ["50.5", b"51", " 49.25 ", b"50", "5e1", b"49.5", "50.75", "51.5"]
         detector, twin = (Detector(DetectorConfig(look_back=2, lstm=FAST_LSTM)) for _ in range(2))
@@ -443,8 +464,23 @@ class TestEngineFailure:
     # SPIKE_T is for SPIKE_T itself.
     @pytest.mark.parametrize("call,failed_t", [(10, 11), (SPIKE_T - 1, SPIKE_T)])
     def test_a_nan_forecast_fails_only_the_step_that_made_it(self, call, failed_t):
-        engine = NanForecastEngine(LstmEngine(FAST_LSTM), call)
+        engine = BadForecastEngine(LstmEngine(FAST_LSTM), call, math.nan)
         self._assert_only_point_failed(engine, DataError, failed_t)
+
+    @pytest.mark.parametrize("complex_type", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("call,failed_t", [(10, 11), (SPIKE_T - 1, SPIKE_T)])
+    def test_a_complex_forecast_fails_only_the_step_that_made_it(self, complex_type, call, failed_t):
+        engine = BadForecastEngine(LstmEngine(FAST_LSTM), call, complex_type(50 + 1j))
+        self._assert_only_point_failed(engine, ValueError, failed_t)
+
+    @pytest.mark.parametrize("bad,shown", [(None, "None"), ((50 + 1j), "(50+1j)"), ("x", "'x'")])
+    def test_a_forecast_that_is_no_real_number_is_named_as_one_value(self, bad, shown):
+        detector = Detector(DetectorConfig(look_back=self.B), engine=BadForecastEngine(LstmEngine(FAST_LSTM), 1, bad))
+        detector.step(50.0)
+        detector.step(51.0)
+        with pytest.raises(ValueError) as raised:
+            detector.step(52.0)
+        assert str(raised.value) == f"forecast at t=3 must be a real number, got {shown}"
 
     def test_a_numpy_forecast_is_stored_as_a_float_and_its_report_reads_back(self, tmp_path):
         class NumpyEngine(LstmEngine):
@@ -465,9 +501,11 @@ class TestEngineFailure:
         detector = Detector(config, engine=engine)
         records, failed = [], []
         for t, value in enumerate(series):
+            state = detector._state
             try:
                 records.append(detector.step(value))
             except error:
+                assert detector._state is state
                 failed.append(t)
         assert failed == [failed_t]
         assert [r.time_index for r in records] == list(range(len(series) - 1))
@@ -484,27 +522,44 @@ class ColdEngine(LstmEngine):
         return forecaster.predict_next(model, window)
 
 
-def shift_and_dip(seed: int = 0, n: int = 80) -> np.ndarray:
-    """A level shift that ``FAST_LSTM`` rechecks and swaps for at t=32, then a
-    dip it rechecks at t=60..62 and reports as anomalies."""
+def shift_and_dip(seed: int = 0, n: int = 80, shift: float = 25.0, dips=((60, 40.0),)) -> np.ndarray:
+    """A seasonal series with a level ``shift`` at t=30 and each ``(t, depth)``
+    of ``dips``. By default ``FAST_LSTM`` rechecks the shift and swaps for it
+    at t=32, then rechecks the dip at t=60..62 and reports it as anomalies."""
     rng = np.random.default_rng(seed)
     series = 50 + 3 * np.sin(np.arange(n) / 4) + rng.normal(0, 0.3, n)
-    series[30:] += 25.0
-    series[60] -= 40.0
+    series[30:] += shift
+    for t, depth in dips:
+        series[t] -= depth
     return series
 
 
 class TestEngineMemo:
     """The engine's forecast memo changes no record."""
 
-    def test_records_equal_those_of_forecasts_without_a_memo(self):
-        config = DetectorConfig(lstm=FAST_LSTM)
-        series = shift_and_dip()
-        warm_detector, cold_detector = Detector(config), Detector(config, engine=ColdEngine(FAST_LSTM))
+    def test_the_shift_and_dip_replay_swaps_and_reports(self):
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        rechecks = [(r.time_index, r.verdict) for r in map(detector.step, shift_and_dip()) if r.retrained]
+        assert (32, Verdict.NORMAL) in rechecks and (60, Verdict.ANOMALY) in rechecks
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        look_back=st.integers(2, 6),
+        hidden_units=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        shift=st.floats(-25.0, 25.0),
+        dips=st.lists(st.tuples(st.integers(15, 79), st.floats(-40.0, 40.0)), max_size=4),
+    )
+    @example(look_back=3, hidden_units=4, seed=0, shift=25.0, dips=[(60, 40.0)])  # shift_and_dip()
+    def test_records_equal_those_of_forecasts_without_a_memo(self, look_back, hidden_units, seed, shift, dips):
+        lstm = dataclasses.replace(FAST_LSTM, hidden_units=hidden_units)
+        config = DetectorConfig(look_back=look_back, lstm=lstm)
+        series = shift_and_dip(seed, shift=shift, dips=dips)
+        warm_detector, cold_detector = Detector(config), Detector(config, engine=ColdEngine(lstm))
         warm = [warm_detector.step(v) for v in series]
         cold = [cold_detector.step(v) for v in series]
-        rechecks = [(r.time_index, r.verdict) for r in warm if r.retrained]
-        assert (32, Verdict.NORMAL) in rechecks and (60, Verdict.ANOMALY) in rechecks
+        for verdict in {r.verdict.value for r in warm if r.retrained}:
+            event(f"a recheck ends {verdict}")
         assert without_timing(warm) == without_timing(cold)
 
     def test_one_engine_shared_by_two_detectors(self):
@@ -738,7 +793,7 @@ class AllOrNothing(RuleBasedStateMachine):
 
     @rule(value=VALUES)
     def nan_forecast(self, value):
-        self._faulty_step(NanForecastEngine(self.engine, 1), DataError, value)
+        self._faulty_step(BadForecastEngine(self.engine, 1, math.nan), DataError, value)
 
     def _faulty_step(self, engine, error, value):
         """Step through ``engine`` for one point. A step that makes no call
@@ -783,6 +838,8 @@ ANY_VALUE = half_plain(
     st.builds(np.float64, st.floats()),
     st.builds(np.float32, st.floats(width=32)),
     st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.complex128, st.complex_numbers()),
+    st.builds(np.complex64, st.complex_numbers(width=64)),
 )
 ZONES = st.sampled_from([timezone.utc, timezone(timedelta(hours=-5))])
 ANY_STAMP = half_plain(
