@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -32,7 +31,7 @@ from typing import Protocol, Sequence
 from . import forecaster, scoring
 from .errors import ConfigError, DataError, OrderingError
 from .forecaster import LstmConfig, _check_types
-from .scoring import _WELFORD_EMPTY, DEFAULT_EPSILON, _welford_add, _welford_std
+from .scoring import _WELFORD_EMPTY, DEFAULT_EPSILON, _float, _welford_add, _welford_std
 
 __all__ = [
     "Phase",
@@ -57,6 +56,11 @@ class Verdict(enum.Enum):
     PENDING = "pending"
     NORMAL = "normal"
     ANOMALY = "anomaly"
+
+
+# Read by ``Detector.step`` as module names, faster than enum attributes.
+_DETECTING = Phase.DETECTING
+_PENDING, _NORMAL, _ANOMALY = Verdict.PENDING, Verdict.NORMAL, Verdict.ANOMALY
 
 
 def phase_of(t: int, look_back: int) -> Phase:
@@ -87,15 +91,12 @@ def _check_order(previous: datetime, timestamp: datetime) -> None:
 
 
 def _finite_float(number, what: str, t: int) -> float:
-    """``number``, the ``what`` at point ``t``, read by ``float()`` where it enters
-    the detector: a complex number (numpy's too, which ``float()`` would cut to its
-    real part) or a value ``float()`` refuses is a ``ValueError``; an int past the
-    float range, NaN or inf is a ``DataError``."""
+    """``number``, the ``what`` at point ``t``, read by ``scoring._float`` where it
+    enters the detector: a value it refuses, a complex number too, is a
+    ``ValueError``; an int past the float range, NaN or inf is a ``DataError``."""
     if type(number) is not float:
         try:
-            if isinstance(number, numbers.Complex) and not isinstance(number, numbers.Real):
-                raise TypeError
-            number = float(number)
+            number = _float(number)
         except OverflowError:
             raise DataError(f"{what} at t={t} is past the float range") from None
         except (TypeError, ValueError):
@@ -228,6 +229,12 @@ class Detector:
         is neither ``None`` nor a ``datetime``, and any exception an engine
         raises leave the detector as it was. A value is read by ``float()``, as
         windows are, so text such as ``"1.5"`` or ``b"2"`` is accepted.
+
+        A detecting point (t > 2b) takes one straight-line branch with no phase
+        test: score, threshold, recheck if the score is above it, forecast. Its
+        windows are tuples of the floats read once where they entered, which
+        ``scoring.aare`` and a warm ``forecaster.predict_next`` take as they
+        are; only the 2b+1 ramp points ask ``phase_of`` for their phase.
         """
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1
@@ -239,26 +246,17 @@ class Detector:
 
         started = time.perf_counter()
         b = self.config.look_back
-        phase = Phase.DETECTING if t > 2 * b else phase_of(t, b)
         window = (*buffer, value)[-b:]  # points t-b+1 .. t, as in forecasts
-        aare_value: float | None = None
-        thd: float | None = None
-        welford = history
-        verdict = Verdict.PENDING
-        retrained = False
-
-        if phase is Phase.BOOTSTRAP or phase is Phase.DETECTING:
+        if t > 2 * b:  # detecting: score, threshold, recheck, forecast
+            phase = _DETECTING
             aare_value = scoring.aare(window, forecasts, self.config.epsilon)
             welford = _welford_add(history, aare_value)
-        if phase is Phase.WARMUP or phase is Phase.BOOTSTRAP:
-            model = self.engine.train(window)
-        elif phase is Phase.DETECTING:
             thd = welford[1] + 3.0 * _welford_std(welford)
-            if aare_value > thd:
+            retrained = aare_value > thd
+            if retrained:
                 # Double check: retrain on the b points preceding t (the
                 # buffer before t) so the suspicious value stays out of its
                 # own training data. An anomaly keeps the previous model.
-                retrained = True
                 candidate = self.engine.train(buffer)
                 recheck = self.engine.predict(candidate, buffer)
                 forecasts = (*forecasts[:-1], _finite_float(recheck, "forecast", t))
@@ -266,10 +264,20 @@ class Detector:
                 welford = _welford_add(history, aare_value)
                 if aare_value <= thd:
                     model = candidate
-            verdict = Verdict.NORMAL if aare_value <= thd else Verdict.ANOMALY
-        forecast = None
-        if phase is not Phase.COLLECTING:
+            verdict = _NORMAL if aare_value <= thd else _ANOMALY
             forecast = _finite_float(self.engine.predict(model, window), "forecast", t + 1)
+        else:  # the 2b+1 ramp points: collecting, warm-up, bootstrap
+            phase = phase_of(t, b)
+            aare_value = thd = forecast = None
+            welford = history
+            verdict = _PENDING
+            retrained = False
+            if phase is Phase.BOOTSTRAP:
+                aare_value = scoring.aare(window, forecasts, self.config.epsilon)
+                welford = _welford_add(history, aare_value)
+            if phase is not Phase.COLLECTING:
+                model = self.engine.train(window)
+                forecast = _finite_float(self.engine.predict(model, window), "forecast", t + 1)
         decision_time = time.perf_counter() - started
 
         # Commit point: nothing above changed the detector, so an exception

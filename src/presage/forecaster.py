@@ -38,6 +38,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -474,18 +475,29 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     window is the last one moved on by one point, the forecast is one straight-line
     step: only the new value is normalized and checked, and one batched step
     advances every row by it; the row that now spans the whole window gives the
-    forecast. Any other call, and every call without a memo, feeds the whole window
+    forecast. A tuple whose last item is an exact ``float`` and whose other items
+    are the very objects the slot stored is such a window before any value is
+    read, as the detector's are; any other window is read by ``_floats`` and
+    compared by value with the stored one, so an equal window of ints, numpy
+    floats or a list steps warm too, and a value ``_floats`` refuses never does.
+    Any other call, and every call without a memo, feeds the whole window
     from zero through fresh step weights and workspace in ``_advance``. A step
     writes into the set whose states the slot does not carry, and the slot is
     replaced only when a forecast returns, so a call that raises leaves it usable.
     The key is the model's identity: its arrays must not be written in place.
     """
-    values = _floats(window, "prediction window")
-    if not values:
-        raise ValueError("prediction window must be non-empty")
-    mean, std = model.norm_mean, model.norm_std
     last = None if memo is None else memo[0]  # (model, (weights, workspace), window[1:], hidden, cell)
-    if last is not None and last[0] is model and last[2] == values[:-1]:
+    if (last is not None and last[0] is model and type(window) is tuple and len(window) == len(last[2]) + 1
+            and type(window[-1]) is float and all(map(is_, window, last[2]))):  # not ==: 3+0j == 3.0
+        values = window
+    else:
+        values = _floats(window, "prediction window")
+        if not values:
+            raise ValueError("prediction window must be non-empty")
+        if last is not None and (last[0] is not model or last[2] != values[:-1]):
+            last = None
+    mean, std = model.norm_mean, model.norm_std
+    if last is not None:
         x = (values[-1] - mean) / std  # std is not 0: this model has made a forecast
         if not math.isfinite(x):
             raise DataError("prediction window contains non-finite values, raw or normalized")

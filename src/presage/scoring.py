@@ -10,6 +10,7 @@ threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +39,13 @@ def aare(
     Computes ``mean(|observed - predicted| / max(|observed|, epsilon))``,
     pairing each observed value with the forecast that was made for it.
 
+    Two tuples of the same nonzero length are scored as they are while every
+    item is an exact ``float``, as the detector's windows are, so a detecting
+    step reads no value twice. Any other input is read by ``_floats`` first;
+    the score is the same loop either way, so its bits and errors are too.
+
     Args:
-        observed: window of observed values, read by ``_floats``.
+        observed: window of observed values.
         predicted: forecasts for the same time points, same length.
         epsilon: denominator floor, must be positive and finite.
 
@@ -49,6 +55,10 @@ def aare(
     """
     if not 0 < epsilon < math.inf:  # NaN fails too
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if type(observed) is tuple and type(predicted) is tuple and len(observed) == len(predicted) != 0:
+        score = _score(observed, predicted, epsilon)
+        if score is not None:
+            return score
     obs = _floats(observed, "observed window")
     pred = _floats(predicted, "predicted window")
     if not obs:
@@ -57,8 +67,16 @@ def aare(
         raise ValueError(
             f"window length mismatch: {len(obs)} observed vs {len(pred)} predicted"
         )
+    return _score(obs, pred, epsilon)
+
+
+def _score(obs: tuple, pred: tuple, epsilon: float) -> float | None:
+    """``aare`` of two nonempty windows of equal length, or None at the first
+    item that is not an exact ``float``."""
     total = 0.0
     for o, p in zip(obs, pred):
+        if type(o) is not float or type(p) is not float:
+            return None
         d = abs(o)
         total += abs(o - p) / (epsilon if epsilon > d else d)  # max(d, epsilon), NaN too, without a call
     if not total < math.inf:  # NaN fails too; a NaN or inf value gives NaN or inf
@@ -73,12 +91,21 @@ def aare(
     return total / len(obs)
 
 
-def _floats(window: Sequence[float], name: str) -> list[float]:
-    """``window`` as a list of floats; any shape but 1-D (an ndarray becomes
-    nested lists first) or an item ``float`` refuses is a ``ValueError`` naming it;
-    an int past the float range is a ``DataError`` naming it."""
+def _float(number) -> float:
+    """``float(number)``, but a complex number is a ``TypeError`` as a Python
+    one is, so numpy's is not cut to its real part with a warning."""
+    if type(number) is not float and isinstance(number, numbers.Complex) and not isinstance(number, numbers.Real):
+        raise TypeError(f"float() argument must be a string or a real number, not {type(number).__name__!r}")
+    return float(number)
+
+
+def _floats(window: Sequence[float], name: str) -> tuple[float, ...]:
+    """``window`` as a tuple of floats, each read by ``_float``; any shape but
+    1-D (an ndarray becomes nested lists first) or an item ``_float`` refuses
+    is a ``ValueError`` naming it; an int past the float range is a
+    ``DataError`` naming it."""
     try:
-        return list(map(float, window.tolist() if isinstance(window, np.ndarray) else window))
+        return tuple(map(_float, window.tolist() if isinstance(window, np.ndarray) else window))
     except OverflowError:
         raise DataError(f"{name} holds a value past the float range") from None
     except (TypeError, ValueError) as exc:

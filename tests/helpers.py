@@ -512,6 +512,15 @@ class BadForecastEngine(FailingEngine):
             return self.forecast
 
 
+def outcome(call):
+    """The bits of the float ``call()`` returns, or the type and message of
+    what it raises, for comparing two ways to the same result."""
+    try:
+        return call().hex()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
 def without_timing(records) -> list[DetectionRecord]:
     """Records with ``decision_time`` zeroed, for comparing replays."""
     return [dataclasses.replace(r, decision_time=0.0) for r in records]

@@ -735,6 +735,41 @@ class TestTracedSeam:
         }
 
 
+class TestReadOnce:
+    """A warm detecting step reads no window through ``_floats``: its values
+    are the floats read once where they entered, which ``aare`` and a warm
+    ``predict_next`` take as they are."""
+
+    def _calls_per_step(self, monkeypatch, series):
+        calls = []
+        read = scoring._floats
+
+        def counting(window, name):
+            calls.append(name)
+            return read(window, name)
+
+        # the forecaster holds the name it imported, so both are patched
+        monkeypatch.setattr(scoring, "_floats", counting)
+        monkeypatch.setattr(forecaster, "_floats", counting)
+        detector = Detector(DetectorConfig(lstm=FAST_LSTM))
+        steps = []
+        for value in series:
+            before = len(calls)
+            steps.append((detector.step(value), len(calls) - before))
+        return steps
+
+    def test_warm_detecting_steps_read_no_window(self, monkeypatch):
+        steps = self._calls_per_step(monkeypatch, shift_and_dip(shift=0.0, dips=()))
+        assert not any(record.retrained for record, _ in steps)
+        assert {n for record, n in steps if record.phase is Phase.DETECTING} == {0}
+        assert all(n for record, n in steps if record.phase in (Phase.WARMUP, Phase.BOOTSTRAP))
+
+    def test_rechecks_still_read_their_windows(self, monkeypatch):
+        steps = self._calls_per_step(monkeypatch, shift_and_dip())
+        rechecks = [n for record, n in steps if record.retrained]
+        assert len(rechecks) >= 4 and all(rechecks)
+
+
 # Calm values keep the threshold low, so a spike among them is rechecked once
 # enough scores have come in.
 CALM, SPIKES = st.floats(49.0, 51.0), st.floats(150.0, 250.0)

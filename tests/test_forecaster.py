@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict
 from presage.errors import ConfigError, DataError
@@ -20,6 +21,7 @@ from helpers import (
     init_model,
     loss_and_grads,
     max_relative_gradient_error,
+    outcome,
     plain_forward,
     reference_forward,
     reference_predict,
@@ -403,12 +405,25 @@ WINDOW_CALLS = {
         [[1.0], 2.0, 3.0],
         [1 + 0j, 2.0, 3.0],
         np.array([1.0, None, 2.0], dtype=object),
+        np.array([1.0, np.complex128(3 + 4j)], dtype=object),
     ],
-    ids=["2x2", "0-d", "nested", "None", "ragged", "complex", "object-array"],
+    ids=["2x2", "0-d", "nested", "None", "ragged", "complex", "object-array", "object-complex"],
 )
 def test_window_that_is_not_one_dimensional_is_named(name, call, window):
     with pytest.raises(ValueError, match=f"^{name} must be one-dimensional, one number per point: "):
         call(window)
+
+
+@pytest.mark.parametrize("name,call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
+@pytest.mark.parametrize("item", [3 + 4j, np.complex128(3 + 4j), np.complex64(3 + 0j)], ids=type)
+def test_a_numpy_complex_item_is_refused_as_a_python_one_is(name, call, item):
+    # float() would cut numpy's to its real part, with only a ComplexWarning
+    with pytest.raises(ValueError) as refused:
+        call([1.0, 2.0, item])
+    assert str(refused.value) == (
+        f"{name} must be one-dimensional, one number per point: "
+        f"float() argument must be a string or a real number, not '{type(item).__name__}'"
+    )
 
 
 @pytest.mark.parametrize("name,call", WINDOW_CALLS.values(), ids=WINDOW_CALLS.keys())
@@ -694,6 +709,51 @@ class TestSuffixStates:
         assert all(vars(model)[k] is v for k, v in fields.items())
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.b_out = 1.0
+
+
+def equal_items(value: float) -> list:
+    """Items equal to the float ``value`` that are not that object: another
+    float object, numpy's float, an int, the other signed zero and complex
+    numbers, which ``_floats`` refuses although ``3+0j == 3.0``."""
+    items = [float(repr(value)), np.float64(value), complex(value, 0.0), np.complex128(value)]
+    if value.is_integer():
+        items.append(int(value))
+    if value == 0.0:
+        items.append(-value)
+    return items
+
+
+class TestTupleWindows:
+    """A tuple window steps warm without being read only while its other items
+    are the floats the memo stored; an equal window of other objects, and one
+    ``_floats`` refuses, gives what the same call without a memo gives."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        look_back=st.integers(1, 6),
+        hidden_units=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        mean=st.sampled_from([0.0, -0.0, 1.5]),
+        series=st.lists(st.sampled_from([0.0, -0.0, 3.0, -2.0]) | st.floats(-10.0, 10.0), min_size=10, max_size=10),
+        data=st.data(),
+    )
+    def test_warm_calls_give_the_cold_calls_bits_and_refusals(
+        self, look_back, hidden_units, seed, mean, series, data
+    ):
+        model = random_model(np.random.default_rng(seed), hidden_units, 5.0)
+        model = dataclasses.replace(model, norm_mean=mean, norm_std=2.0)
+        memo = [None]
+        predict_next(model, tuple(series[:look_back]), memo)
+        for start in range(1, len(series) - look_back + 1):
+            window = tuple(series[start : start + look_back])  # the stored floats, mostly
+            if data.draw(st.booleans()):
+                window = tuple(data.draw(st.just(v) | st.sampled_from(equal_items(v))) for v in window)
+            last = memo[0]
+            warm = outcome(lambda: predict_next(model, window, memo))
+            assert warm == outcome(lambda: predict_next(model, window))
+            if memo[0] is not last:  # it returned, warm exactly when the window slid on by one
+                slid = last[2] == tuple(map(float, window[:-1]))
+                assert (memo[0][1] is last[1]) == slid
 
 
 def assert_same_as_reference(model: LstmModel, window, memo, slot: list):

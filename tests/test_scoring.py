@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from presage.errors import DataError
-from presage.scoring import aare
+from presage.scoring import DEFAULT_EPSILON, aare
 
-from helpers import aare_oracle, running_threshold, threshold_oracle
+from helpers import aare_oracle, outcome, running_threshold, threshold_oracle
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 wide_values = st.builds(
@@ -159,6 +159,52 @@ class TestAare:
         windows[argument][position] = bad
         with pytest.raises(DataError, match=r"^observed/predicted values must be finite$"):
             aare(windows["observed"], windows["predicted"])
+
+
+# Floats of every kind: wide magnitudes, signed zeros, subnormals, NaN, inf,
+# and values whose difference overflows, so scores take the divide-first branch.
+ANY_FLOAT = (
+    st.floats()
+    | wide_values
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf])
+)
+# Exact floats, at twice the odds of each other kind of item a window may hold.
+ANY_ITEM = st.one_of(
+    ANY_FLOAT,
+    ANY_FLOAT,
+    st.integers(),
+    st.builds(np.float64, ANY_FLOAT),
+    st.fractions(),
+    st.just("1.5"),
+    st.complex_numbers(),
+    st.builds(np.complex128, st.complex_numbers()),
+)
+
+
+class TestTuplesAsTheyAre:
+    """Tuples of exact floats are scored without being read first; any input
+    gives the result, or the error, that its list gives through ``_floats``."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(ANY_ITEM, ANY_ITEM), max_size=5),
+        extra=st.lists(ANY_ITEM, max_size=2),  # unequal lengths, or both empty
+        to_observed=st.booleans(),
+        epsilon=st.sampled_from([DEFAULT_EPSILON, 0.5]),
+    )
+    def test_a_tuple_scores_as_its_list(self, pairs, extra, to_observed, epsilon):
+        observed, predicted = [o for o, _ in pairs], [p for _, p in pairs]
+        (observed if to_observed else predicted).extend(extra)
+        as_tuples = outcome(lambda: aare(tuple(observed), tuple(predicted), epsilon))
+        assert as_tuples == outcome(lambda: aare(list(observed), list(predicted), epsilon))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=5))
+    @example([(1.0, 1.0), (1.7e308, -1.7e308)])  # divided first
+    @example([(1e-10, 1e300), (0.0, -1e301)])  # past the float range
+    def test_exact_floats_score_as_their_list(self, pairs):
+        observed, predicted = zip(*pairs)
+        assert outcome(lambda: aare(observed, predicted)) == outcome(lambda: aare(list(observed), list(predicted)))
 
 
 class TestThreshold:
