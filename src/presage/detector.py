@@ -90,22 +90,6 @@ def _check_order(previous: datetime, timestamp: datetime) -> None:
         raise OrderingError(f"timestamp {timestamp} precedes previous {previous}")
 
 
-def _finite_float(number, what: str, t: int) -> float:
-    """``number``, the ``what`` at point ``t``, read by ``scoring._float`` where it
-    enters the detector: a value it refuses, a complex number too, is a
-    ``ValueError``; an int past the float range, NaN or inf is a ``DataError``."""
-    if type(number) is not float:
-        try:
-            number = _float(number)
-        except OverflowError:
-            raise DataError(f"{what} at t={t} is past the float range") from None
-        except (TypeError, ValueError):
-            raise ValueError(f"{what} at t={t} must be a real number, got {number!r}") from None
-    if not math.isfinite(number):
-        raise DataError(f"{what} at t={t} is not finite: {number}")
-    return number
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detector parameters. Forecasts are always one point ahead."""
@@ -165,9 +149,10 @@ class LstmEngine:
 
     Every call trains from the same seed in the config, which keeps
     whole-stream replays bit-reproducible. The engine holds the memo of
-    ``forecaster.predict_next``, so the next window of its last forecast steps
-    warm; it serves one thread at a time. A copy or an unpickled engine starts
-    with an empty memo, since copying would split its workspace's shared views.
+    ``forecaster.predict_next``, so the detector's next window, the last one on by
+    one point in the same float objects, steps warm; it serves one thread at a
+    time. A copy or an unpickled engine starts with an empty memo, since copying
+    would split its workspace's shared views.
     """
 
     def __init__(self, config: LstmConfig | None = None):
@@ -227,20 +212,20 @@ class Detector:
         for a timestamp behind the previous one, ``ValueError`` for a value or
         forecast that is no real number (a complex one too) or a timestamp that
         is neither ``None`` nor a ``datetime``, and any exception an engine
-        raises leave the detector as it was. A value is read by ``float()``, as
-        windows are, so text such as ``"1.5"`` or ``b"2"`` is accepted.
+        raises leave the detector as it was. A value is read by ``scoring._float``,
+        as window items are, so text such as ``"1.5"`` or ``b"2"`` is accepted.
 
         A detecting point (t > 2b) takes one straight-line branch with no phase
         test: score, threshold, recheck if the score is above it, forecast. Its
         windows are tuples of the floats read once where they entered, which
-        ``scoring.aare`` and a warm ``forecaster.predict_next`` take as they
-        are; only the 2b+1 ramp points ask ``phase_of`` for their phase.
+        ``scoring.aare`` takes as they are and the engine's memo knows by
+        identity; only the 2b+1 ramp points ask ``phase_of`` for their phase.
         """
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1
         if timestamp is not None and not isinstance(timestamp, datetime):
             raise ValueError(f"timestamp at t={t} must be a datetime or None, got {timestamp!r}")
-        value = _finite_float(value, "observation", t)
+        value = _float(value, "observation at t={}", t)
         if timestamp is not None and last_timestamp is not None:
             _check_order(last_timestamp, timestamp)
 
@@ -259,13 +244,13 @@ class Detector:
                 # own training data. An anomaly keeps the previous model.
                 candidate = self.engine.train(buffer)
                 recheck = self.engine.predict(candidate, buffer)
-                forecasts = (*forecasts[:-1], _finite_float(recheck, "forecast", t))
+                forecasts = (*forecasts[:-1], _float(recheck, "forecast at t={}", t))
                 aare_value = scoring.aare(window, forecasts, self.config.epsilon)
                 welford = _welford_add(history, aare_value)
                 if aare_value <= thd:
                     model = candidate
             verdict = _NORMAL if aare_value <= thd else _ANOMALY
-            forecast = _finite_float(self.engine.predict(model, window), "forecast", t + 1)
+            forecast = _float(self.engine.predict(model, window), "forecast at t={}", t + 1)
         else:  # the 2b+1 ramp points: collecting, warm-up, bootstrap
             phase = phase_of(t, b)
             aare_value = thd = forecast = None
@@ -277,7 +262,7 @@ class Detector:
                 welford = _welford_add(history, aare_value)
             if phase is not Phase.COLLECTING:
                 model = self.engine.train(window)
-                forecast = _finite_float(self.engine.predict(model, window), "forecast", t + 1)
+                forecast = _float(self.engine.predict(model, window), "forecast at t={}", t + 1)
         decision_time = time.perf_counter() - started
 
         # Commit point: nothing above changed the detector, so an exception

@@ -27,9 +27,7 @@ those of a plain descent that allocates afresh and computes those products
 Forecasting may keep a memo that its caller owns, so that the forecast for the
 next window is one straight-line step on its new value, with no feed list, loop
 or return tuple; forecasts are bit-identical to steps that allocate afresh
-(``tests/helpers.reference_predict``). On a 2-vCPU guest that step took the
-steady replay's median step time from 30.1 to 27.7 µs
-(``bench/run.py``, 10 alternating 20-second pairs).
+(``tests/helpers.reference_predict``).
 """
 
 from __future__ import annotations
@@ -146,7 +144,6 @@ class LstmModel:
 class TrainOutcome:
     model: LstmModel
     epochs_used: int
-    final_loss: float
 
 
 @functools.lru_cache(maxsize=32)
@@ -290,17 +287,13 @@ class _Descent:
         self.outputs += self.b_out
         return self.outputs
 
-    def loss(self) -> float:
-        """Mean squared error of a forward pass; leaves the errors in ``d_out``."""
-        err = np.subtract(self.forward(), self.targets, self.d_out)
-        return float((err**2).sum() / err.size)
-
     def loss_and_grads(self) -> float:
-        """The loss, with its gradients by BPTT written into ``grad`` and
-        ``b_out_grad``. The backward loop only carries the recurrent error;
-        the parameter gradients are matrix products over the gate errors ``dz``."""
-        loss = self.loss()
-        d_out = self.d_out
+        """The mean squared error of a forward pass, with its gradients by BPTT
+        written into ``grad`` and ``b_out_grad``. The backward loop only carries
+        the recurrent error; the parameter gradients are matrix products over the
+        gate errors ``dz``."""
+        d_out = np.subtract(self.forward(), self.targets, self.d_out)
+        loss = float((d_out**2).sum() / d_out.size)
         d_out *= 2.0
         d_out /= d_out.size
 
@@ -369,13 +362,11 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     never before ``min_epochs`` nor after ``max_epochs``. The epochs run
     through one ``_Descent``; the model gets read-only copies of its arrays.
     ``scoring._floats`` reads the window; a NaN, an inf or an int past the
-    float range in it is a ``DataError``.
+    float range in it is a ``DataError``, and text is no window.
     """
     raw = np.array(_floats(window, "training window"))
     if raw.size < 2:
         raise ValueError(f"training window needs at least 2 values, got {raw.size}")
-    if not np.isfinite(raw).all():
-        raise DataError("training window contains non-finite values")
 
     with np.errstate(all="ignore"):
         mean = float(raw.mean())
@@ -406,13 +397,11 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
             prev_loss = loss
             if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
                 break
-
-        final_loss = descent.loss()
     arrays = [view.copy() for view in (descent.w_x, descent.w_h, descent.b, descent.w_out)]
     for array in arrays:
         array.flags.writeable = False
     model = LstmModel(*arrays, b_out=descent.b_out, norm_mean=mean, norm_std=std)
-    return TrainOutcome(model=model, epochs_used=epoch, final_loss=final_loss)
+    return TrainOutcome(model=model, epochs_used=epoch)
 
 
 def _step_weights(model: LstmModel, n: int) -> tuple:
@@ -469,36 +458,28 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     ``memo`` is a one-slot list that the caller owns and passes on every call;
     no output bit depends on it. The slot keeps the model of the last forecast,
     its step weights and a workspace of two sets of step arrays, the window
-    without its first value, and the states that the window's proper suffixes
-    reach from zero, as ``(b, H)`` hidden and cell arrays, longest suffix first,
-    whose last row is the zero state. When the model is the same object and the
-    window is the last one moved on by one point, the forecast is one straight-line
-    step: only the new value is normalized and checked, and one batched step
-    advances every row by it; the row that now spans the whole window gives the
-    forecast. A tuple whose last item is an exact ``float`` and whose other items
-    are the very objects the slot stored is such a window before any value is
-    read, as the detector's are; any other window is read by ``_floats`` and
-    compared by value with the stored one, so an equal window of ints, numpy
-    floats or a list steps warm too, and a value ``_floats`` refuses never does.
-    Any other call, and every call without a memo, feeds the whole window
-    from zero through fresh step weights and workspace in ``_advance``. A step
-    writes into the set whose states the slot does not carry, and the slot is
-    replaced only when a forecast returns, so a call that raises leaves it usable.
-    The key is the model's identity: its arrays must not be written in place.
+    without its first value as the floats it was read to, and the states that
+    the window's proper suffixes reach from zero, as ``(b, H)`` hidden and cell
+    arrays, longest suffix first, whose last row is the zero state. The key is
+    identity: when the model is the same object and the window is a tuple whose
+    last item is an exact ``float`` and whose other items are the very objects
+    the slot stored, as the detector's windows are, the forecast is one
+    straight-line step: only the new value is normalized and checked, and one
+    batched step advances every row by it; the row that now spans the whole
+    window gives the forecast. Every other window, a list, an ndarray or equal
+    floats that are other objects, and every call without a memo, is read by
+    ``_floats`` and fed whole from zero through fresh step weights and workspace
+    in ``_advance``. A step writes into the set whose states the slot does not
+    carry, and the slot is replaced only when a forecast returns, so a call that
+    raises leaves it usable. The model's arrays must not be written in place.
     """
+    mean, std = model.norm_mean, model.norm_std
     last = None if memo is None else memo[0]  # (model, (weights, workspace), window[1:], hidden, cell)
     if (last is not None and last[0] is model and type(window) is tuple and len(window) == len(last[2]) + 1
             and type(window[-1]) is float and all(map(is_, window, last[2]))):  # not ==: 3+0j == 3.0
-        values = window
-    else:
-        values = _floats(window, "prediction window")
-        if not values:
-            raise ValueError("prediction window must be non-empty")
-        if last is not None and (last[0] is not model or last[2] != values[:-1]):
-            last = None
-    mean, std = model.norm_mean, model.norm_std
-    if last is not None:
-        x = (values[-1] - mean) / std  # std is not 0: this model has made a forecast
+        # This is ``_advance`` on one value, written out: on the hot path a shared
+        # step costs a call, and one loop for both paths a feed and a return tuple.
+        x = (window[-1] - mean) / std  # std is not 0: this model has made a forecast
         if not math.isfinite(x):
             raise DataError("prediction window contains non-finite values, raw or normalized")
         _, state, _, hidden, cell = last
@@ -516,12 +497,12 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
         forecast = output * std + mean
         if not math.isfinite(forecast):
             raise DataError(f"forecast overflows: {forecast}")
-        memo[0] = (model, state, values[1:], hidden_next, cell_next)
+        memo[0] = (model, state, window[1:], hidden_next, cell_next)
         return forecast
-    try:
-        feed = [(v - mean) / std for v in values]
-    except ZeroDivisionError:  # norm_std is 0: numpy would give inf or nan
-        feed = [math.nan]
+    values = _floats(window, "prediction window")
+    if not values:
+        raise ValueError("prediction window must be non-empty")
+    feed = [(v - mean) / std for v in values] if std else [math.nan]  # numpy would give inf or nan
     if not all(map(math.isfinite, feed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
     n, h = len(feed), model.hidden_units

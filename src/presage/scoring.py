@@ -40,9 +40,9 @@ def aare(
     pairing each observed value with the forecast that was made for it.
 
     Two tuples of the same nonzero length are scored as they are while every
-    item is an exact ``float``, as the detector's windows are, so a detecting
-    step reads no value twice. Any other input is read by ``_floats`` first;
-    the score is the same loop either way, so its bits and errors are too.
+    item is an exact finite ``float``, as the detector's windows are, so a
+    detecting step reads no value twice. Any other input is read by ``_floats``
+    first; the score is the same loop either way, so its bits and errors are too.
 
     Args:
         observed: window of observed values.
@@ -72,7 +72,7 @@ def aare(
 
 def _score(obs: tuple, pred: tuple, epsilon: float) -> float | None:
     """``aare`` of two nonempty windows of equal length, or None at the first
-    item that is not an exact ``float``."""
+    item that is not an exact ``float`` or when a value is not finite."""
     total = 0.0
     for o, p in zip(obs, pred):
         if type(o) is not float or type(p) is not float:
@@ -81,7 +81,7 @@ def _score(obs: tuple, pred: tuple, epsilon: float) -> float | None:
         total += abs(o - p) / (epsilon if epsilon > d else d)  # max(d, epsilon), NaN too, without a call
     if not total < math.inf:  # NaN fails too; a NaN or inf value gives NaN or inf
         if not all(map(math.isfinite, obs + pred)):
-            raise DataError("observed/predicted values must be finite")
+            return None  # only a tuple gets here: ``_floats`` refuses it, naming the window
         # the values are finite, so o - p overflowed: divide before subtracting
         scales = [max(abs(o), epsilon) for o in obs]
         total = sum(abs(o / s - p / s) / len(obs) for o, p, s in zip(obs, pred, scales))
@@ -91,25 +91,38 @@ def _score(obs: tuple, pred: tuple, epsilon: float) -> float | None:
     return total / len(obs)
 
 
-def _float(number) -> float:
-    """``float(number)``, but a complex number is a ``TypeError`` as a Python
-    one is, so numpy's is not cut to its real part with a warning."""
-    if type(number) is not float and isinstance(number, numbers.Complex) and not isinstance(number, numbers.Real):
-        raise TypeError(f"float() argument must be a string or a real number, not {type(number).__name__!r}")
-    return float(number)
+def _float(number, what: str, t: int | None = None) -> float:
+    """``number`` as a finite float, named in errors as ``what.format(t)``, which is
+    built only when the read fails. An exact finite ``float`` returns first; anything
+    else goes through ``float()``, so text such as ``"1.5"`` is read. A value that
+    is no real number is a ``ValueError``; an int past the float range, NaN or inf
+    is a ``DataError``."""
+    if type(number) is float and math.isfinite(number):
+        return number
+    try:
+        if isinstance(number, numbers.Complex) and not isinstance(number, numbers.Real):
+            raise TypeError  # numpy's float() would keep the real part, with a warning
+        real = float(number)
+    except OverflowError:
+        raise DataError(f"{what.format(t)} is past the float range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{what.format(t)} must be a real number, got {number!r}") from None
+    if not math.isfinite(real):
+        raise DataError(f"{what.format(t)} is not finite: {real}")
+    return real
 
 
 def _floats(window: Sequence[float], name: str) -> tuple[float, ...]:
-    """``window`` as a tuple of floats, each read by ``_float``; any shape but
-    1-D (an ndarray becomes nested lists first) or an item ``_float`` refuses
-    is a ``ValueError`` naming it; an int past the float range is a
-    ``DataError`` naming it."""
+    """``window`` as a tuple of finite floats, each item read by ``_float``; text,
+    a number or a 0-d array is a ``ValueError`` naming the window. An ndarray
+    becomes nested lists first, so a nested item is refused as no real number."""
+    item = f"{name} item"
     try:
-        return tuple(map(_float, window.tolist() if isinstance(window, np.ndarray) else window))
-    except OverflowError:
-        raise DataError(f"{name} holds a value past the float range") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be one-dimensional, one number per point: {exc}") from None
+        if isinstance(window, (str, bytes, bytearray)):
+            raise TypeError  # iterated, it would give characters or ints
+        return tuple([_float(v, item) for v in (window.tolist() if isinstance(window, np.ndarray) else window)])
+    except TypeError:
+        raise ValueError(f"{name} must be a one-dimensional sequence of numbers, got {window!r}") from None
 
 
 def _unit_of(score: float) -> float:

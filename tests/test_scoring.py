@@ -65,7 +65,8 @@ class TestAare:
         ],
     )
     def test_not_one_dimensional(self, observed, predicted):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        # a nested window's items are no real numbers
+        with pytest.raises(ValueError, match="(item must be a real number|must be a one-dimensional sequence of numbers), got "):
             aare(observed, predicted)
 
     def test_lists_and_arrays_agree(self):
@@ -157,7 +158,7 @@ class TestAare:
     def test_a_non_finite_value_anywhere_is_a_data_error(self, argument, position, bad):
         windows = {"observed": [1.0, -2.0, 1e300], "predicted": [1.5, 2.0, -1e300]}
         windows[argument][position] = bad
-        with pytest.raises(DataError, match=r"^observed/predicted values must be finite$"):
+        with pytest.raises(DataError, match=f"^{argument} window item is not finite: "):
             aare(windows["observed"], windows["predicted"])
 
 
