@@ -4,7 +4,9 @@ File formats (all documented here, bit-exactly):
 
 * Series input: delimited text with a header line naming a ``timestamp``
   and a ``value`` column (case-insensitive; extra columns are ignored).
-  Timestamps are ISO-like ``YYYY-MM-DD HH:MM[:SS[.ffffff]]``.
+  Timestamps are ISO 8601 as ``datetime.fromisoformat`` reads it on Python 3.11+:
+  ``YYYY-MM-DD HH:MM[:SS[.ffffff]]``, but also ``2014-01-01T00:05Z`` (aware,
+  UTC), ``20140101T0005``, ``2014-W01-3 00:05`` or a bare date.
 * Labels: JSON. Either a plain list of timestamps (all anomalies), or a
   map from dataset key to an entry; an entry is a list of anomaly
   timestamps or an object ``{"anomalies": [...], "signs": [...]}`` where

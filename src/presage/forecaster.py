@@ -26,7 +26,8 @@ those of a plain descent that allocates afresh and computes those products
 
 Forecasting may keep a memo that its caller owns, so that the forecast for the
 next window is one straight-line step on its new value, with no feed list, loop
-or return tuple; forecasts are bit-identical to steps that allocate afresh
+or return tuple; a cold forecast feeds its window through that same step a value
+at a time. Forecasts are bit-identical to steps that allocate afresh
 (``tests/helpers.reference_predict``).
 """
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import is_
 from typing import Sequence
 
@@ -61,16 +62,14 @@ _HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (`
 
 def _check_types(config) -> None:
     """The type rule of every config: ``ConfigError`` naming a field declared ``int``
-    that holds no ``int`` (a ``bool`` is none), ``float`` that holds no real number
-    or ``LstmConfig`` that holds no ``LstmConfig``."""
+    that holds no ``int``, ``float`` that holds no real number (a ``bool`` is
+    neither) or ``LstmConfig`` that holds no ``LstmConfig``."""
     for spec in fields(config):
         value = getattr(config, spec.name)
-        if spec.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
-        if spec.type == "float" and not isinstance(value, numbers.Real):
-            raise ConfigError(f"{spec.name} must be a real number, got {value!r}")
-        if spec.type == "LstmConfig" and not isinstance(value, LstmConfig):
-            raise ConfigError(f"{spec.name} must be an LstmConfig, got {value!r}")
+        kind, what = {"int": (int, "an integer"), "float": (numbers.Real, "a real number"),
+                      "LstmConfig": (LstmConfig, "an LstmConfig")}[spec.type]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{spec.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -430,23 +429,6 @@ def _workspace(n: int, h: int) -> tuple:
     )
 
 
-def _advance(model: LstmModel, weights: tuple, feed, hidden: np.ndarray, cell: np.ndarray, sets):
-    """Feed each value of ``feed`` to all n rows of the carried states,
-    stepping with ``weights`` from ``_step_weights`` for n rows.
-
-    Step k writes into ``sets[k % 2]`` from ``_workspace``, never into
-    ``hidden`` or ``cell``. Returns the output of row 0, which spans every
-    value fed, and the other n rows of hidden and cell state.
-    """
-    w_h, w_x, b = weights
-    for k, x in enumerate(feed):
-        views, cells, hiddens, first, hidden_next, cell_next = sets[k % 2]
-        np.matmul(hidden, w_h, views[0])
-        _gates(views, x, w_x, b, cell, cells, hiddens, hiddens)
-        hidden, cell = hidden_next, cell_next
-    return float(model.w_out.dot(first)) + model.b_out, hidden, cell
-
-
 def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = None) -> float:
     """Forecast the raw value following the given raw window.
 
@@ -463,13 +445,14 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     arrays, longest suffix first, whose last row is the zero state. The key is
     identity: when the model is the same object and the window is a tuple whose
     last item is an exact ``float`` and whose other items are the very objects
-    the slot stored, as the detector's windows are, the forecast is one
-    straight-line step: only the new value is normalized and checked, and one
-    batched step advances every row by it; the row that now spans the whole
-    window gives the forecast. Every other window, a list, an ndarray or equal
-    floats that are other objects, and every call without a memo, is read by
-    ``_floats`` and fed whole from zero through fresh step weights and workspace
-    in ``_advance``. A step writes into the set whose states the slot does not
+    the slot stored, as the detector's windows are, the forecast is the one
+    step: only the new value is normalized and checked, and one batched step
+    advances every row by it; the row that now spans the whole window gives the
+    forecast. Any other window is read by ``_floats`` and fed through that step a
+    value at a time, in a local slot whose zero states hold for a suffix of
+    ``None`` placeholders; its first n - 1 values step a copy of the model with
+    no output weights, since a partial window's output is no forecast and must
+    not overflow. A step writes into the set whose states the slot does not
     carry, and the slot is replaced only when a forecast returns, so a call that
     raises leaves it usable. The model's arrays must not be written in place.
     """
@@ -477,9 +460,9 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     last = None if memo is None else memo[0]  # (model, (weights, workspace), window[1:], hidden, cell)
     if (last is not None and last[0] is model and type(window) is tuple and len(window) == len(last[2]) + 1
             and type(window[-1]) is float and all(map(is_, window, last[2]))):  # not ==: 3+0j == 3.0
-        # This is ``_advance`` on one value, written out: on the hot path a shared
-        # step costs a call, and one loop for both paths a feed and a return tuple.
-        x = (window[-1] - mean) / std  # std is not 0: this model has made a forecast
+        # The one forecast step, inline: on the hot path a shared step function
+        # costs a call, and a loop a feed and a return tuple.
+        x = (window[-1] - mean) / std  # std is not 0: the cold path below refuses it
         if not math.isfinite(x):
             raise DataError("prediction window contains non-finite values, raw or normalized")
         _, state, _, hidden, cell = last
@@ -491,9 +474,14 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
             np.matmul(hidden, w_h, views[0])
             _gates(views, x, w_x, b, cell, cells, hiddens, hiddens)
             output = float(model.w_out.dot(row0)) + model.b_out
-        except FloatingPointError:  # as below, the same step again in place
+        except FloatingPointError:
+            # Only a caller that makes numpy raise gets here. Underflow is as harmless
+            # as in train and the step wrote only into the set not carried, so the call
+            # is made again with underflow ignored (np.errstate on every call costs 5%).
+            if np.geterr()["under"] == "ignore":
+                raise
             with np.errstate(under="ignore"):
-                output, _, _ = _advance(model, weights, (x,), hidden, cell, (step,))
+                return _predict_next(model, window, memo)
         forecast = output * std + mean
         if not math.isfinite(forecast):
             raise DataError(f"forecast overflows: {forecast}")
@@ -502,24 +490,19 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     values = _floats(window, "prediction window")
     if not values:
         raise ValueError("prediction window must be non-empty")
-    feed = [(v - mean) / std for v in values] if std else [math.nan]  # numpy would give inf or nan
-    if not all(map(math.isfinite, feed)):
+    if not std or not all(math.isfinite((v - mean) / std) for v in values):  # refused before any step
         raise DataError("prediction window contains non-finite values, raw or normalized")
-    n, h = len(feed), model.hidden_units
-    state = weights, sets = _step_weights(model, n), _workspace(n, h)
-    hidden = cell = np.zeros((n, h))
-    try:
-        output, hidden, cell = _advance(model, weights, feed, hidden, cell, sets)
-    except FloatingPointError:
-        # Only a caller that makes numpy raise gets here. Underflow is as
-        # harmless as in train, and a step writes only into the workspace,
-        # so it is run again with underflow ignored; entering np.errstate on
-        # every call would cost about a twentieth of a step.
-        with np.errstate(under="ignore"):
-            output, hidden, cell = _advance(model, weights, feed, hidden, cell, sets)
-    forecast = output * std + mean
-    if not math.isfinite(forecast):
-        raise DataError(f"forecast overflows: {forecast}")
+    n, h = len(values), model.hidden_units
+    silent = replace(model, w_out=np.zeros(h), b_out=0.0)  # partial windows give no forecast
+    padded = (None,) * (n - 1) + values  # before its first value, every suffix of a window is empty
+    slot = [(silent, (_step_weights(model, n), _workspace(n, h)), padded[: n - 1], *np.zeros((2, n, h)))]
+    for k in range(n - 1):
+        _predict_next(silent, padded[k : k + n], slot)
+    slot[0] = (model, *slot[0][1:])
+    forecast = _predict_next(model, values, slot)
     if memo is not None:
-        memo[0] = (model, state, values[1:], hidden, cell)
+        memo[0] = slot[0]
     return forecast
+
+
+_predict_next = predict_next  # re-entry: a wrapper of ``predict_next`` sees one call per forecast

@@ -23,9 +23,9 @@ __all__ = ["aare"]
 #: near-zero observations yield a large-but-finite relative error.
 DEFAULT_EPSILON = 1e-8
 
-#: Scores past this magnitude are taken in units of a power of two, so that
-#: their squared deviations cannot overflow (Chan, Golub & LeVeque, 1983).
-#: Scaling by a power of two is exact, so smaller scores change no bit.
+#: Scores past this magnitude or below its inverse are taken in units of a power
+#: of two, so that their squared deviations neither overflow nor underflow (Chan,
+#: Golub & LeVeque, 1983). Scaling by a power of two is exact: others change no bit.
 _HUGE_SCORE = 2.0**400
 
 
@@ -126,9 +126,10 @@ def _floats(window: Sequence[float], name: str) -> tuple[float, ...]:
 
 
 def _unit_of(score: float) -> float:
-    """The power of two a score is taken in: 1 up to ``_HUGE_SCORE``, else
-    the largest power of two not above ``|score|``."""
-    return 1.0 if abs(score) <= _HUGE_SCORE else math.ldexp(1.0, math.frexp(score)[1] - 1)
+    """The power of two a score is taken in: 1 for 0 and within a factor of
+    ``_HUGE_SCORE`` of 1, else the largest power of two not above ``|score|``."""
+    ordinary = not score or 1.0 / _HUGE_SCORE <= abs(score) <= _HUGE_SCORE
+    return 1.0 if ordinary else math.ldexp(1.0, math.frexp(score)[1] - 1)
 
 
 #: The running (count, mean, M2 / unit², unit) of no values; see ``_welford_add``.
@@ -140,13 +141,15 @@ def _welford_add(
 ) -> tuple[int, float, float, float]:
     """Running (count, mean, M2 / unit², unit) with ``x`` added (Welford 1962).
 
-    M2 is kept in units of a power of two (Chan, Golub & LeVeque 1983) that
-    grows with the values, so it cannot overflow. Scaling by a power of two
-    is exact: until a value passes ``_HUGE_SCORE`` the unit is 1 and M2 the
-    plain Welford sum.
+    M2 is kept in units of a power of two (Chan, Golub & LeVeque 1983): that of
+    the values while M2 is 0, so tiny values' spread cannot underflow, then grown
+    with them, so it cannot overflow. Scaling by a power of two is exact: for
+    values within a factor of ``_HUGE_SCORE`` of 1 the unit is 1, M2 the plain sum.
     """
     count, mean, m2, unit = state
-    if abs(x) > unit * _HUGE_SCORE:
+    if not m2:
+        unit = _unit_of(max(abs(x), abs(mean)))
+    elif abs(x) > unit * _HUGE_SCORE:
         grown = _unit_of(x)
         m2 = m2 * (unit / grown) * (unit / grown)
         unit = grown

@@ -21,7 +21,7 @@ import numpy as np
 
 from presage import forecaster, scoring
 from presage.data_io import REPORT_COLUMNS, ReportWriter
-from presage.detector import DetectionRecord, LstmEngine, Phase, Verdict
+from presage.detector import DetectionRecord, DetectorConfig, LstmEngine, Phase, Verdict
 from presage.errors import DataError
 from presage.scoring import _unit_of
 
@@ -160,6 +160,52 @@ def threshold(history: Sequence[float]) -> float:
     mu = float(arr.mean())
     sigma = float(np.sqrt(np.mean((arr - mu) ** 2)))
     return unit * (mu + 3.0 * sigma)
+
+
+def reference_detector(values, engine, config: DetectorConfig = DetectorConfig()) -> list[DetectionRecord]:
+    """The paper's detection loop written plainly, the oracle for ``Detector``:
+    the error scores in a list, the threshold from it by the two-pass
+    ``threshold``, and the forecasts in a dict keyed by the index they are for.
+    A score above the threshold is rechecked: a model trained on the b points
+    before t forecasts t again and the point is scored again. The candidate
+    replaces the model only if that score is within the threshold, and the
+    recheck forecast stays for later scores either way, an ``ANOMALY``'s too.
+    Records have no timestamp and a decision time of 0."""
+    b, epsilon = config.look_back, config.epsilon
+    values = [float(v) for v in values]
+    scores, forecasts, model, records = [], {}, None, []
+    for t, value in enumerate(values):
+        window = values[max(t - b + 1, 0) : t + 1]
+        if t < b - 1:
+            phase = Phase.COLLECTING
+        elif t < 2 * b - 1:
+            phase = Phase.WARMUP
+        elif t < 2 * b + 1:
+            phase = Phase.BOOTSTRAP
+        else:
+            phase = Phase.DETECTING
+        score = limit = None
+        verdict, retrained = Verdict.PENDING, False
+        if phase in (Phase.BOOTSTRAP, Phase.DETECTING):
+            score = scoring.aare(window, [forecasts[i] for i in range(t - b + 1, t + 1)], epsilon)
+        if phase is Phase.DETECTING:
+            limit = threshold(scores + [score])
+            if score > limit:
+                retrained = True
+                candidate = engine.train(values[t - b : t])
+                forecasts[t] = float(engine.predict(candidate, values[t - b : t]))
+                score = scoring.aare(window, [forecasts[i] for i in range(t - b + 1, t + 1)], epsilon)
+                if score <= limit:
+                    model = candidate
+            verdict = Verdict.NORMAL if score <= limit else Verdict.ANOMALY
+        if score is not None:
+            scores.append(score)
+        if phase in (Phase.WARMUP, Phase.BOOTSTRAP):
+            model = engine.train(window)
+        if phase is not Phase.COLLECTING:
+            forecasts[t + 1] = float(engine.predict(model, window))
+        records.append(DetectionRecord(t, None, value, forecasts.get(t), score, limit, phase, verdict, retrained, 0.0))
+    return records
 
 
 def running_threshold(history) -> float:

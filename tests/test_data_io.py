@@ -55,6 +55,15 @@ class TestReadSeries:
         observations = list(read_series(path))
         timestamp, _ = observations[0]
         assert timestamp == datetime(2014, 4, 10, 0, 2)
+        # the other ISO 8601 forms datetime.fromisoformat reads on Python 3.11+
+        for text, expected in [
+            ("2014-01-01T00:05Z", datetime(2014, 1, 1, 0, 5, tzinfo=timezone.utc)),
+            ("20140101T0005", datetime(2014, 1, 1, 0, 5)),
+            ("2014-W01-3 00:05", datetime(2014, 1, 1, 0, 5)),
+            ("2014-01-01", datetime(2014, 1, 1)),
+        ]:
+            path.write_text(f"timestamp,value\n{text},1.0\n")
+            assert list(read_series(path)) == [(expected, 1.0)]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"

@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from presage import forecaster, scoring
@@ -36,6 +36,7 @@ from helpers import (
     RecordingEngine,
     ScriptedEngine,
     make_record,
+    reference_detector,
     threshold,
     without_timing,
     write_records,
@@ -108,6 +109,7 @@ class TestConfig:
             (DetectorConfig, "look_back", "3"),
             (DetectorConfig, "look_back", True),
             (DetectorConfig, "epsilon", "1"),
+            (DetectorConfig, "epsilon", True),  # was kept, and written as true into a run summary
             # "x" once failed every step from t=b-1 on with an AttributeError,
             # and None silently ran the default LstmConfig.
             (DetectorConfig, "lstm", "x"),
@@ -120,6 +122,8 @@ class TestConfig:
             (LstmConfig, "seed", 1.5),
             (LstmConfig, "learning_rate", "0.1"),
             (LstmConfig, "early_stop_delta", None),
+            (LstmConfig, "learning_rate", True),
+            (LstmConfig, "early_stop_delta", False),
         ],
     )
     def test_a_field_of_the_wrong_type_is_a_config_error_naming_it(self, make, name, bad):
@@ -701,6 +705,67 @@ class TestOverflow:
         records = self._step_all(series)
         assert [r.time_index for r in records] == list(range(40))
         assert records[30].verdict is Verdict.ANOMALY
+
+
+@st.composite
+def shaped_streams(draw, look_back: int) -> list:
+    """Up to 200 points of a noisy wave, scaled to a magnitude from 1e-300 to
+    1e300, with stretches spliced in: constant runs, repeats of an earlier
+    stretch and back-to-back dips. A run is at most b points and a repeat
+    fewer, so a constant window can occur while windows stay distinct, as
+    ``PerfectEngine`` needs."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = 50.0 + 3.0 * np.sin(np.arange(n) / 4) + rng.normal(0.0, 0.3, n)
+    splices = st.tuples(st.sampled_from(["run", "repeat", "dips"]), st.integers(0, n - 1), st.integers(1, look_back))
+    for kind, start, length in draw(st.lists(splices, max_size=6)):
+        stop = min(start + length, n)
+        if kind == "run":
+            values[start:stop] = values[start]
+        elif kind == "repeat" and 0 < stop - start < look_back and start >= stop - start:
+            source = draw(st.integers(0, 2 * start - stop))
+            values[start:stop] = values[source : source + stop - start]
+        elif kind == "dips":
+            values[start:stop] -= 30.0
+    return (values * 10.0 ** draw(st.integers(-301, 298))).tolist()
+
+
+class TestReferenceLoop:
+    """``Detector`` gives the records of ``helpers.reference_detector``, the
+    paper's loop written plainly. Thresholds agree within 1e-12 relative: the
+    detector keeps running statistics where the reference sums twice."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(look_back=st.integers(2, 6), kind=st.sampled_from(["perfect", "scripted", "lstm"]), data=st.data())
+    def test_records_equal_those_of_the_reference_loop(self, look_back, kind, data):
+        series = data.draw(shaped_streams(look_back))
+        windows = [tuple(series[k : k + look_back]) for k in range(len(series) - look_back + 1)]
+        assume(kind == "lstm" or len(set(windows)) == len(windows))
+        targets = st.integers(2 * look_back + 1, max(len(series) - 1, 2 * look_back + 1))
+        lies = data.draw(st.dictionaries(targets, st.sampled_from([0.5, 2.0]), max_size=6))
+        lie_once = {t: series[t] * f for t, f in lies.items() if t < len(series) and f < 1}
+        lie_always = {t: series[t] * f for t, f in lies.items() if t < len(series) and f > 1}
+
+        def engine():
+            if kind == "perfect":
+                return PerfectEngine(series, look_back)
+            if kind == "scripted":
+                return ScriptedEngine(series, look_back, lie_once=lie_once, lie_always=lie_always)
+            return LstmEngine(FAST_LSTM)
+
+        config = DetectorConfig(look_back=look_back, lstm=FAST_LSTM)
+        detector = Detector(config, engine=engine())
+        records = without_timing([detector.step(v) for v in series])
+        expected = reference_detector(series, engine(), config)
+        for verdict in {r.verdict.value for r in records if r.retrained}:
+            event(f"{kind}: a recheck ends {verdict}")
+        assert [dataclasses.replace(r, threshold=None) for r in records] == [
+            dataclasses.replace(r, threshold=None) for r in expected
+        ]
+        for got, want in zip(records, expected):
+            assert (got.threshold is None) == (want.threshold is None)
+            if want.threshold is not None:
+                assert got.threshold == pytest.approx(want.threshold, rel=1e-12, abs=0.0)
 
 
 class TestTracedSeam:

@@ -102,6 +102,8 @@ class TestConfig:
             {"min_epochs": 10, "max_epochs": 5},
             {"early_stop_delta": -1e-9},
             {"early_stop_delta": float("nan")},
+            {"early_stop_delta": False},
+            {"learning_rate": True},
             {"early_stop_patience": 0},
             {"seed": -1},
         ],
@@ -747,6 +749,22 @@ class TestSuffixStates:
             predict_next(model, 1.0 + 2.0 * rng.standard_normal(4), memo)
         assert memo == [None]
 
+    def test_a_partial_window_whose_output_overflows_does_not_refuse_the_window(self):
+        # Values of -1, 0 and 1 model-stds, and 30 times a hidden state scaled
+        # by std 1e307: the output after some window's first values overflows
+        # although the window's own forecast is finite. That output is no
+        # forecast, so each window gets the reference's bits or refusal.
+        rng = np.random.default_rng(71)
+        h, refused = 4, 0
+        for _ in range(300):
+            model = LstmModel(w_x=rng.uniform(-3, 3, 4 * h), w_h=rng.uniform(-1, 1, (4 * h, h)),
+                              b=np.zeros(4 * h), w_out=np.full(h, 30.0), b_out=0.0, norm_std=1e307)
+            window = tuple(rng.choice([-1e307, 0.0, 1e307], 3).tolist())
+            expected = outcome(lambda: reference_predict(model, window)[0])
+            assert outcome(lambda: predict_next(model, window, [None])) == expected
+            refused += type(expected) is tuple
+        assert 0 < refused < 300
+
     def test_a_model_is_a_frozen_value_that_forecasting_leaves_alone(self):
         model, series, memo = self._primed()
         fields = dict(vars(model))
@@ -888,6 +906,39 @@ class TestWorkspace:
         for start in (2, 3):
             memo = assert_same_as_reference(model, tuple(series[start : start + 4]), memo, slot)
             assert slot[0][1] is last[1]
+
+    @pytest.mark.parametrize(
+        "scope, middle, error",
+        [
+            (contextlib.nullcontext, 1.7e308, DataError),
+            (lambda: np.errstate(all="raise"), 5e307, FloatingPointError),
+        ],
+        ids=["normalizes-to-inf", "step-overflows"],
+    )
+    def test_a_cold_call_that_fails_at_its_middle_value_leaves_the_memo_as_it_was(self, scope, middle, error):
+        # At std 0.5, 1.7e308 normalizes to inf, and 5e307 to 1e308, whose
+        # product with some w_x overflows when numpy raises on overflow.
+        rng = np.random.default_rng(73)
+        model = dataclasses.replace(random_model(rng, 6, 5.0), norm_mean=1.0, norm_std=0.5)
+        series = (1.0 + 0.5 * rng.standard_normal(8)).tolist()
+        slot = [None]
+        memo = assert_same_as_reference(model, tuple(series[0:4]), None, slot)
+        memo = assert_same_as_reference(model, tuple(series[1:5]), memo, slot)
+        last = slot[0]
+        with scope(), pytest.raises(error) as raised:
+            predict_next(model, (series[5], middle, series[6]), slot)
+        assert raised.type is error  # an overflow is retried once, not until recursion fails
+        assert raised.value.__context__ is None or raised.value.__context__.__context__ is None
+        assert slot[0] is last
+        memo = assert_same_as_reference(model, tuple(series[2:6]), memo, slot)
+        assert slot[0][1] is last[1]
+
+    def test_a_cold_window_with_a_value_that_normalizes_to_inf_is_refused_before_any_step(self):
+        # 5e307 normalizes to 1e308, whose step overflows when numpy raises;
+        # the last value, 1.7e308, normalizes to inf and is what is refused.
+        model = dataclasses.replace(random_model(np.random.default_rng(73), 6, 5.0), norm_mean=1.0, norm_std=0.5)
+        with np.errstate(all="raise"), pytest.raises(DataError, match="non-finite"):
+            predict_next(model, (1.0, 5e307, 1.7e308), [None])
 
     @pytest.mark.parametrize(
         "duplicate",

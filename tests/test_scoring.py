@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from presage.errors import DataError
 from presage.scoring import DEFAULT_EPSILON, aare
 
-from helpers import aare_oracle, outcome, running_threshold, threshold_oracle
+from helpers import aare_oracle, outcome, running_threshold, threshold, threshold_oracle
 
 finite_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 wide_values = st.builds(
@@ -237,6 +237,15 @@ class TestThreshold:
         history = np.random.default_rng(5).uniform(0, 10, 20)
         scaled = running_threshold(history * 2.0**exponent)
         assert scaled == running_threshold(history) * 2.0**exponent
+
+    @pytest.mark.parametrize("exponent", [-600, -1000])
+    def test_tiny_scores_scale_exactly(self, exponent):
+        # The squared deviations of these scores are subnormal or zero, which
+        # once cost the threshold about 1e-11 of its value, or its whole spread.
+        history = np.random.default_rng(5).uniform(0, 10, 20)
+        scaled = running_threshold(history * 2.0**exponent)
+        assert scaled == running_threshold(history) * 2.0**exponent
+        assert threshold(history * 2.0**exponent) == threshold(history) * 2.0**exponent
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=30))
     def test_never_below_mean(self, history):
