@@ -7,18 +7,18 @@ File formats (all documented here, bit-exactly):
   Timestamps are ISO 8601 as ``datetime.fromisoformat`` reads it on Python 3.11+:
   ``YYYY-MM-DD HH:MM[:SS[.ffffff]]``, but also ``2014-01-01T00:05Z`` (aware,
   UTC), ``20140101T0005``, ``2014-W01-3 00:05`` or a bare date.
-* Labels: JSON. Either a plain list of timestamps (all anomalies), or a
-  map from dataset key to an entry; an entry is a list of anomaly
-  timestamps or an object ``{"anomalies": [...], "signs": [...]}`` where
-  ``signs`` holds labeled precursor instants; any other key is an error.
-  Signs are accepted and checked like anomalies, but not scored:
-  ``read_labels`` returns only the anomalies.
+* Labels: JSON, each timestamp a JSON string. Either a plain list of
+  timestamps (all anomalies), or a map from dataset key to an entry; an
+  entry is a list of anomaly timestamps or an object ``{"anomalies": [...],
+  "signs": [...]}`` where ``signs`` holds labeled precursor instants; any
+  other key is an error. Signs are accepted and checked like anomalies,
+  but not scored: ``read_labels`` returns only the anomalies.
 * Report output: CSV with one row per ingested point and columns
   ``index,timestamp,value,predicted,aare,threshold,phase,verdict,
   retrained,decision_time_s``. Fields that are undefined for the row's
   phase are left empty; ``retrained`` is ``true`` or ``false``. Floats use
   shortest round-trip repr, so a report read back yields the records it
-  was written from.
+  was written from; read back, a NaN or inf in a number column is an error.
 * Run summary: JSON of an ``evaluation.RunSummary`` (its retraining
   ratio included, anomalies as index and timestamp) plus the detector
   config it came from.
@@ -66,13 +66,12 @@ REPORT_COLUMNS = [
 ]
 
 
-def _parse_timestamp(text: str, context: object, lineno: int | None = None) -> datetime:
-    """The one timestamp parser; ``DataError`` at ``context[:lineno]`` if unparsable."""
+def _parse_timestamp(text: str, where: str, *args) -> datetime:
+    """The one timestamp parser; ``DataError`` after ``where.format(*args)`` if unparsable."""
     try:
         return datetime.fromisoformat(text.strip())
-    except ValueError:
-        where = context if lineno is None else f"{context}:{lineno}"
-        raise DataError(f"{where}: unparsable timestamp {text!r}") from None
+    except (AttributeError, ValueError):  # AttributeError: a label that is no JSON string
+        raise DataError(f"{where.format(*args)}unparsable timestamp {text!r}") from None
 
 
 @contextmanager
@@ -134,7 +133,7 @@ def _series_rows(path: Path):
                 continue
             if len(row) <= max(ts_col, val_col):
                 raise DataError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
-            ts = _parse_timestamp(row[ts_col], path, lineno)
+            ts = _parse_timestamp(row[ts_col], "{}:{}: ", path, lineno)
             try:
                 value = float(row[val_col])
             except ValueError:
@@ -142,10 +141,7 @@ def _series_rows(path: Path):
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: non-finite value {value}")
             if previous is not None:
-                try:
-                    _check_order(previous, ts)
-                except DataError as exc:
-                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
+                _check_order(previous, ts, "{}:{}: ", path, lineno)
                 if (delta := ts - previous) in intervals or len(intervals) < _CADENCE_SLOTS:
                     intervals[delta] += 1
                 else:
@@ -170,15 +166,12 @@ def _series_rows(path: Path):
 def _parse_label_list(entries, context: str) -> list[datetime]:
     if not isinstance(entries, list):
         raise DataError(f"{context}: expected a list of timestamps, got {type(entries).__name__}")
-    stamps = [_parse_timestamp(str(entry), context) for entry in entries]
+    stamps = [_parse_timestamp(entry, "{}: ", context) for entry in entries]
+    rule = "{}: label timestamps must be strictly increasing, all aware or all naive: "
     for earlier, later in zip(stamps, stamps[1:]):
-        try:
-            _check_order(earlier, later)
-            if later == earlier:
-                raise OrderingError(f"timestamp {later} repeats the previous one")
-        except DataError as exc:
-            rule = "label timestamps must be strictly increasing, all aware or all naive"
-            raise type(exc)(f"{context}: {rule}: {exc}") from None
+        _check_order(earlier, later, rule, context)
+        if later == earlier:
+            raise OrderingError(f"{rule.format(context)}timestamp {later} repeats the previous one")
     return stamps
 
 
@@ -259,7 +252,8 @@ class ReportWriter:
 
 
 def read_report(path: str | Path) -> list[DetectionRecord]:
-    """Read a report back into the records it was written from."""
+    """Read a report back into the records it was written from; a bad cell, or a NaN
+    or inf outside ``decision_time_s`` (``summarize_run``'s), is a ``DataError``."""
     path = Path(path)
     records = []
     with _open_text(path) as fh:
@@ -272,17 +266,21 @@ def read_report(path: str | Path) -> list[DetectionRecord]:
                 continue
             if len(row) != len(REPORT_COLUMNS):
                 raise DataError(f"{path}:{lineno}: malformed report row")
-            timestamp = _parse_timestamp(row[1], path, lineno) if row[1] else None
+            timestamp = _parse_timestamp(row[1], "{}:{}: ", path, lineno) if row[1] else None
             if row[8] not in ("true", "false"):
                 raise DataError(f"{path}:{lineno}: retrained must be true or false, got {row[8]!r}")
             try:
-                predicted, aare, threshold = (float(cell) if cell else None for cell in row[3:6])
+                value = float(row[2])
+                predicted, aare, threshold = [float(cell) if cell else None for cell in row[3:6]]
                 records.append(DetectionRecord(
-                    int(row[0]), timestamp, float(row[2]), predicted, aare, threshold,
+                    int(row[0]), timestamp, value, predicted, aare, threshold,
                     Phase(row[6]), Verdict(row[7]), row[8] == "true", float(row[9]),
                 ))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            for column, number in enumerate((value, predicted, aare, threshold), 2):
+                if number is not None and not math.isfinite(number):
+                    raise DataError(f"{path}:{lineno}: non-finite {REPORT_COLUMNS[column]} {number}")
     return records
 
 
@@ -312,7 +310,7 @@ def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path)
             "epsilon": config.epsilon,
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def write_evaluation(summary: EvaluationSummary, params: dict, path: str | Path):
@@ -334,5 +332,5 @@ def write_evaluation(summary: EvaluationSummary, params: dict, path: str | Path)
         **_run_fields(summary.run),
         "params": params,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -78,16 +78,17 @@ def phase_of(t: int, look_back: int) -> Phase:
     return Phase.DETECTING
 
 
-def _check_order(previous: datetime, timestamp: datetime) -> None:
+def _check_order(previous: datetime, timestamp: datetime, where: str = "", *args) -> None:
     """The one rule for consecutive timestamps: ``DataError`` if they differ in
-    timezone awareness, ``OrderingError`` if ``timestamp`` comes earlier."""
+    timezone awareness, ``OrderingError`` if ``timestamp`` comes earlier. Each
+    message starts with ``where.format(*args)``, built only when the rule fails."""
     if (timestamp.utcoffset() is None) != (previous.utcoffset() is None):
         raise DataError(
-            f"timestamp {timestamp} mixes timezone-aware and naive timestamps "
-            f"(previous was {previous})"
+            f"{where.format(*args)}timestamp {timestamp} mixes timezone-aware and naive "
+            f"timestamps (previous was {previous})"
         )
     if timestamp < previous:
-        raise OrderingError(f"timestamp {timestamp} precedes previous {previous}")
+        raise OrderingError(f"{where.format(*args)}timestamp {timestamp} precedes previous {previous}")
 
 
 @dataclass(frozen=True)

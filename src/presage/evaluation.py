@@ -101,13 +101,11 @@ def _checked(
     for record in records:
         timestamp = record.timestamp
         if timestamp is not None:
-            try:
-                if previous is not None:
-                    _check_order(previous, timestamp)
-                elif labels and (timestamp.utcoffset() is None) != naive:
-                    raise DataError(f"timestamp {timestamp} and labels mix timezone awareness")
-            except DataError as exc:
-                raise type(exc)(f"record at index {record.time_index}: {exc}") from None
+            if previous is not None:
+                _check_order(previous, timestamp, "record at index {}: ", record.time_index)
+            elif labels and (timestamp.utcoffset() is None) != naive:
+                raise DataError(f"record at index {record.time_index}: timestamp {timestamp} "
+                                "and labels mix timezone awareness")
             previous = timestamp
         elif record.verdict is Verdict.ANOMALY:
             raise DataError(f"anomaly record at index {record.time_index} has no timestamp")

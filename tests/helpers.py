@@ -373,9 +373,9 @@ def reference_advance(model, weights: tuple, feed, hidden: np.ndarray, cell: np.
 def reference_predict(model, window, memo=None):
     """``forecaster.predict_next`` on fresh arrays with the memo passed in and
     out, never stored on the model: returns ``(forecast, memo)``, the memo
-    ``(w_x, w_h, b, step weights, normalized window[1:], hidden, cell)``. A
-    copy of a model shares its memo; the memo is replaced only when a
-    forecast returns."""
+    ``(w_x, w_h, b, step weights, normalized window[1:], hidden, cell)``. The
+    caller owns the memo, so a copied engine starts cold; the memo is replaced
+    only when a forecast returns."""
     mean, std = model.norm_mean, model.norm_std
     normed = tuple([(float(v) - mean) / std for v in np.asarray(window, dtype=float).tolist()])
     if not all(map(math.isfinite, normed)):

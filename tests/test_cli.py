@@ -366,6 +366,20 @@ class TestEvaluate:
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
 
+    def test_non_finite_report_numbers_exit_one(self, tmp_path, spike_report, capsys):
+        # They were once read without error, and evaluate exited 0.
+        lines = spike_report.read_text().splitlines(keepends=True)
+        row = lines[10].split(",")
+        row[2:5] = ["nan", "inf", "-1e999"]
+        lines[10] = ",".join(row)
+        spike_report.write_text("".join(lines))
+        labels = tmp_path / "labels.json"
+        labels.write_text("[]")
+        capsys.readouterr()
+        assert main(["evaluate", "--report", str(spike_report), "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert f"{spike_report}:11: non-finite value nan" in err and "Traceback" not in err
+
     def test_nan_decision_time_exits_one(self, tmp_path, spike_report, capsys):
         # It once passed the sign check and the evaluation JSON said NaN.
         lines = spike_report.read_text().splitlines(keepends=True)

@@ -18,10 +18,12 @@ TINY_LABELS = ["2020-01-01 02:00:00"]
 
 
 def presage_cli(cwd: Path, *args: str) -> subprocess.CompletedProcess:
-    """Run ``presage`` with ``args`` in ``cwd``; no traceback may reach stderr."""
+    """Run ``presage`` with ``args`` in ``cwd``; no traceback may reach stderr. A file
+    opened in the locale's encoding is an ``EncodingWarning``, raised as an error."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-m", "presage.cli", *args],
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "presage.cli", *args],
         cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
     )
     assert "Traceback" not in done.stderr, done.stderr

@@ -305,6 +305,24 @@ class TestReadLabels:
         with pytest.raises(DataError):
             read_labels(path)
 
+    @pytest.mark.parametrize("entry", [20200101, 2021, None, ["2020-01-01"]])
+    @pytest.mark.parametrize("layout", ["list", "entry", "anomalies", "signs"])
+    def test_label_that_is_no_json_string_rejected(self, tmp_path, entry, layout):
+        # 20200101 once read as 2020-01-01 00:00 through str(), while 2021 was refused
+        stamps = ["2019-12-31 00:00:00", entry]
+        payload = {
+            "list": stamps,
+            "entry": {"k": stamps},
+            "anomalies": {"k": {"anomalies": stamps}},
+            "signs": {"k": {"anomalies": [], "signs": stamps}},
+        }[layout]
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError) as exc:
+            read_labels(path, "k")
+        where = path if layout == "list" else f"{path}[k]"
+        assert str(exc.value) == f"{where}: unparsable timestamp {entry!r}"
+
     @pytest.mark.parametrize(
         "stamps",
         [
@@ -406,6 +424,22 @@ class TestReport:
         with pytest.raises(DataError) as exc:
             read_report(path)
         assert str(exc.value) == f"{path}:3: unparsable timestamp ' noon '"
+
+    @pytest.mark.parametrize(
+        "column, cell", [("value", "nan"), ("predicted", "inf"), ("aare", "-1e999"), ("threshold", "-Infinity")]
+    )
+    def test_non_finite_number_rejected(self, tmp_path, column, cell):
+        # detect never writes one; only decision_time_s is left to summarize_run
+        path = tmp_path / "report.csv"
+        write_records(sample_records(), path)
+        lines = path.read_text().splitlines()
+        row = lines[9].split(",")  # a detecting row, every number column filled
+        row[REPORT_COLUMNS.index(column)] = cell
+        lines[9] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            read_report(path)
+        assert str(exc.value) == f"{path}:10: non-finite {column} {float(cell)}"
 
     @pytest.mark.parametrize("cell", ["yes", "True", "1", ""])
     def test_retrained_other_than_true_or_false_rejected(self, tmp_path, cell):

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from presage.data_io import read_series
+from presage.data_io import read_labels, read_series
 from presage.detector import Detector, DetectorConfig, Verdict, phase_of
 from presage.errors import ConfigError, DataError, OrderingError
 from presage.evaluation import (
@@ -347,11 +347,16 @@ def evaluate_pair(first, second, tmp_path):
     evaluate_run([make_record(0, timestamp=first), make_record(1, timestamp=second)], [])
 
 
+# Where each consumer says the pair failed, ahead of the rule's own message.
+ORDER_PREFIXES = {step_pair: "", read_pair: "{}:3: ", evaluate_pair: "record at index 1: "}
+
+
 @pytest.mark.parametrize("case", ORDER_CASES)
 @pytest.mark.parametrize("consume", [step_pair, read_pair, evaluate_pair])
 def test_one_timestamp_order_rule(consume, case, tmp_path):
     """The detector, the series reader and the scorer judge the same pair of
-    consecutive timestamps alike, down to the exception class."""
+    consecutive timestamps alike, down to the exception class, and each names
+    its place once."""
     first, second, expected = ORDER_CASES[case]
     if expected is None:
         consume(first, second, tmp_path)
@@ -359,3 +364,21 @@ def test_one_timestamp_order_rule(consume, case, tmp_path):
     with pytest.raises(expected) as exc:
         consume(first, second, tmp_path)
     assert type(exc.value) is expected
+    prefix = ORDER_PREFIXES[consume].format(tmp_path / "pair.csv")
+    assert str(exc.value).startswith(prefix + "timestamp "), str(exc.value)
+
+
+def test_braces_in_a_path_or_key_reach_the_message_unchanged(tmp_path):
+    series = tmp_path / "a{}{0}.csv"
+    series.write_text("timestamp,value\n2021-01-01 00:01,1\n2021-01-01 00:00,2\n")
+    with pytest.raises(OrderingError) as exc:
+        list(read_series(series))
+    assert str(exc.value).startswith(f"{series}:3: timestamp ")
+    labels = tmp_path / "labels{}.json"
+    labels.write_text('{"k{}{0}": ["2021-01-02", "2021-01-01"], "x{}": ["noon"]}')
+    with pytest.raises(OrderingError) as exc:
+        read_labels(labels, "k{}{0}")
+    assert str(exc.value).startswith(f"{labels}[k{{}}{{0}}]: label timestamps must be strictly increasing")
+    with pytest.raises(DataError) as exc:
+        read_labels(labels, "x{}")
+    assert str(exc.value) == f"{labels}[x{{}}]: unparsable timestamp 'noon'"
