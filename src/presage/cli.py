@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -174,13 +175,15 @@ def run_evaluate(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:  # the subcommand's usage, as for argparse's own errors
-        args.parser.error(str(exc))
-    except (PresageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # one `warning:` line, like an error; restored on exit
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as exc:  # the subcommand's usage, as for argparse's own errors
+            args.parser.error(str(exc))
+        except (PresageError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -215,8 +215,8 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> list[dateti
         raise DataError(
             f"{context}: unknown entry key {unknown[0]!r}; entries take only 'anomalies' and 'signs'"
         )
-    anomalies = _parse_label_list(entry.get("anomalies", []), context)
-    _parse_label_list(entry.get("signs", []), context)
+    anomalies = _parse_label_list(entry.get("anomalies", []), f"{context}.anomalies")
+    _parse_label_list(entry.get("signs", []), f"{context}.signs")
     return anomalies
 
 
@@ -307,7 +307,7 @@ def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path)
             "look_back": config.look_back,
             "predict_forward": 1,
             "seed": config.lstm.seed,
-            "epsilon": config.epsilon,
+            "epsilon": float(config.epsilon),
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -115,12 +115,12 @@ def _checked(
 def _span(minutes: float, name: str) -> timedelta:
     """``minutes`` as a time span: a real number, finite, non-negative and
     within what a ``timedelta`` holds, else ``ConfigError``."""
-    if not (isinstance(minutes, numbers.Real) and math.isfinite(minutes) and minutes >= 0):
-        raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {minutes!r}")
-    try:
-        return timedelta(minutes=minutes)
-    except OverflowError:
-        raise ConfigError(f"{name} of {minutes} minutes is longer than a time span can be") from None
+    try:  # through float(), since timedelta refuses numpy scalars and fractions
+        if isinstance(minutes, numbers.Real) and math.isfinite(value := float(minutes)) and value >= 0:
+            return timedelta(minutes=value)
+    except OverflowError:  # also an int past the float range
+        raise ConfigError(f"{name} is longer than a time span can be") from None
+    raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {minutes!r}")
 
 
 def summarize_run(records: Iterable[DetectionRecord]) -> RunSummary:

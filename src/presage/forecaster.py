@@ -57,6 +57,9 @@ __all__ = [
 # constant and normalized with std 1 instead.
 _CONSTANT_STD = 1e-12
 
+# The paper's fixed training settings: the learning rate and the early-stopping patience.
+_LEARNING_RATE, _PATIENCE = 0.15, 3
+
 _HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (``_gates``)
 
 
@@ -76,39 +79,24 @@ def _check_types(config) -> None:
 class LstmConfig:
     """Hyperparameters for training the look-back forecaster.
 
-    Defaults mirror the streaming detector's reference setup: 10 hidden
-    units, learning rate 0.15, and early stopping confined to 1..50
-    epochs. Larger epoch caps are accepted when set explicitly.
+    Defaults mirror the streaming detector's reference setup: 10 hidden units
+    and at most 50 epochs, a cap that may be raised. The learning rate and the
+    early-stopping patience are the paper's fixed settings (``train``).
     """
 
     hidden_units: int = 10
-    learning_rate: float = 0.15
     max_epochs: int = 50
-    min_epochs: int = 1
     early_stop_delta: float = 1e-4
-    early_stop_patience: int = 3
     seed: int = 42
 
     def __post_init__(self):
         _check_types(self)
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
-        if self.min_epochs < 1:
-            raise ConfigError(f"min_epochs must be >= 1, got {self.min_epochs}")
-        if self.max_epochs < self.min_epochs:
-            raise ConfigError(
-                f"max_epochs ({self.max_epochs}) must be >= min_epochs ({self.min_epochs})"
-            )
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not self.early_stop_delta >= 0:  # NaN fails too
             raise ConfigError(f"early_stop_delta must be >= 0, got {self.early_stop_delta}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(
-                f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -356,9 +344,9 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     deviation, with std substituted by 1 when the window is constant.
     Training pairs are teacher-forced next-step pairs within the window,
     optimized by full-batch gradient descent on mean squared error.
-    Early stopping halts once the relative loss improvement stays below
-    ``early_stop_delta`` for ``early_stop_patience`` consecutive epochs,
-    never before ``min_epochs`` nor after ``max_epochs``. The epochs run
+    The learning rate is 0.15. Early stopping halts once the relative loss
+    improvement stays below ``early_stop_delta`` for 3 consecutive epochs,
+    and training never runs past ``max_epochs``. The epochs run
     through one ``_Descent``; the model gets read-only copies of its arrays.
     ``scoring._floats`` reads the window; a NaN, an inf or an int past the
     float range in it is a ``DataError``, and text is no window.
@@ -389,12 +377,12 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     with np.errstate(under="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             loss = descent.loss_and_grads()
-            descent.update(config.learning_rate)
+            descent.update(_LEARNING_RATE)
             if prev_loss is not None:
                 improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
                 stalled = stalled + 1 if improvement < config.early_stop_delta else 0
             prev_loss = loss
-            if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
+            if stalled >= _PATIENCE:
                 break
     arrays = [view.copy() for view in (descent.w_x, descent.w_h, descent.b, descent.w_out)]
     for array in arrays:

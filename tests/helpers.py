@@ -300,7 +300,8 @@ def init_model(config) -> forecaster.LstmModel:
 def reference_train(window, config):
     """``forecaster.train`` as a plain loop, the oracle for its workspace: each
     epoch takes fresh gradients from ``loss_and_grads`` and updates the five
-    parameters one by one."""
+    parameters one by one. The paper's fixed settings, learning rate 0.15 and
+    early-stopping patience 3, are written out here, not read from the library."""
     raw = np.asarray(window, dtype=float)
     with np.errstate(all="ignore"):
         mean, std = float(raw.mean()), float(raw.std())
@@ -312,7 +313,7 @@ def reference_train(window, config):
     inputs, targets = normed[:-1], normed[1:]
     model = dataclasses.replace(init_model(config), norm_mean=mean, norm_std=std)
     w_x, w_h, b, w_out = model.w_x, model.w_h, model.b, model.w_out  # written in place
-    lr, prev_loss, stalled = config.learning_rate, None, 0
+    lr, prev_loss, stalled = 0.15, None, 0
     with np.errstate(under="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             loss, grads = loss_and_grads(model, inputs, targets)
@@ -325,7 +326,7 @@ def reference_train(window, config):
                 improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
                 stalled = stalled + 1 if improvement < config.early_stop_delta else 0
             prev_loss = loss
-            if epoch >= config.min_epochs and stalled >= config.early_stop_patience:
+            if stalled >= 3:
                 break
     return forecaster.TrainOutcome(model, epoch)
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -94,6 +95,17 @@ class TestDetect:
         assert code == 1
         assert not report.exists()
         assert "error" in capsys.readouterr().err
+
+    def test_a_cadence_warning_is_printed_and_the_callers_warning_state_kept(self, tmp_path, capsys):
+        series = tmp_path / "gap.csv"
+        write_series_csv(series, [50.0 + k % 5 for k in range(40)])
+        lines = series.read_text().splitlines(keepends=True)
+        series.write_text("".join([*lines[:20], *lines[21:]]))
+        before = warnings.showwarning, list(warnings.filters)
+        assert main(detect_args(series, tmp_path / "report.csv")) == 0
+        assert (warnings.showwarning, warnings.filters) == before
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: ") and line.endswith("treated as consecutive indices")
 
     def test_mixed_timezones_exit_one_without_traceback(self, tmp_path, capsys):
         series = tmp_path / "mixed.csv"

@@ -79,6 +79,17 @@ def test_a_bad_value_keeps_the_rows_decided_before_it(tiny):
     assert not (tiny / "midway-report.summary.json").exists()
 
 
+def test_a_cadence_warning_is_one_warning_line(tiny):
+    lines = (tiny / "tiny.csv").read_text().splitlines(keepends=True)
+    (tiny / "gap.csv").write_text("".join([*lines[:31], *lines[32:]]))  # one 10-minute interval
+    done = presage_cli(tiny, "detect", "--input", "gap.csv", "--report", "gap-report.csv")
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: gap.csv: 1 of 58 intervals deviate from the modal cadence 0:05:00; "
+        "points are treated as consecutive indices\n"
+    )
+
+
 def test_usage_errors_exit_two_and_touch_no_file(tiny):
     before = {name: (tiny / name).read_bytes() for name in ("tiny.csv", "tiny-report.csv")}
     detect = ["detect", "--input", "tiny.csv", "--report", "usage-report.csv"]

@@ -2,8 +2,10 @@ import json
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -320,8 +322,16 @@ class TestReadLabels:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError) as exc:
             read_labels(path, "k")
-        where = path if layout == "list" else f"{path}[k]"
+        where = {"list": path, "entry": f"{path}[k]"}.get(layout, f"{path}[k].{layout}")
         assert str(exc.value) == f"{where}: unparsable timestamp {entry!r}"
+
+    @pytest.mark.parametrize("field", ["anomalies", "signs"])
+    def test_an_entry_field_that_is_no_list_is_named(self, tmp_path, field):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"k": {"anomalies": [], field: "2020"}}))
+        with pytest.raises(DataError) as exc:
+            read_labels(path, "k")
+        assert str(exc.value) == f"{path}[k].{field}: expected a list of timestamps, got str"
 
     @pytest.mark.parametrize(
         "stamps",
@@ -507,6 +517,12 @@ class TestSummary:
         }
         assert payload["total_points"] == 10
         assert payload["anomalies"][0]["index"] == 8
+
+    @pytest.mark.parametrize("epsilon", [np.float32(1e-6), Fraction(1, 10**6)])
+    def test_any_real_epsilon_the_config_takes_is_written_as_a_float(self, tmp_path, epsilon):
+        path = tmp_path / "summary.json"
+        write_summary(summarize_run(sample_records()), DetectorConfig(epsilon=epsilon), path)
+        assert json.loads(path.read_text())["config"]["epsilon"] == float(epsilon)
 
 
 READERS = {

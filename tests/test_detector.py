@@ -117,12 +117,8 @@ class TestConfig:
             (DetectorConfig, "lstm", {}),
             (LstmConfig, "hidden_units", 2.5),
             (LstmConfig, "max_epochs", 7.5),
-            (LstmConfig, "min_epochs", True),
-            (LstmConfig, "early_stop_patience", 3.0),
             (LstmConfig, "seed", 1.5),
-            (LstmConfig, "learning_rate", "0.1"),
             (LstmConfig, "early_stop_delta", None),
-            (LstmConfig, "learning_rate", True),
             (LstmConfig, "early_stop_delta", False),
         ],
     )
@@ -132,7 +128,8 @@ class TestConfig:
 
     def test_any_real_number_fills_a_real_field(self):
         assert DetectorConfig(epsilon=np.float64(1e-6)).epsilon == 1e-6
-        assert LstmConfig(learning_rate=1, early_stop_delta=np.float32(0.5)).learning_rate == 1
+        assert LstmConfig(early_stop_delta=1).early_stop_delta == 1
+        assert LstmConfig(early_stop_delta=np.float32(0.5)).early_stop_delta == 0.5
 
 
 class TestPhaseSchedule:

@@ -1,5 +1,6 @@
 import math
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,7 +286,8 @@ class TestSpans:
     """Both spans must be real numbers, finite, non-negative and fit a timedelta."""
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf"), 1e300, -5.0, "1", None]
+        "value",
+        [float("nan"), float("inf"), float("-inf"), 1e300, pytest.param(10**400, id="int-1e400"), -5.0, "1", None],
     )
     @pytest.mark.parametrize("span", ["pre_window_minutes", "grace_minutes"])
     @pytest.mark.parametrize(
@@ -295,6 +297,13 @@ class TestSpans:
         # Checked even when no label would ever use the span.
         with pytest.raises(ConfigError, match=span):
             evaluate_run(unread_records(), labels, **{span: value})
+
+    @pytest.mark.parametrize("value", [np.float32(60), np.int64(5), Fraction(1, 2)])
+    def test_a_real_number_that_is_no_float_is_read_as_one(self, value):
+        records = [anomaly_at(T0 - 40 * MIN, 0), anomaly_at(T0 - 2 * MIN, 1), anomaly_at(T0 + MIN, 2)]
+        spans = {"pre_window_minutes": value, "grace_minutes": value}
+        expected = score(records, [T0], **{name: float(minutes) for name, minutes in spans.items()})
+        assert score(records, [T0], **spans) == expected
 
     def test_spans_are_keyword_only(self):
         # A positional 3, once the look-back, must not become a 3-minute pre-window.

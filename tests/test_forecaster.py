@@ -86,25 +86,23 @@ def extreme_cases(seed=31):
 class TestConfig:
     def test_defaults_are_valid(self):
         config = LstmConfig()
-        assert config.hidden_units == 10
-        assert config.learning_rate == 0.15
-        assert (config.min_epochs, config.max_epochs) == (1, 50)
+        assert (config.hidden_units, config.max_epochs, config.early_stop_delta) == (10, 50, 1e-4)
+
+    def test_each_setting_is_a_named_field(self):
+        # A new knob shows up here as an edit; the paper's fixed settings are no fields.
+        assert [f.name for f in dataclasses.fields(LstmConfig)] == [
+            "hidden_units", "max_epochs", "early_stop_delta", "seed"
+        ]
+        assert [f.name for f in dataclasses.fields(DetectorConfig)] == ["look_back", "epsilon", "lstm"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"hidden_units": 0},
-            {"learning_rate": 0.0},
-            {"learning_rate": -1.0},
-            {"learning_rate": float("nan")},
-            {"learning_rate": float("inf")},
-            {"min_epochs": 0},
-            {"min_epochs": 10, "max_epochs": 5},
+            {"max_epochs": 0},
             {"early_stop_delta": -1e-9},
             {"early_stop_delta": float("nan")},
             {"early_stop_delta": False},
-            {"learning_rate": True},
-            {"early_stop_patience": 0},
             {"seed": -1},
         ],
     )
@@ -313,6 +311,21 @@ class TestDescent:
         outcome = train(window, early)
         assert outcome.epochs_used < early.max_epochs
         assert_same_outcome(outcome, reference_train(window, early))
+
+    @pytest.mark.parametrize("value", [0.0, 5.0, -3e5])
+    @pytest.mark.parametrize("look_back", [2, 3, 6])
+    def test_a_constant_window_stops_at_epoch_four(self, value, look_back):
+        # It normalizes to zeros, which the initial model fits with a loss of 0: every
+        # epoch from the second counts as stalled, and the paper's patience is 3.
+        outcome = train([value] * look_back, LstmConfig())
+        assert_same_outcome(outcome, reference_train([value] * look_back, LstmConfig()))
+        assert outcome.epochs_used == 4
+
+    def test_a_rising_window_runs_every_epoch(self):
+        # At learning rate 0.15 its loss improves by more than early_stop_delta each epoch.
+        outcome = train([1.0, 2.0, 3.0], LstmConfig())
+        assert_same_outcome(outcome, reference_train([1.0, 2.0, 3.0], LstmConfig()))
+        assert outcome.epochs_used == 50
 
     @pytest.mark.parametrize(
         "window",
