@@ -113,10 +113,11 @@ def _checked(
 
 
 def _span(minutes: float, name: str) -> timedelta:
-    """``minutes`` as a time span: a real number, finite, non-negative and
-    within what a ``timedelta`` holds, else ``ConfigError``."""
+    """``minutes`` as a time span: a real number but no ``bool``, finite,
+    non-negative and within what a ``timedelta`` holds, else ``ConfigError``."""
     try:  # through float(), since timedelta refuses numpy scalars and fractions
-        if isinstance(minutes, numbers.Real) and math.isfinite(value := float(minutes)) and value >= 0:
+        if (isinstance(minutes, numbers.Real) and not isinstance(minutes, bool)
+                and math.isfinite(value := float(minutes)) and value >= 0):
             return timedelta(minutes=value)
     except OverflowError:  # also an int past the float range
         raise ConfigError(f"{name} is longer than a time span can be") from None

@@ -57,8 +57,8 @@ __all__ = [
 # constant and normalized with std 1 instead.
 _CONSTANT_STD = 1e-12
 
-# The paper's fixed training settings: the learning rate and the early-stopping patience.
-_LEARNING_RATE, _PATIENCE = 0.15, 3
+# The paper's fixed training settings: learning rate, early-stopping patience and threshold.
+_LEARNING_RATE, _PATIENCE, _EARLY_STOP_DELTA = 0.15, 3, 1e-4
 
 _HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (``_gates``)
 
@@ -81,12 +81,11 @@ class LstmConfig:
 
     Defaults mirror the streaming detector's reference setup: 10 hidden units
     and at most 50 epochs, a cap that may be raised. The learning rate and the
-    early-stopping patience are the paper's fixed settings (``train``).
+    early-stopping rule are the paper's fixed settings (``train``).
     """
 
     hidden_units: int = 10
     max_epochs: int = 50
-    early_stop_delta: float = 1e-4
     seed: int = 42
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class LstmConfig:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not self.early_stop_delta >= 0:  # NaN fails too
-            raise ConfigError(f"early_stop_delta must be >= 0, got {self.early_stop_delta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -345,7 +342,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     Training pairs are teacher-forced next-step pairs within the window,
     optimized by full-batch gradient descent on mean squared error.
     The learning rate is 0.15. Early stopping halts once the relative loss
-    improvement stays below ``early_stop_delta`` for 3 consecutive epochs,
+    improvement stays below 1e-4 for 3 consecutive epochs,
     and training never runs past ``max_epochs``. The epochs run
     through one ``_Descent``; the model gets read-only copies of its arrays.
     ``scoring._floats`` reads the window; a NaN, an inf or an int past the
@@ -380,7 +377,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
             descent.update(_LEARNING_RATE)
             if prev_loss is not None:
                 improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
-                stalled = stalled + 1 if improvement < config.early_stop_delta else 0
+                stalled = stalled + 1 if improvement < _EARLY_STOP_DELTA else 0
             prev_loss = loss
             if stalled >= _PATIENCE:
                 break

@@ -300,8 +300,9 @@ def init_model(config) -> forecaster.LstmModel:
 def reference_train(window, config):
     """``forecaster.train`` as a plain loop, the oracle for its workspace: each
     epoch takes fresh gradients from ``loss_and_grads`` and updates the five
-    parameters one by one. The paper's fixed settings, learning rate 0.15 and
-    early-stopping patience 3, are written out here, not read from the library."""
+    parameters one by one. The paper's fixed settings, learning rate 0.15,
+    early-stopping patience 3 and threshold 1e-4, are written out here, not
+    read from the library."""
     raw = np.asarray(window, dtype=float)
     with np.errstate(all="ignore"):
         mean, std = float(raw.mean()), float(raw.std())
@@ -324,7 +325,7 @@ def reference_train(window, config):
             model = dataclasses.replace(model, b_out=model.b_out - lr * grads["b_out"])
             if prev_loss is not None:
                 improvement = (prev_loss - loss) / prev_loss if prev_loss > 0 else 0.0
-                stalled = stalled + 1 if improvement < config.early_stop_delta else 0
+                stalled = stalled + 1 if improvement < 1e-4 else 0
             prev_loss = loss
             if stalled >= 3:
                 break

@@ -118,8 +118,8 @@ class TestConfig:
             (LstmConfig, "hidden_units", 2.5),
             (LstmConfig, "max_epochs", 7.5),
             (LstmConfig, "seed", 1.5),
-            (LstmConfig, "early_stop_delta", None),
-            (LstmConfig, "early_stop_delta", False),
+            (DetectorConfig, "epsilon", False),
+            (DetectorConfig, "epsilon", None),
         ],
     )
     def test_a_field_of_the_wrong_type_is_a_config_error_naming_it(self, make, name, bad):
@@ -128,8 +128,8 @@ class TestConfig:
 
     def test_any_real_number_fills_a_real_field(self):
         assert DetectorConfig(epsilon=np.float64(1e-6)).epsilon == 1e-6
-        assert LstmConfig(early_stop_delta=1).early_stop_delta == 1
-        assert LstmConfig(early_stop_delta=np.float32(0.5)).early_stop_delta == 0.5
+        assert DetectorConfig(epsilon=1).epsilon == 1
+        assert DetectorConfig(epsilon=np.float32(0.5)).epsilon == 0.5
 
 
 class TestPhaseSchedule:

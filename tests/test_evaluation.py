@@ -283,11 +283,13 @@ def unread_records():
 
 
 class TestSpans:
-    """Both spans must be real numbers, finite, non-negative and fit a timedelta."""
+    """Both spans must be real numbers but no bools, finite, non-negative and fit a timedelta."""
 
     @pytest.mark.parametrize(
         "value",
-        [float("nan"), float("inf"), float("-inf"), 1e300, pytest.param(10**400, id="int-1e400"), -5.0, "1", None],
+        # A bool is a numbers.Real, but the configs' type rule refuses it, and so do the spans.
+        [float("nan"), float("inf"), float("-inf"), 1e300, pytest.param(10**400, id="int-1e400"), -5.0, "1", None,
+         True, False],
     )
     @pytest.mark.parametrize("span", ["pre_window_minutes", "grace_minutes"])
     @pytest.mark.parametrize(
