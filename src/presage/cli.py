@@ -16,7 +16,7 @@ from typing import Sequence
 from .data_io import (
     ReportWriter, read_labels, read_report, read_series, write_evaluation, write_summary
 )
-from .detector import Detector, DetectorConfig, Phase, Verdict
+from .detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict
 from .errors import ConfigError, DataError, PresageError
 from .evaluation import (
     DEFAULT_GRACE_MINUTES, DEFAULT_PRE_WINDOW_MINUTES, _span, evaluate_run, summarize_run
@@ -85,17 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_detect(args: argparse.Namespace) -> int:
-    config = DetectorConfig(
-        look_back=args.look_back, epsilon=args.epsilon, lstm=LstmConfig(seed=args.seed)
-    )
+    config = DetectorConfig(look_back=args.look_back, epsilon=args.epsilon)
+    lstm = LstmConfig(seed=args.seed)
     summary_path = args.summary or args.report.with_suffix(".summary.json")
     _check_outputs([args.input], [args.report, summary_path])
     observations = read_series(args.input)
-    detector = Detector(config)
+    detector = Detector(config, LstmEngine(lstm))
 
     with ReportWriter(args.report) as writer:
         summary = summarize_run(_decide(observations, detector, writer))
-    write_summary(summary, config, summary_path)
+    write_summary(summary, config, lstm.seed, summary_path)
     print(
         f"processed {summary.total_points} points: "
         f"{len(summary.anomalies)} anomalies, "

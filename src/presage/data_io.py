@@ -293,7 +293,7 @@ def _run_fields(run: RunSummary) -> dict:
     }
 
 
-def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path):
+def write_summary(summary: RunSummary, config: DetectorConfig, seed: int, path: str | Path):
     payload = {
         "total_points": summary.total_points,
         "retrain_count": summary.retrain_count,
@@ -306,7 +306,7 @@ def write_summary(summary: RunSummary, config: DetectorConfig, path: str | Path)
         "config": {
             "look_back": config.look_back,
             "predict_forward": 1,
-            "seed": config.lstm.seed,
+            "seed": seed,
             "epsilon": float(config.epsilon),
         },
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Protocol, Sequence
 
@@ -93,11 +93,10 @@ def _check_order(previous: datetime, timestamp: datetime, where: str = "", *args
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detector parameters. Forecasts are always one point ahead."""
+    """The detector's own parameters, forecasts one point ahead; the forecaster's go to its engine."""
 
     look_back: int = 3
     epsilon: float = DEFAULT_EPSILON
-    lstm: LstmConfig = field(default_factory=LstmConfig)
 
     def __post_init__(self):
         _check_types(self)
@@ -158,6 +157,8 @@ class LstmEngine:
 
     def __init__(self, config: LstmConfig | None = None):
         self.config = config if config is not None else LstmConfig()
+        if not isinstance(self.config, LstmConfig):
+            raise ConfigError(f"config must be an LstmConfig or None, got {config!r}")
         self._memo = [None]
 
     def __getstate__(self):
@@ -171,7 +172,7 @@ class LstmEngine:
 
 
 class Detector:
-    """Sequential per-point anomaly detector over one stream.
+    """Sequential per-point anomaly detector over one stream; ``engine`` defaults to ``LstmEngine()``.
 
     Call ``step`` once per observation, in time order. Instances are not
     thread-safe; run one detector per stream. The state is one O(look_back)
@@ -186,9 +187,7 @@ class Detector:
         engine: ForecastEngine | None = None,
     ):
         self.config = config if config is not None else DetectorConfig()
-        self.engine: ForecastEngine = (
-            engine if engine is not None else LstmEngine(self.config.lstm)
-        )
+        self.engine: ForecastEngine = engine if engine is not None else LstmEngine()
         # (t, buffer, forecasts, welford, model, last timestamp); forecasts[-1]
         # is the forecast for the next point and forecasts[i] the one made after
         # ingesting buffer[i], None while no model exists. Both grow to b entries.

@@ -53,8 +53,8 @@ __all__ = [
     "predict_next",
 ]
 
-# Windows with a standard deviation at or below this are treated as
-# constant and normalized with std 1 instead.
+# A window's std is floored at this times its largest |value| (1 for a window of zeros):
+# relative, so that no unit changes a bit, and a floor, so a window just under it scales like one over it.
 _CONSTANT_STD = 1e-12
 
 # The paper's fixed training settings: learning rate, early-stopping patience and threshold.
@@ -64,13 +64,11 @@ _HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (`
 
 
 def _check_types(config) -> None:
-    """The type rule of every config: ``ConfigError`` naming a field declared ``int``
-    that holds no ``int``, ``float`` that holds no real number (a ``bool`` is
-    neither) or ``LstmConfig`` that holds no ``LstmConfig``."""
+    """The type rule of every config: ``ConfigError`` naming a field declared ``int`` that
+    holds no ``int`` or ``float`` that holds no real number (a ``bool`` is neither)."""
     for spec in fields(config):
         value = getattr(config, spec.name)
-        kind, what = {"int": (int, "an integer"), "float": (numbers.Real, "a real number"),
-                      "LstmConfig": (LstmConfig, "an LstmConfig")}[spec.type]
+        kind, what = {"int": (int, "an integer"), "float": (numbers.Real, "a real number")}[spec.type]
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigError(f"{spec.name} must be {what}, got {value!r}")
 
@@ -338,7 +336,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     """Fit a fresh model to one look-back window.
 
     The window is z-scored by its own mean and (population) standard
-    deviation, with std substituted by 1 when the window is constant.
+    deviation, the std floored at ``_CONSTANT_STD`` of the largest |value| (1 for zeros).
     Training pairs are teacher-forced next-step pairs within the window,
     optimized by full-batch gradient descent on mean squared error.
     The learning rate is 0.15. Early stopping halts once the relative loss
@@ -355,12 +353,10 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     with np.errstate(all="ignore"):
         mean = float(raw.mean())
         std = float(raw.std())
-        if math.isinf(std):
-            # The squared deviations overflowed: take them in units of max |value|.
-            scale = float(np.abs(raw).max())
+        scale = float(np.abs(raw).max())
+        if math.isinf(std):  # the squared deviations overflowed: take them in units of scale
             std = scale * float((raw / scale).std())
-        if std <= _CONSTANT_STD:
-            std = 1.0
+        std = max(std, _CONSTANT_STD * scale) or 1.0
         normed = (raw - mean) / std
     if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normed).all()):
         raise DataError("training window is too large to normalize: its mean or spread overflows")

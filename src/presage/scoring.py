@@ -9,6 +9,7 @@ threshold.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from typing import Sequence
@@ -47,14 +48,17 @@ def aare(
     Args:
         observed: window of observed values.
         predicted: forecasts for the same time points, same length.
-        epsilon: denominator floor, must be positive and finite.
+        epsilon: denominator floor in the series' units, a positive finite real (no ``bool``).
 
     Returns:
         A non-negative, finite relative-error score; one past the float
         range, or a NaN or inf in either window, is a ``DataError``.
     """
-    if not 0 < epsilon < math.inf:  # NaN fails too
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if type(epsilon) is not float and isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range stays one
+            epsilon = float(epsilon)  # a numpy scalar would make the score its own type
+    if type(epsilon) is not float or not 0 < epsilon < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be a real number, positive and finite, got {epsilon!r}")
     if type(observed) is tuple and type(predicted) is tuple and len(observed) == len(predicted) != 0:
         score = _score(observed, predicted, epsilon)
         if score is not None:

@@ -162,7 +162,7 @@ def threshold(history: Sequence[float]) -> float:
     return unit * (mu + 3.0 * sigma)
 
 
-def reference_detector(values, engine, config: DetectorConfig = DetectorConfig()) -> list[DetectionRecord]:
+def reference_detector(values, engine, config: DetectorConfig = DetectorConfig(), ties=None) -> list[DetectionRecord]:
     """The paper's detection loop written plainly, the oracle for ``Detector``:
     the error scores in a list, the threshold from it by the two-pass
     ``threshold``, and the forecasts in a dict keyed by the index they are for.
@@ -170,7 +170,9 @@ def reference_detector(values, engine, config: DetectorConfig = DetectorConfig()
     before t forecasts t again and the point is scored again. The candidate
     replaces the model only if that score is within the threshold, and the
     recheck forecast stays for later scores either way, an ``ANOMALY``'s too.
-    Records have no timestamp and a decision time of 0."""
+    Records have no timestamp and a decision time of 0. A list ``ties`` gets
+    each t whose score, first or rechecked, is within 1e-12 relative of its
+    positive threshold: there rounding decides the comparison."""
     b, epsilon = config.look_back, config.epsilon
     values = [float(v) for v in values]
     scores, forecasts, model, records = [], {}, None, []
@@ -190,11 +192,16 @@ def reference_detector(values, engine, config: DetectorConfig = DetectorConfig()
             score = scoring.aare(window, [forecasts[i] for i in range(t - b + 1, t + 1)], epsilon)
         if phase is Phase.DETECTING:
             limit = threshold(scores + [score])
+            near = lambda score: ties is not None and 0 < limit and abs(score - limit) <= 1e-12 * limit
+            if near(score):
+                ties.append(t)
             if score > limit:
                 retrained = True
                 candidate = engine.train(values[t - b : t])
                 forecasts[t] = float(engine.predict(candidate, values[t - b : t]))
                 score = scoring.aare(window, [forecasts[i] for i in range(t - b + 1, t + 1)], epsilon)
+                if near(score):
+                    ties.append(t)
                 if score <= limit:
                     model = candidate
             verdict = Verdict.NORMAL if score <= limit else Verdict.ANOMALY
@@ -301,15 +308,15 @@ def reference_train(window, config):
     """``forecaster.train`` as a plain loop, the oracle for its workspace: each
     epoch takes fresh gradients from ``loss_and_grads`` and updates the five
     parameters one by one. The paper's fixed settings, learning rate 0.15,
-    early-stopping patience 3 and threshold 1e-4, are written out here, not
-    read from the library."""
+    early-stopping patience 3 and threshold 1e-4, and the floor of the std,
+    1e-12 of max |value|, are written out here, not read from the library."""
     raw = np.asarray(window, dtype=float)
     with np.errstate(all="ignore"):
         mean, std = float(raw.mean()), float(raw.std())
+        scale = float(np.abs(raw).max())
         if math.isinf(std):  # the squares overflowed: take them in units of max |value|
-            scale = float(np.abs(raw).max())
             std = scale * float((raw / scale).std())
-        std = 1.0 if std <= 1e-12 else std
+        std = max(std, 1e-12 * scale) or 1.0  # floored relative to max |value|, in any unit
         normed = (raw - mean) / std
     inputs, targets = normed[:-1], normed[1:]
     model = dataclasses.replace(init_model(config), norm_mean=mean, norm_std=std)
@@ -356,52 +363,30 @@ def reference_forward(model, inputs):
     return np.array(outputs)
 
 
-def reference_advance(model, weights: tuple, feed, hidden: np.ndarray, cell: np.ndarray):
-    """``forecaster.predict_next``'s step loop writing into fresh arrays, the
-    oracle for its workspace: each step allocates arrays of n + 1 rows whose
-    last row stays zero. Returns the output of row 0 and the other n rows of
-    hidden and cell state."""
-    n, h = hidden.shape
-    w_h, w_x, b = weights
-    for x in feed:
+def reference_predict(model, window):
+    """``forecaster.predict_next`` from zero state on fresh arrays, the oracle for
+    its memo and workspace: n batched steps over n rows, one per value of the
+    normalized window, each allocating arrays of n + 1 rows whose last row stays
+    zero and carrying the other n rows on. Returns ``(forecast, hidden, cell)``:
+    the forecast of row 0, which spans the whole window, and the carried states
+    of its proper suffixes, longest first, whose last row is the zero state."""
+    mean, std = model.norm_mean, model.norm_std
+    normed = [(float(v) - mean) / std for v in np.asarray(window, dtype=float).tolist()]
+    if not all(map(math.isfinite, normed)):
+        raise DataError("prediction window contains non-finite values, raw or normalized")
+    n, h = len(normed), model.hidden_units
+    w_h, w_x, b = forecaster._step_weights(model, n)
+    hidden = cell = np.zeros((n, h))
+    for x in normed:
         act = np.matmul(hidden, w_h)
         cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
         out = hiddens[:-1]
         forecaster._gates(forecaster._gate_views(act), x, w_x, b, cell, cells[:-1], out, out)
         hidden, cell = hiddens[1:], cells[1:]
-    return float(model.w_out @ hiddens[0]) + model.b_out, hidden, cell
-
-
-def reference_predict(model, window, memo=None):
-    """``forecaster.predict_next`` on fresh arrays with the memo passed in and
-    out, never stored on the model: returns ``(forecast, memo)``, the memo
-    ``(w_x, w_h, b, step weights, normalized window[1:], hidden, cell)``. The
-    caller owns the memo, so a copied engine starts cold; the memo is replaced
-    only when a forecast returns."""
-    mean, std = model.norm_mean, model.norm_std
-    normed = tuple([(float(v) - mean) / std for v in np.asarray(window, dtype=float).tolist()])
-    if not all(map(math.isfinite, normed)):
-        raise DataError("prediction window contains non-finite values, raw or normalized")
-    if (
-        memo is None
-        or memo[0] is not model.w_x
-        or memo[1] is not model.w_h
-        or memo[2] is not model.b
-        or len(memo[4]) != len(normed) - 1
-    ):
-        weights, warm = forecaster._step_weights(model, len(normed)), False
-    else:
-        weights, warm = memo[3], memo[4] == normed[:-1]
-    if warm:
-        feed, hidden, cell = normed[-1:], memo[5], memo[6]
-    else:
-        feed = normed
-        hidden = cell = np.zeros((len(normed), model.hidden_units))
-    output, hidden, cell = reference_advance(model, weights, feed, hidden, cell)
-    forecast = output * model.norm_std + model.norm_mean
+    forecast = (float(model.w_out @ hiddens[0]) + model.b_out) * std + mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
-    return forecast, (model.w_x, model.w_h, model.b, weights, normed[1:], hidden, cell)
+    return forecast, hidden, cell
 
 
 def max_relative_gradient_error(analytic: dict, numeric: dict) -> float:

@@ -17,7 +17,7 @@ import pytest
 
 from presage.cli import main
 from presage.data_io import read_labels, read_series
-from presage.detector import Detector, DetectorConfig, Phase, Verdict, phase_of
+from presage.detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict, phase_of
 from presage.evaluation import LeadStatus, evaluate_run, summarize_run
 from presage.forecaster import LstmConfig
 from presage.scoring import aare
@@ -55,7 +55,7 @@ requires_mtsf = pytest.mark.skipif(
 def replay(path, seed=DETECTOR_SEED):
     observations = read_series(path)
     engine = RecordingEngine(LstmConfig(seed=seed))
-    detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
+    detector = Detector(engine=engine)
     started = time.perf_counter()
     records = [detector.step(value, timestamp) for timestamp, value in observations]
     elapsed = time.perf_counter() - started
@@ -179,7 +179,7 @@ def test_criterion_5_phase_guards_and_quiet_preparation():
     for _ in range(100):
         look_back = int(rng.integers(2, 7))
         series = rng.uniform(5, 95, 3 * look_back + 6)
-        detector = Detector(DetectorConfig(look_back=look_back, lstm=fast))
+        detector = Detector(DetectorConfig(look_back=look_back), LstmEngine(fast))
         for value in series:
             record = detector.step(value)
             if record.time_index < 2 * look_back + 1:
@@ -287,7 +287,7 @@ def _spike_replay():
     values = spike_values()
     stamps = spike_timestamps()
     engine = RecordingEngine(LstmConfig(seed=DETECTOR_SEED))
-    detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
+    detector = Detector(engine=engine)
     records = [detector.step(v, ts) for v, ts in zip(values, stamps)]
     return records, detector, engine
 

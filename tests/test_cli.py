@@ -13,7 +13,7 @@ import pytest
 
 from presage.cli import build_parser, main
 from presage.data_io import read_report, read_series, write_summary
-from presage.detector import Detector, DetectorConfig, Verdict, phase_of
+from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict, phase_of
 from presage.evaluation import summarize_run
 from presage.forecaster import LstmConfig
 
@@ -191,11 +191,8 @@ class TestDetect:
         config = json.loads(report.with_suffix(".summary.json").read_text())["config"]
         assert config == {"look_back": 4, "predict_forward": 1, "seed": 7, "epsilon": 1e-6}
         detector = Detector(
-            DetectorConfig(
-                look_back=config["look_back"],
-                epsilon=config["epsilon"],
-                lstm=LstmConfig(seed=config["seed"]),
-            )
+            DetectorConfig(look_back=config["look_back"], epsilon=config["epsilon"]),
+            LstmEngine(LstmConfig(seed=config["seed"])),
         )
         rebuilt = [detector.step(value, timestamp) for timestamp, value in read_series(spike_csv)]
         written = read_report(report)
@@ -510,9 +507,9 @@ class TestOutputsNeverOverwriteInputs:
 
 def test_parser_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["detect", "--input", "s.csv", "--report", "r.csv"])
-    config = DetectorConfig()
+    config, engine = DetectorConfig(), LstmEngine()
     assert (args.look_back, args.seed, args.epsilon) == (
-        config.look_back, config.lstm.seed, config.epsilon
+        config.look_back, engine.config.seed, config.epsilon
     )
 
 
@@ -580,7 +577,7 @@ def golden_records():
 def test_summary_and_evaluation_json_golden(tmp_path):
     records = golden_records()
     summary_path = tmp_path / "summary.json"
-    write_summary(summarize_run(records), DetectorConfig(), summary_path)
+    write_summary(summarize_run(records), DetectorConfig(), LstmConfig().seed, summary_path)
     summary = json.loads(summary_path.read_text())
     assert set(summary) == set(GOLDEN_SUMMARY) | DECISION_TIME_KEYS
     assert {k: v for k, v in summary.items() if k not in DECISION_TIME_KEYS} == GOLDEN_SUMMARY

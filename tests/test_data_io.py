@@ -507,12 +507,12 @@ class TestSummary:
     def test_json_shape(self, tmp_path):
         summary = summarize_run(sample_records())
         path = tmp_path / "summary.json"
-        write_summary(summary, DetectorConfig(), path)
+        write_summary(summary, DetectorConfig(), 7, path)  # the seed the engine ran with
         payload = json.loads(path.read_text())
         assert payload["config"] == {
             "look_back": 3,
             "predict_forward": 1,
-            "seed": 42,
+            "seed": 7,
             "epsilon": 1e-8,
         }
         assert payload["total_points"] == 10
@@ -521,7 +521,7 @@ class TestSummary:
     @pytest.mark.parametrize("epsilon", [np.float32(1e-6), Fraction(1, 10**6)])
     def test_any_real_epsilon_the_config_takes_is_written_as_a_float(self, tmp_path, epsilon):
         path = tmp_path / "summary.json"
-        write_summary(summarize_run(sample_records()), DetectorConfig(epsilon=epsilon), path)
+        write_summary(summarize_run(sample_records()), DetectorConfig(epsilon=epsilon), 42, path)
         assert json.loads(path.read_text())["config"]["epsilon"] == float(epsilon)
 
 

@@ -93,7 +93,7 @@ class TestConfig:
         assert [f.name for f in dataclasses.fields(LstmConfig)] == [
             "hidden_units", "max_epochs", "seed"
         ]
-        assert [f.name for f in dataclasses.fields(DetectorConfig)] == ["look_back", "epsilon", "lstm"]
+        assert [f.name for f in dataclasses.fields(DetectorConfig)] == ["look_back", "epsilon"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -248,9 +248,11 @@ class TestTrain:
         assert outcome.model.norm_mean == pytest.approx(window.mean())
         assert outcome.model.norm_std == pytest.approx(window.std())
 
-    def test_constant_window_uses_unit_std(self):
-        outcome = train([7.0, 7.0, 7.0], LstmConfig(seed=1))
-        assert outcome.model.norm_std == 1.0
+    def test_constant_window_std_is_floored(self):
+        # At 1e-12 of the largest |value|, so that it scales with the series; zeros take 1.
+        assert train([7.0, 7.0, 7.0], LstmConfig(seed=1)).model.norm_std == 7e-12
+        assert train([-(2.0**-40)] * 3, LstmConfig(seed=1)).model.norm_std == 2.0**-40 * 1e-12
+        assert train([0.0, 0.0, 0.0], LstmConfig(seed=1)).model.norm_std == 1.0
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
@@ -696,7 +698,7 @@ class TestSuffixStates:
         series = 50 + 3 * np.sin(np.arange(40) / 4) + rng.normal(0, 0.3, 40)
         series[30:] += 25.0
         engine = LoggingEngine(LstmConfig(hidden_units=4, max_epochs=15, seed=42))
-        detector = Detector(DetectorConfig(lstm=engine.config), engine=engine)
+        detector = Detector(engine=engine)
         records = [detector.step(v) for v in series]
         swaps = [r.time_index for r in records if r.retrained and r.verdict is Verdict.NORMAL]
         assert swaps
@@ -746,14 +748,13 @@ class TestSuffixStates:
                           w_out=np.full(h, 100.0), b_out=0.0, norm_std=1e307)
         w, slot = (0.0, 0.0, 0.0), [None]
         assert predict_next(model, w, slot) == 0.0
-        _, memo = reference_predict(model, w)
         last = slot[0]
         monkeypatch.setattr(forecaster, "_floats", went_cold)
         with pytest.raises(DataError, match="^forecast overflows: inf$"):
             predict_next(model, (*w[1:], 1e308), slot)
         assert slot[0] is last
         window = (*w[1:], 0.5)
-        expected, _ = reference_predict(model, window, memo)
+        expected = reference_predict(model, window)[0]
         assert predict_next(model, window, slot) == expected and slot[0][1] is last[1]
 
     def test_overflowing_cold_forecast_stores_no_memo(self):
@@ -840,15 +841,13 @@ class TestTupleWindows:
                 assert (memo[0][1] is last[1]) == slide
 
 
-def assert_same_as_reference(model: LstmModel, window, memo, slot: list):
-    """``predict_next`` through the memo ``slot`` gives the reference forecast
-    and carried states bit for bit; returns the reference's memo for the next
-    call."""
-    expected, memo = reference_predict(model, window, memo)
+def assert_same_as_reference(model: LstmModel, window, slot: list):
+    """``predict_next`` through the memo ``slot``, warm or cold, gives the cold
+    reference's forecast and carried states bit for bit."""
+    expected, *states = reference_predict(model, window)
     assert predict_next(model, window, slot) == expected
-    for carried, reference in zip(slot[0][3:5], memo[5:]):
+    for carried, reference in zip(slot[0][3:5], states, strict=True):
         assert np.array_equal(carried, reference)
-    return memo
 
 
 class TestWorkspace:
@@ -863,14 +862,14 @@ class TestWorkspace:
                 model = random_model(rng, hidden_units, 5.0)
                 model = dataclasses.replace(model, norm_mean=3.0, norm_std=2.0)
                 series = (3.0 + 2.0 * rng.standard_normal(16)).tolist()
-                memo, slot, previous = None, [None], None
+                slot, previous = [None], None
                 # slides, a gap, a repeat, and at 8 a new key of the same length
                 for start in [0, 1, 2, 3, 5, 6, 7, 7, 8, 9]:
                     if start == 8:
                         model = dataclasses.replace(model, w_x=model.w_x.copy())
                     state = None if slot[0] is None else slot[0][1]
                     window = tuple(series[start : start + look_back])
-                    memo = assert_same_as_reference(model, window, memo, slot)
+                    assert_same_as_reference(model, window, slot)
                     slid = previous is not None and start == previous + 1 and start != 8
                     assert (slot[0][1] is state) == slid  # warm: the same workspace
                     if slid:
@@ -879,13 +878,12 @@ class TestWorkspace:
                     previous = start
 
     def test_repeated_values_and_signed_zeros_match_the_reference(self):
-        # The memo is keyed on the identity of the window's floats, the
-        # reference on normalized values: -0.0 == 0.0 there, and repeats make
-        # windows whose suffix equals the last window's although they are no
-        # slide. The literals 0.0 and 1.5 are one object each, so such a repeat
-        # can step warm here too. 1e-20 and 2e-20 normalize alike under mean
-        # 1.5: there the reference steps warm where the identity key starts
-        # cold, and the bits still agree.
+        # The memo is keyed on the identity of the window's floats: repeats
+        # make windows whose suffix equals the last window's although they are
+        # no slide, and -0.0 == 0.0. The literals 0.0 and 1.5 are one object
+        # each, so such a repeat can step warm. 1e-20 and 2e-20 are other
+        # floats that normalize alike under mean 1.5: a window with one steps
+        # cold where its normalized values repeat.
         rng = np.random.default_rng(67)
         series = [0.0, -0.0, 0.0, 1.5, 1.5, -0.0, 1.5, 0.0, 0.0, -0.0, -0.0, 1e-20, 2e-20, 1e-20]
         series += [1.5, 0.0, 1.5, -0.0, 0.0, 1.5]
@@ -894,12 +892,12 @@ class TestWorkspace:
                 for mean, std in ((0.0, 1.0), (-0.0, 2.0), (1.5, 0.5)):
                     model = random_model(rng, hidden_units, 5.0)
                     model = dataclasses.replace(model, norm_mean=mean, norm_std=std)
-                    memo, slot, warm = None, [None], 0
+                    slot, warm = [None], 0
                     jumps = [3, 4, 4, 0, 1, 13 - look_back, 13]
                     for start in [*range(len(series) - look_back + 1), *jumps]:
                         state = None if slot[0] is None else slot[0][1]
                         window = tuple(series[start : start + look_back])
-                        memo = assert_same_as_reference(model, window, memo, slot)
+                        assert_same_as_reference(model, window, slot)
                         warm += slot[0][1] is state
                     assert warm >= len(series) - look_back
 
@@ -910,8 +908,8 @@ class TestWorkspace:
         model = dataclasses.replace(random_model(rng, 6, 5.0), norm_mean=1.0, norm_std=2.0)
         series = (1.0 + 2.0 * rng.standard_normal(8)).tolist()
         slot = [None]
-        memo = assert_same_as_reference(model, tuple(series[0:4]), None, slot)
-        memo = assert_same_as_reference(model, tuple(series[1:5]), memo, slot)
+        assert_same_as_reference(model, tuple(series[0:4]), slot)
+        assert_same_as_reference(model, tuple(series[1:5]), slot)
         last = slot[0]
         monkeypatch.setattr(forecaster, "_floats", went_cold)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -920,7 +918,7 @@ class TestWorkspace:
             predict_next(model, (*series[2:5], math.nan), slot)
         assert slot[0] is last
         for start in (2, 3):
-            memo = assert_same_as_reference(model, tuple(series[start : start + 4]), memo, slot)
+            assert_same_as_reference(model, tuple(series[start : start + 4]), slot)
             assert slot[0][1] is last[1]
 
     @pytest.mark.parametrize(
@@ -938,15 +936,15 @@ class TestWorkspace:
         model = dataclasses.replace(random_model(rng, 6, 5.0), norm_mean=1.0, norm_std=0.5)
         series = (1.0 + 0.5 * rng.standard_normal(8)).tolist()
         slot = [None]
-        memo = assert_same_as_reference(model, tuple(series[0:4]), None, slot)
-        memo = assert_same_as_reference(model, tuple(series[1:5]), memo, slot)
+        assert_same_as_reference(model, tuple(series[0:4]), slot)
+        assert_same_as_reference(model, tuple(series[1:5]), slot)
         last = slot[0]
         with scope(), pytest.raises(error) as raised:
             predict_next(model, (series[5], middle, series[6]), slot)
         assert raised.type is error  # an overflow is retried once, not until recursion fails
         assert raised.value.__context__ is None or raised.value.__context__.__context__ is None
         assert slot[0] is last
-        memo = assert_same_as_reference(model, tuple(series[2:6]), memo, slot)
+        assert_same_as_reference(model, tuple(series[2:6]), slot)
         assert slot[0][1] is last[1]
 
     def test_a_cold_window_with_a_value_that_normalizes_to_inf_is_refused_before_any_step(self):
@@ -968,11 +966,11 @@ class TestWorkspace:
         series = (20.0 + 4.0 * rng.standard_normal(10)).tolist()
         other = series[:4] + [v + 3.0 for v in series[4:]]  # the same first four values, other last values
         twin = duplicate(model)
-        memo, twin_memo, slot, twin_slot = None, None, [None], [None]
+        slot, twin_slot = [None], [None]
         for start in range(6):
-            memo = assert_same_as_reference(model, tuple(series[start : start + 4]), memo, slot)
-            twin_memo = assert_same_as_reference(twin, tuple(other[start : start + 4]), twin_memo, twin_slot)
-        memo, slot = None, [None]  # the two take turns in one memo
+            assert_same_as_reference(model, tuple(series[start : start + 4]), slot)
+            assert_same_as_reference(twin, tuple(other[start : start + 4]), twin_slot)
+        slot = [None]  # the two take turns in one memo
         for start in range(6):
-            memo = assert_same_as_reference(model, tuple(series[start : start + 4]), memo, slot)
-            memo = assert_same_as_reference(twin, tuple(other[start : start + 4]), memo, slot)
+            assert_same_as_reference(model, tuple(series[start : start + 4]), slot)
+            assert_same_as_reference(twin, tuple(other[start : start + 4]), slot)

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +48,22 @@ class TestAare:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             aare([1.0], [1.0], epsilon=0.0)
+
+    @pytest.mark.parametrize(
+        "epsilon", [True, "1", None, 1 + 0j, 10**400], ids=["bool", "str", "None", "complex", "int-past-float"]
+    )
+    def test_an_epsilon_that_is_no_real_number_is_refused(self, epsilon):
+        # True once scored with epsilon 1 (0.25 here); the others escaped as a raw
+        # TypeError, and an int past the float range as an OverflowError.
+        message = f"^epsilon must be a real number, positive and finite, got {re.escape(repr(epsilon))}$"
+        with pytest.raises(ValueError, match=message):
+            aare([1.0, 2.0], [1.5, 2.0], epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1, np.float32(0.5), Fraction(1, 2)])
+    def test_any_real_epsilon_scores_as_its_float(self, epsilon):
+        # An np.float32 floor once made the score an np.float32.
+        score = aare([0.0, 2.0], [0.25, 2.0], epsilon)
+        assert type(score) is float and score == aare([0.0, 2.0], [0.25, 2.0], float(epsilon))
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
     def test_non_finite_epsilon_rejected(self, epsilon):
