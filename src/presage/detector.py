@@ -102,7 +102,11 @@ class DetectorConfig:
         _check_types(self)
         if self.look_back < 2:
             raise ConfigError(f"look_back must be >= 2, got {self.look_back}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        try:
+            finite = math.isfinite(self.epsilon)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not (finite and self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
@@ -188,6 +192,10 @@ class Detector:
     ):
         self.config = config if config is not None else DetectorConfig()
         self.engine: ForecastEngine = engine if engine is not None else LstmEngine()
+        if not isinstance(self.config, DetectorConfig):
+            raise ConfigError(f"config must be a DetectorConfig or None, got {config!r}")
+        if not (callable(getattr(self.engine, "train", None)) and callable(getattr(self.engine, "predict", None))):
+            raise ConfigError(f"engine must have callable train and predict methods, got {engine!r}")
         # (t, buffer, forecasts, welford, model, last timestamp); forecasts[-1]
         # is the forecast for the next point and forecasts[i] the one made after
         # ingesting buffer[i], None while no model exists. Both grow to b entries.

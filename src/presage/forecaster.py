@@ -8,13 +8,12 @@ milliseconds. Everything runs on plain numpy in float64.
 
 Gate layout: weight and bias vectors stack the four gates in the order
 (input, forget, output, candidate), each slice of length ``hidden_units``.
-A step works gate-major: its pre-activations are shaped ``(4, ..., H)``, one
-leading entry per gate, so the sigmoid gates are one contiguous block and
-each gate product is an operation on equal contiguous shapes. The step's
-weights have the sigmoid gates' rows halved beforehand, since
-``sigmoid(z) = (1 + tanh(z / 2)) / 2``; halving by a power of two is exact,
-so forecasts and trained models are bit-identical to unscaled weights
-scaled inside the step.
+A step works gate-major, one leading entry per gate, so the sigmoid gates are
+one contiguous block and each gate product is an operation on equal
+contiguous shapes. The step's weights have the sigmoid gates' rows halved
+beforehand, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2``; halving by a power
+of two is exact, so forecasts and trained models are bit-identical to
+unscaled weights scaled inside the step.
 
 Training runs all the epochs of a ``train`` call through one workspace,
 ``_Descent``, which starts from initial weights drawn once per configuration.
@@ -24,11 +23,11 @@ the products of the zero start state. Trained models are bit-identical to
 those of a plain descent that allocates afresh and computes those products
 (``tests/helpers.reference_train`` and ``plain_forward``).
 
-Forecasting may keep a memo that its caller owns, so that the forecast for the
-next window is one straight-line step on its new value, with no feed list, loop
-or return tuple; a cold forecast feeds its window through that same step a value
-at a time. Forecasts are bit-identical to steps that allocate afresh
-(``tests/helpers.reference_predict``).
+A forecast step is one ``np.dot`` of weights ``[w_x | b | w_h]`` with the
+``[x; 1; h]`` rows of states whose columns are the window's suffixes. A memo
+that the caller owns makes the next window's forecast that one step on its new
+value; a cold forecast feeds its window through it a value at a time. Forecasts
+are bit-identical to steps on fresh arrays (``tests/helpers.reference_predict``).
 """
 
 from __future__ import annotations
@@ -164,20 +163,19 @@ def _gate_views(act: np.ndarray) -> tuple:
 
 
 def _gates(views, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
-    """One recurrence step from the recurrent products, in place.
+    """One training step from the recurrent products, in place.
 
     ``views`` are ``_gate_views(act)``, built once per buffer, where ``act`` holds the
-    gate-major pre-activations, shaped ``(4, ..., H)`` with one leading entry per gate
-    (i, f, o, g), from weights whose sigmoid-gate rows were halved: ``w_x`` and ``b``
-    have ``act``'s shape. The step adds ``w_x * x`` and ``b`` and turns ``act`` into
-    the activations with one ``tanh`` over all four gates, since
-    ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The cell state,
-    its tanh and the hidden state are written into ``c``, ``tc`` and ``hidden``; ``tc``
-    may be ``hidden`` when the caller needs no tanh. ``c_prev`` None is the zero state:
-    ``act`` is only written and the cell is ``i * g``, the full step's values bit for
-    bit while ``b`` holds no ``-0.0`` (a zero cell may change sign, nothing else).
-    ``out`` goes positionally here and in the callers, as a keyword costs more, and ``x``
-    and the halves go as 0-d arrays: numpy converts and promotes a Python float per call.
+    gate-major ``(4, H)`` pre-activations (i, f, o, g) of weights whose sigmoid-gate
+    rows were halved; ``w_x`` and ``b`` have its shape. The step adds ``w_x * x`` and
+    ``b`` and turns ``act`` into the activations with one ``tanh`` over all four gates,
+    since ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The cell
+    state, its tanh and the hidden state go into ``c``, ``tc`` and ``hidden``. ``c_prev``
+    None is the zero state: ``act`` is only written and the cell is ``i * g``, the full
+    step's values bit for bit while ``b`` holds no ``-0.0`` (a zero cell may change sign,
+    nothing else). ``out`` goes positionally here and in the callers, as a keyword costs
+    more, and ``x`` and the halves go as 0-d arrays: numpy converts and promotes a
+    Python float per call.
     """
     act, sigmoids, i, f, o, g, x_array = views
     x_array[()] = x
@@ -384,30 +382,24 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     return TrainOutcome(model=model, epochs_used=epoch)
 
 
-def _step_weights(model: LstmModel, n: int) -> tuple:
-    """The weights of a step on n rows, with the sigmoid gates' rows halved.
-
-    ``w_h`` is viewed as ``(4, H, H)``, so one ``np.matmul(hidden, w_h)``
-    gives the gate-major ``(4, n, H)`` pre-activations, and ``w_x`` and
-    ``b`` are tiled to that shape, so no operation of the step broadcasts.
-    """
+def _step_weights(model: LstmModel) -> np.ndarray:
+    """A forecast step's ``(4H, H + 2)`` weights ``[w_x | b | w_h]``, the sigmoid gates' rows halved: one
+    ``np.dot`` with a state's ``[x; 1; h]`` rows gives its pre-activations, ``w_x * x + b`` included."""
     h = model.hidden_units
     with np.errstate(under="ignore"):
-        halved = np.concatenate((model.w_h.ravel(), model.w_x, model.b)) * _sigmoid_row_scale(h)
-    w_h, w_x, b, _ = _views(halved, h)
-    w_h = w_h.reshape(4, h, h).transpose(0, 2, 1)
-    return w_h, np.repeat(w_x.reshape(4, 1, h), n, axis=1), np.repeat(b.reshape(4, 1, h), n, axis=1)
+        return np.column_stack((model.w_x, model.b, model.w_h)) * _sigmoid_row_scale(h)[-4 * h :, None]
 
 
 def _workspace(n: int, h: int) -> tuple:
-    """Two sets of the arrays a step on n rows writes: ``_gate_views`` of the
-    ``(4, n, H)`` pre-activations, then views of ``(n + 1, H)`` cell and hidden
-    arrays whose last row stays zero: the rows a step writes, row 0 of the
-    hidden state, and the rows carried to the next step."""
-    return tuple(
-        (_gate_views(np.empty((4, n, h))), cells[:-1], hiddens[:-1], hiddens[0], hiddens[1:], cells[1:])
-        for cells, hiddens in np.zeros((2, 2, n + 1, h))
-    )
+    """What a forecast step over n columns writes: the ``(4H, n)`` pre-activations and their gate-major
+    views, and two sets of states, each a ``(2H + 2, n)`` array whose rows are ``x``, 1, the hidden and the
+    cell state. A set is views of its x row, its ``[x; 1; h]`` rows, its hidden and cell rows, and per
+    column r the hidden column a forecast reads and the state column it then zeroes."""
+    act, states = np.empty((4 * h, n)), np.zeros((2, 2 * h + 2, n))
+    states[:, 1] = 1.0
+    columns = [[(s[2 : h + 2, r], s[2:, r]) for r in range(n)] for s in states]
+    sets = zip(states[:, 0], states[:, : h + 2], states[:, 2 : h + 2], states[:, h + 2 :], columns)
+    return (act, *_gate_views(act.reshape(4, h, n))[1:6]), tuple(sets)
 
 
 def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = None) -> float:
@@ -420,45 +412,49 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
 
     ``memo`` is a one-slot list that the caller owns and passes on every call;
     no output bit depends on it. The slot keeps the model of the last forecast,
-    its step weights and a workspace of two sets of step arrays, the window
-    without its first value as the floats it was read to, and the states that
-    the window's proper suffixes reach from zero, as ``(b, H)`` hidden and cell
-    arrays, longest suffix first, whose last row is the zero state. The key is
-    identity: when the model is the same object and the window is a tuple whose
-    last item is an exact ``float`` and whose other items are the very objects
-    the slot stored, as the detector's windows are, the forecast is the one
-    step: only the new value is normalized and checked, and one batched step
-    advances every row by it; the row that now spans the whole window gives the
-    forecast. Any other window is read by ``_floats`` and fed through that step a
-    value at a time, in a local slot whose zero states hold for a suffix of
-    ``None`` placeholders; its first n - 1 values step a copy of the model with
-    no output weights, since a partial window's output is no forecast and must
-    not overflow. A step writes into the set whose states the slot does not
-    carry, and the slot is replaced only when a forecast returns, so a call that
-    raises leaves it usable. The model's arrays must not be written in place.
+    its step weights and ``_workspace``, the window without its first value as
+    the floats it was read to, the set k that holds the states of the window's
+    proper suffixes, one column each, and the column r of the longest. The key
+    is identity: when the model is the same object and the window is a tuple
+    whose last item is an exact ``float`` and whose other items are the very
+    objects the slot stored, as the detector's windows are, the forecast is the
+    one step: only the new value is normalized and checked, one ``np.dot``
+    advances every column by it, and column r, which now spans the whole window,
+    gives the forecast and is zeroed to the empty suffix's state; r + 1 (mod b)
+    is carried, so nothing shifts. Any other window is read by ``_floats`` and
+    fed through that step a value at a time from zero states and r = 0, in a
+    local slot whose zero states hold for a suffix of ``None`` placeholders; its
+    first n - 1 values step a copy of the model with no output weights, since a
+    partial window's output is no forecast and must not overflow. A step fills
+    set k's x row and writes only into the other set, and the slot is replaced
+    only when a forecast returns, so a call that raises leaves it usable. The
+    model's arrays must not be written in place.
     """
     mean, std = model.norm_mean, model.norm_std
-    last = None if memo is None else memo[0]  # (model, (weights, workspace), window[1:], hidden, cell)
+    last = None if memo is None else memo[0]  # (model, (weights, *workspace), window[1:], k, r)
     if (last is not None and last[0] is model and type(window) is tuple and len(window) == len(last[2]) + 1
             and type(window[-1]) is float and all(map(is_, window, last[2]))):  # not ==: 3+0j == 3.0
-        # The one forecast step, inline: on the hot path a shared step function
-        # costs a call, and a loop a feed and a return tuple.
+        # The one forecast step, inline: a step function would cost a call, a loop a feed.
         x = (window[-1] - mean) / std  # std is not 0: the cold path below refuses it
         if not math.isfinite(x):
             raise DataError("prediction window contains non-finite values, raw or normalized")
-        _, state, _, hidden, cell = last
-        weights, (first, second) = state
-        step = second if hidden is first[4] else first  # the set not carried
-        views, cells, hiddens, row0, hidden_next, cell_next = step
-        w_h, w_x, b = weights
+        _, (weights, (act, sigmoids, i, f, o, g), sets), _, k, r = last
+        x_row, inputs, _, c_prev, _ = sets[k]  # the carried set: the step writes the other
+        _, _, hidden, cell, columns = sets[1 - k]
         try:
-            np.matmul(hidden, w_h, views[0])
-            _gates(views, x, w_x, b, cell, cells, hiddens, hiddens)
-            output = float(model.w_out.dot(row0)) + model.b_out
+            x_row.fill(x)
+            np.dot(weights, inputs, act)
+            np.tanh(act, act)
+            sigmoids *= _HALF
+            sigmoids += _HALF
+            np.multiply(f, c_prev, cell)
+            cell += i * g
+            np.tanh(cell, hidden)
+            hidden *= o
+            output = float(model.w_out.dot(columns[r][0])) + model.b_out
         except FloatingPointError:
-            # Only a caller that makes numpy raise gets here. Underflow is as harmless
-            # as in train and the step wrote only into the set not carried, so the call
-            # is made again with underflow ignored (np.errstate on every call costs 5%).
+            # Only a caller that makes numpy raise gets here. Underflow is as harmless as in train, and the
+            # step wrote only into the set not carried: it runs again with underflow ignored (errstate costs 5%).
             if np.geterr()["under"] == "ignore":
                 raise
             with np.errstate(under="ignore"):
@@ -466,7 +462,8 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
         forecast = output * std + mean
         if not math.isfinite(forecast):
             raise DataError(f"forecast overflows: {forecast}")
-        memo[0] = (model, state, window[1:], hidden_next, cell_next)
+        columns[r][1].fill(0.0)  # column r now holds the empty suffix's state
+        memo[0] = (model, last[1], window[1:], 1 - k, (r + 1) % len(window))
         return forecast
     values = _floats(window, "prediction window")
     if not values:
@@ -476,7 +473,7 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     n, h = len(values), model.hidden_units
     silent = replace(model, w_out=np.zeros(h), b_out=0.0)  # partial windows give no forecast
     padded = (None,) * (n - 1) + values  # before its first value, every suffix of a window is empty
-    slot = [(silent, (_step_weights(model, n), _workspace(n, h)), padded[: n - 1], *np.zeros((2, n, h)))]
+    slot = [(silent, (_step_weights(model), *_workspace(n, h)), padded[: n - 1], 0, 0)]
     for k in range(n - 1):
         _predict_next(silent, padded[k : k + n], slot)
     slot[0] = (model, *slot[0][1:])

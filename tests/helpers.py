@@ -365,25 +365,32 @@ def reference_forward(model, inputs):
 
 def reference_predict(model, window):
     """``forecaster.predict_next`` from zero state on fresh arrays, the oracle for
-    its memo and workspace: n batched steps over n rows, one per value of the
-    normalized window, each allocating arrays of n + 1 rows whose last row stays
-    zero and carrying the other n rows on. Returns ``(forecast, hidden, cell)``:
-    the forecast of row 0, which spans the whole window, and the carried states
-    of its proper suffixes, longest first, whose last row is the zero state."""
+    its memo and workspace, in the step's operation order. The states of the
+    window's suffixes are n columns, zero to start with. Each normalized value is
+    one step: a fresh ``[x; 1; h]`` array, one ``np.dot`` with ``[w_x | b | w_h]``,
+    whose sigmoid gates' rows are halved here, then the gates on fresh arrays.
+    Step r reads the forecast from column r, which spans every value so far, and
+    zeroes it, rotating as the memo does. Returns ``(forecast, hidden, cell)``:
+    the forecast of the last column and the ``(H, n)`` states carried on, whose
+    column j holds the suffix of the window's last n - 1 - j values."""
     mean, std = model.norm_mean, model.norm_std
     normed = [(float(v) - mean) / std for v in np.asarray(window, dtype=float).tolist()]
     if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
     n, h = len(normed), model.hidden_units
-    w_h, w_x, b = forecaster._step_weights(model, n)
-    hidden = cell = np.zeros((n, h))
-    for x in normed:
-        act = np.matmul(hidden, w_h)
-        cells, hiddens = np.zeros((n + 1, h)), np.zeros((n + 1, h))
-        out = hiddens[:-1]
-        forecaster._gates(forecaster._gate_views(act), x, w_x, b, cell, cells[:-1], out, out)
-        hidden, cell = hiddens[1:], cells[1:]
-    forecast = (float(model.w_out @ hiddens[0]) + model.b_out) * std + mean
+    weights = np.column_stack((model.w_x, model.b, model.w_h))
+    with np.errstate(under="ignore"):
+        weights[: 3 * h] *= 0.5  # sigmoid(z) = (1 + tanh(z / 2)) / 2
+    hidden = cell = np.zeros((h, n))
+    for r, x in enumerate(normed):
+        act = np.tanh(np.dot(weights, np.vstack((np.full(n, x), np.ones(n), hidden)))).reshape(4, h, n)
+        i, f, o = act[:3] * 0.5 + 0.5
+        cell = f * cell + i * act[3]
+        hidden = o * np.tanh(cell)
+        if r == n - 1:  # a partial window's output is no forecast
+            output = float(model.w_out @ hidden[:, r]) + model.b_out
+        hidden[:, r] = cell[:, r] = 0.0
+    forecast = output * std + mean
     if not math.isfinite(forecast):
         raise DataError(f"forecast overflows: {forecast}")
     return forecast, hidden, cell

@@ -4,11 +4,14 @@ import functools
 import importlib.util
 import math
 import pickle
+import sys
 import tracemalloc
+import types
 import warnings
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +132,36 @@ class TestConfig:
         # "x" was kept, and failed every step from t=b-1 on with an AttributeError.
         with pytest.raises(ConfigError, match="^config must be an LstmConfig or None, got "):
             LstmEngine(bad)
+
+    @pytest.mark.parametrize("epsilon", [10**400, 2**1024 - 1, Fraction(10**400)], ids=["1e400", "2**1024-1", "fraction"])
+    def test_an_epsilon_past_the_float_range_is_a_config_error_naming_it(self, epsilon):
+        # math.isfinite raised a raw OverflowError for an int it cannot convert.
+        with pytest.raises(ConfigError, match="^epsilon must be positive and finite, got "):
+            DetectorConfig(epsilon=epsilon)
+        assert DetectorConfig(epsilon=int(sys.float_info.max)).epsilon == sys.float_info.max
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"config": "x"}, "^config must be a DetectorConfig or None, got 'x'$"),
+            ({"config": LstmConfig()}, "^config must be a DetectorConfig or None, got LstmConfig"),
+            ({"engine": "x"}, "^engine must have callable train and predict methods, got 'x'$"),
+            ({"engine": LstmConfig()}, "^engine must have callable train and predict methods, got LstmConfig"),
+            ({"engine": types.SimpleNamespace(train=print, predict=None)}, "^engine must have callable train and"),
+        ],
+        ids=["str-config", "lstm-config", "str-engine", "config-engine", "predict-not-callable"],
+    )
+    def test_a_detector_checks_its_arguments_when_built(self, kwargs, message):
+        # Each was kept, and failed at t=0 (config) or t=b-1 (engine) with an AttributeError.
+        with pytest.raises(ConfigError, match=message):
+            Detector(**kwargs)
+
+    def test_a_duck_typed_engine_is_an_engine(self):
+        series = [float(k * k) for k in range(12)]
+        engine = types.SimpleNamespace(train=lambda window: None, predict=lambda model, window: 1.0)
+        assert [r.predicted for r in map(Detector(engine=engine).step, series)][-1] == 1.0
+        detector = Detector(DetectorConfig(look_back=2), PerfectEngine(series, 2))
+        assert [r.verdict for r in map(detector.step, series)][-1] is Verdict.NORMAL
 
     def test_the_forecaster_is_configured_through_its_engine_only(self):
         with pytest.raises(TypeError):

@@ -588,9 +588,9 @@ def from_scratch(model: LstmModel, window) -> float:
 
 
 def assert_forecast(model: LstmModel, window, forecast: float):
-    # The batched step sums the recurrent products in another order than
-    # the one-row step, so a forecast that cancels to near zero may differ
-    # by rounding of the output's scale rather than of its value.
+    # The step's one product sums the input, bias and recurrent terms in
+    # another order than the one-row step, so a forecast that cancels to
+    # near zero may differ by rounding of the output's scale, not its value.
     scale = model.norm_std * (np.abs(model.w_out).sum() + abs(model.b_out))
     assert forecast == pytest.approx(from_scratch(model, window), rel=1e-12, abs=1e-12 * scale)
 
@@ -600,11 +600,20 @@ def went_cold(window, name):
     raise AssertionError(f"the {name} was read: the call went cold")
 
 
+def carried(slot) -> tuple:
+    """The ``(H, b)`` hidden and cell states that a memo's slot carries: views
+    of its set k, whose column r holds the longest suffix and column r - 1 the
+    empty one's zero state."""
+    _, (_, _, sets), _, k, _ = slot
+    return sets[k][2:4]
+
+
 def poison(memo: list):
-    """Shift the carried suffix states, keeping the memo's key, so that a
-    call which reuses them is visibly wrong."""
-    last = memo[0]
-    memo[0] = (*last[:3], last[3] + 0.5, last[4] - 0.5)
+    """Shift the carried suffix states in place, keeping the memo's key, so
+    that a call which reuses them is visibly wrong."""
+    hidden, cell = carried(memo[0])
+    hidden += 0.5
+    cell -= 0.5
 
 
 class TestSuffixStates:
@@ -709,22 +718,26 @@ class TestSuffixStates:
         assert all(firsts.values())
         assert sum(not cold for *_, cold, _ in engine.calls) > len(series) // 2
 
-    def test_steps_write_only_into_fresh_arrays_with_a_zero_last_row(self):
+    def test_steps_write_only_into_the_set_not_carried_and_zero_column_r(self):
         rng = np.random.default_rng(47)
         model = random_model(rng, 6, 5.0)
         series = rng.standard_normal(10).tolist()
         memo = [None]
-        # cold, then warm twice, then cold again after a gap
-        for start in (0, 1, 2, 4):
+        # cold, then warm twice, then cold again after a gap: r is 0, 1, 2, 0
+        # and column r - 1, the empty suffix, the one a step zeroed
+        for start, r in ((0, 0), (1, 1), (2, 2), (4, 0)):
             last = memo[0]
-            state, snapshot = (None, None) if last is None else (last[1], [a.copy() for a in last[3:5]])
+            state, snapshot = (None, None) if last is None else (last[1], [a.copy() for a in carried(last)])
             predict_next(model, tuple(series[start : start + 4]), memo)
             assert (memo[0][1] is state) == (start in (1, 2))
+            assert memo[0][4] == r
             if last is not None:
-                assert all(np.array_equal(a, s) for a, s in zip(last[3:5], snapshot))
-            for carried in memo[0][3:5]:
-                assert carried.shape == (4, 6)
-                assert not carried[-1].any()
+                assert all(np.array_equal(a, s) for a, s in zip(carried(last), snapshot))
+            for states in carried(memo[0]):
+                assert states.shape == (6, 4)
+                assert not states[:, r - 1].any()
+            for _, inputs, *_ in memo[0][1][2]:  # the constant row that multiplies b
+                assert (inputs[1] == 1.0).all()
 
     def test_trained_arrays_are_read_only(self):
         model = train([10.0, 20.0, 30.0], LstmConfig(seed=1)).model
@@ -843,11 +856,12 @@ class TestTupleWindows:
 
 def assert_same_as_reference(model: LstmModel, window, slot: list):
     """``predict_next`` through the memo ``slot``, warm or cold, gives the cold
-    reference's forecast and carried states bit for bit."""
+    reference's forecast and carried states bit for bit. The reference ends
+    at r = 0, so the slot's columns are rotated by its r to line up."""
     expected, *states = reference_predict(model, window)
     assert predict_next(model, window, slot) == expected
-    for carried, reference in zip(slot[0][3:5], states, strict=True):
-        assert np.array_equal(carried, reference)
+    for states_carried, reference in zip(carried(slot[0]), states, strict=True):
+        assert np.array_equal(np.roll(states_carried, -slot[0][4], axis=1), reference)
 
 
 class TestWorkspace:
@@ -867,15 +881,36 @@ class TestWorkspace:
                 for start in [0, 1, 2, 3, 5, 6, 7, 7, 8, 9]:
                     if start == 8:
                         model = dataclasses.replace(model, w_x=model.w_x.copy())
-                    state = None if slot[0] is None else slot[0][1]
+                    last = slot[0]
                     window = tuple(series[start : start + look_back])
                     assert_same_as_reference(model, window, slot)
                     slid = previous is not None and start == previous + 1 and start != 8
-                    assert (slot[0][1] is state) == slid  # warm: the same workspace
-                    if slid:
-                        _, sets = state
-                        assert any(slot[0][3] is s[4] and slot[0][4] is s[5] for s in sets)
+                    assert (last is not None and slot[0][1] is last[1]) == slid  # warm: the same workspace
+                    if slid:  # the other set is carried, and the next column spans the window
+                        assert slot[0][3:] == (1 - last[3], (last[4] + 1) % look_back)
+                    else:  # a cold call's last value read column b - 1, so r is 0 next
+                        assert slot[0][4] == 0
                     previous = start
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        look_back=st.integers(2, 8),
+        hidden_units=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        series=st.lists(st.floats(-10.0, 10.0), min_size=24, max_size=24),
+    )
+    def test_slides_past_every_column_wrap_the_ring_with_the_reference_bits(
+        self, look_back, hidden_units, seed, series
+    ):
+        # 2b + 1 windows: each column spans a whole window at least twice.
+        model = random_model(np.random.default_rng(seed), hidden_units, 5.0)
+        model = dataclasses.replace(model, norm_mean=1.0, norm_std=2.0)
+        slot = [None]
+        assert_same_as_reference(model, tuple(series[:look_back]), slot)
+        workspace = slot[0][1]
+        for start in range(1, 2 * look_back + 1):
+            assert_same_as_reference(model, tuple(series[start : start + look_back]), slot)
+            assert slot[0][1] is workspace and slot[0][4] == start % look_back  # warm, r on by one
 
     def test_repeated_values_and_signed_zeros_match_the_reference(self):
         # The memo is keyed on the identity of the window's floats: repeats
