@@ -29,7 +29,7 @@ from datetime import datetime
 from typing import Protocol, Sequence
 
 from . import forecaster, scoring
-from .errors import ConfigError, DataError, OrderingError
+from .errors import ConfigError, DataError, OrderingError, _shown
 from .forecaster import LstmConfig, _check_types
 from .scoring import _WELFORD_EMPTY, DEFAULT_EPSILON, _float, _welford_add, _welford_std
 
@@ -66,9 +66,9 @@ _PENDING, _NORMAL, _ANOMALY = Verdict.PENDING, Verdict.NORMAL, Verdict.ANOMALY
 def phase_of(t: int, look_back: int) -> Phase:
     """Phase of time index ``t`` under look-back count ``look_back``."""
     if look_back < 2:
-        raise ValueError(f"look_back must be >= 2, got {look_back}")
+        raise ValueError(f"look_back must be >= 2, got {_shown(look_back)}")
     if t < 0:
-        raise ValueError(f"time index must be >= 0, got {t}")
+        raise ValueError(f"time index must be >= 0, got {_shown(t)}")
     if t < look_back - 1:
         return Phase.COLLECTING
     if t < 2 * look_back - 1:
@@ -101,13 +101,13 @@ class DetectorConfig:
     def __post_init__(self):
         _check_types(self)
         if self.look_back < 2:
-            raise ConfigError(f"look_back must be >= 2, got {self.look_back}")
+            raise ConfigError(f"look_back must be >= 2, got {_shown(self.look_back)}")
         try:
             finite = math.isfinite(self.epsilon)
         except OverflowError:  # an int past the float range
             finite = False
         if not (finite and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be positive and finite, got {_shown(self.epsilon)}")
 
 
 @dataclass(slots=True)
@@ -162,7 +162,7 @@ class LstmEngine:
     def __init__(self, config: LstmConfig | None = None):
         self.config = config if config is not None else LstmConfig()
         if not isinstance(self.config, LstmConfig):
-            raise ConfigError(f"config must be an LstmConfig or None, got {config!r}")
+            raise ConfigError(f"config must be an LstmConfig or None, got {_shown(config)}")
         self._memo = [None]
 
     def __getstate__(self):
@@ -193,9 +193,9 @@ class Detector:
         self.config = config if config is not None else DetectorConfig()
         self.engine: ForecastEngine = engine if engine is not None else LstmEngine()
         if not isinstance(self.config, DetectorConfig):
-            raise ConfigError(f"config must be a DetectorConfig or None, got {config!r}")
+            raise ConfigError(f"config must be a DetectorConfig or None, got {_shown(config)}")
         if not (callable(getattr(self.engine, "train", None)) and callable(getattr(self.engine, "predict", None))):
-            raise ConfigError(f"engine must have callable train and predict methods, got {engine!r}")
+            raise ConfigError(f"engine must have callable train and predict methods, got {_shown(engine)}")
         # (t, buffer, forecasts, welford, model, last timestamp); forecasts[-1]
         # is the forecast for the next point and forecasts[i] the one made after
         # ingesting buffer[i], None while no model exists. Both grow to b entries.
@@ -232,7 +232,7 @@ class Detector:
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1
         if timestamp is not None and not isinstance(timestamp, datetime):
-            raise ValueError(f"timestamp at t={t} must be a datetime or None, got {timestamp!r}")
+            raise ValueError(f"timestamp at t={t} must be a datetime or None, got {_shown(timestamp)}")
         value = _float(value, "observation at t={}", t)
         if timestamp is not None and last_timestamp is not None:
             _check_order(last_timestamp, timestamp)

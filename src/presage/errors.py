@@ -21,3 +21,11 @@ class OrderingError(DataError):
 
 class DatasetKeyError(PresageError, LookupError):
     """A requested dataset key is absent from a label map."""
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or its type if too long to print (an int past 4300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value too long to print ({type(value).__name__})"

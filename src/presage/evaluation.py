@@ -26,7 +26,7 @@ from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
 from .detector import DetectionRecord, Phase, Verdict, _check_order
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _shown
 from .scoring import _WELFORD_EMPTY, _welford_add, _welford_std
 
 __all__ = [
@@ -119,9 +119,10 @@ def _span(minutes: float, name: str) -> timedelta:
         if (isinstance(minutes, numbers.Real) and not isinstance(minutes, bool)
                 and math.isfinite(value := float(minutes)) and value >= 0):
             return timedelta(minutes=value)
-    except OverflowError:  # also an int past the float range
-        raise ConfigError(f"{name} is longer than a time span can be") from None
-    raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {minutes!r}")
+    except OverflowError:  # also an int past the float range, which may be negative
+        if minutes > 0:
+            raise ConfigError(f"{name} is longer than a time span can be") from None
+    raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {_shown(minutes)}")
 
 
 def summarize_run(records: Iterable[DetectionRecord]) -> RunSummary:
@@ -138,7 +139,7 @@ def summarize_run(records: Iterable[DetectionRecord]) -> RunSummary:
         if not 0 <= record.decision_time < math.inf:  # NaN fails too
             raise DataError(
                 f"record at index {record.time_index}: decision times must be "
-                f"finite and non-negative, got {record.decision_time}"
+                f"finite and non-negative, got {_shown(record.decision_time)}"
             )
         retrains += record.retrained
         scored += record.phase is Phase.BOOTSTRAP or record.phase is Phase.DETECTING

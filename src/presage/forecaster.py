@@ -8,26 +8,27 @@ milliseconds. Everything runs on plain numpy in float64.
 
 Gate layout: weight and bias vectors stack the four gates in the order
 (input, forget, output, candidate), each slice of length ``hidden_units``.
-A step works gate-major, one leading entry per gate, so the sigmoid gates are
-one contiguous block and each gate product is an operation on equal
-contiguous shapes. The step's weights have the sigmoid gates' rows halved
-beforehand, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2``; halving by a power
-of two is exact, so forecasts and trained models are bit-identical to
-unscaled weights scaled inside the step.
+Training and forecasting hold the gate weights as one ``(4H, H + 2)`` matrix
+``[w_x | b | w_h]``: a step's pre-activations, input and bias terms included,
+are one ``np.dot`` with its ``[x; 1; h]`` state. A step works gate-major, one
+leading entry per gate, so the sigmoid gates are one contiguous block and each
+gate product is an operation on equal contiguous shapes. The matrix has the
+sigmoid gates' rows halved beforehand, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2``;
+halving by a power of two is exact, so forecasts and trained models are
+bit-identical to unscaled weights scaled inside the step.
 
 Training runs all the epochs of a ``train`` call through one workspace,
 ``_Descent``, which starts from initial weights drawn once per configuration.
-Its weights are views of one flat vector; its buffers, and the views of them
-that a pass reads, are made once and reused by every epoch; and step 0 skips
-the products of the zero start state. Trained models are bit-identical to
-those of a plain descent that allocates afresh and computes those products
+Its weights are views of one flat vector, and its buffers, and the views of
+them that a pass reads, are made once and reused by every epoch. Trained models
+are bit-identical to those of a plain descent that allocates afresh
 (``tests/helpers.reference_train`` and ``plain_forward``).
 
-A forecast step is one ``np.dot`` of weights ``[w_x | b | w_h]`` with the
-``[x; 1; h]`` rows of states whose columns are the window's suffixes. A memo
-that the caller owns makes the next window's forecast that one step on its new
-value; a cold forecast feeds its window through it a value at a time. Forecasts
-are bit-identical to steps on fresh arrays (``tests/helpers.reference_predict``).
+A forecast step takes the product with the ``[x; 1; h]`` rows of states whose
+columns are the window's suffixes. A memo that the caller owns makes the next
+window's forecast that one step on its new value; a cold forecast feeds its
+window through it a value at a time. Forecasts are bit-identical to steps on
+fresh arrays (``tests/helpers.reference_predict``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _shown
 from .scoring import _floats
 
 __all__ = [
@@ -69,7 +70,7 @@ def _check_types(config) -> None:
         value = getattr(config, spec.name)
         kind, what = {"int": (int, "an integer"), "float": (numbers.Real, "a real number")}[spec.type]
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{spec.name} must be {what}, got {value!r}")
+            raise ConfigError(f"{spec.name} must be {what}, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,11 @@ class LstmConfig:
     def __post_init__(self):
         _check_types(self)
         if self.hidden_units < 1:
-            raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
+            raise ConfigError(f"hidden_units must be >= 1, got {_shown(self.hidden_units)}")
         if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ConfigError(f"max_epochs must be >= 1, got {_shown(self.max_epochs)}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {_shown(self.seed)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,51 +140,42 @@ def _initial_theta(h: int, seed: int) -> np.ndarray:
     w_h = rng.uniform(-scale, scale, (4 * h, h))
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
-    theta = np.concatenate((w_h.ravel(), w_x, b, rng.uniform(-scale, scale, h)))
+    theta = np.concatenate((np.column_stack((w_x, b, w_h)).ravel(), rng.uniform(-scale, scale, h)))
     theta.flags.writeable = False
     return theta
 
 
 @functools.lru_cache(maxsize=32)
 def _sigmoid_row_scale(h: int) -> np.ndarray:
-    """½ on the sigmoid gates' (i, f, o) rows of ``w_h``, ``w_x`` and ``b``
-    laid out flat like ``_Descent.theta``, 1 on the candidate's; read-only.
-    The step and the descent both halve by one multiply with it: exact
-    unless a halved value is subnormal, an underflow as harmless as the
-    step's own and ignored where it is (``train``, ``_step_weights``)."""
-    scale = np.concatenate([np.repeat((0.5, 1.0), (3 * n, n)) for n in (h * h, h, h)])
+    """A ``(4H, 1)`` column of ½ on the sigmoid gates' (i, f, o) rows and 1 on
+    the candidate's; read-only. The forecast step and the descent both halve
+    their ``[w_x | b | w_h]`` weights by one multiply with it: exact unless a
+    halved value is subnormal, an underflow as harmless as the step's own and
+    ignored where it is (``train``, ``_step_weights``)."""
+    scale = np.repeat((0.5, 1.0), (3 * h, h))[:, None]
     scale.flags.writeable = False
     return scale
 
 
 def _gate_views(act: np.ndarray) -> tuple:
-    """``act``, its views that ``_gates`` takes (``act[:3]``, ``act[0]`` .. ``act[3]``) and a 0-d
-    array for the step's input."""
-    return (act, act[:3], *act, np.empty(()))
+    """``act`` and its views that ``_gates`` takes: ``act[:3]`` and ``act[0]`` .. ``act[3]``."""
+    return (act, act[:3], *act)
 
 
-def _gates(views, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
-    """One training step from the recurrent products, in place.
+def _gates(views, c_prev, c, tc, hidden) -> None:
+    """One training step from its pre-activations, in place.
 
     ``views`` are ``_gate_views(act)``, built once per buffer, where ``act`` holds the
     gate-major ``(4, H)`` pre-activations (i, f, o, g) of weights whose sigmoid-gate
-    rows were halved; ``w_x`` and ``b`` have its shape. The step adds ``w_x * x`` and
-    ``b`` and turns ``act`` into the activations with one ``tanh`` over all four gates,
-    since ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can overflow. The cell
-    state, its tanh and the hidden state go into ``c``, ``tc`` and ``hidden``. ``c_prev``
-    None is the zero state: ``act`` is only written and the cell is ``i * g``, the full
-    step's values bit for bit while ``b`` holds no ``-0.0`` (a zero cell may change sign,
-    nothing else). ``out`` goes positionally here and in the callers, as a keyword costs
-    more, and ``x`` and the halves go as 0-d arrays: numpy converts and promotes a
-    Python float per call.
+    rows were halved. The step turns ``act`` into the activations with one ``tanh`` over
+    all four gates, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can
+    overflow. The cell state, its tanh and the hidden state go into ``c``, ``tc`` and
+    ``hidden``. ``c_prev`` None is the zero state: the cell is ``i * g``, the full
+    step's value bit for bit but for the sign of a zero cell. ``out`` goes positionally
+    here and in the callers, as a keyword costs more, and the halves go as a 0-d array:
+    numpy converts and promotes a Python float per call.
     """
-    act, sigmoids, i, f, o, g, x_array = views
-    x_array[()] = x
-    if c_prev is None:
-        np.multiply(w_x, x_array, act)
-    else:
-        act += w_x * x_array
-    act += b
+    act, sigmoids, i, f, o, g = views
     np.tanh(act, act)
     sigmoids *= _HALF
     sigmoids += _HALF
@@ -197,39 +189,40 @@ def _gates(views, x: float, w_x, b, c_prev, c, tc, hidden) -> None:
 
 
 def _views(flat: np.ndarray, h: int) -> list:
-    """``w_h`` as ``(4H, H)``, ``w_x``, ``b`` and ``w_out``: views of a flat
-    vector laid out like ``_Descent.theta`` (``w_out`` is empty if the vector
-    stops after the gate weights)."""
-    n = 4 * h * h
-    return [flat[:n].reshape(4 * h, h), flat[n : n + 4 * h], flat[n + 4 * h : n + 8 * h], flat[n + 8 * h :]]
+    """The ``(4H, H + 2)`` gate weights ``[w_x | b | w_h]`` and ``w_out``: views
+    of a flat vector laid out like ``_Descent.theta``."""
+    n = 4 * h * (h + 2)
+    return [flat[:n].reshape(4 * h, h + 2), flat[n:]]
 
 
 class _Descent:
     """The workspace of one training call, built once and used by every epoch.
 
-    ``theta`` is a copy of the flat vector of ``h`` units' ``w_h``, ``w_x``,
-    ``b`` and ``w_out``, held as views; ``grad`` has its layout and ``b_out``
-    is a float, so an update is ``grad *= lr; theta -= grad``. Every buffer,
-    and every view of one that a pass reads, is made here. Step 0 does no
-    work on the zero state (``_gates``); otherwise operands come in the order
-    of a plain descent that allocates afresh, so each rounds the same way.
+    ``theta`` is a copy of the flat vector of ``h`` units' ``[w_x | b | w_h]``
+    and ``w_out``, held as views; ``grad`` has its layout and ``b_out`` is a
+    float, so an update is ``grad *= lr; theta -= grad``. Row k of ``states`` is
+    step k's ``[x; 1; h]``, x and 1 written here: a step's pre-activations are
+    one ``np.dot`` with the halved weights, as in a forecast, and the gate
+    weights' gradient is one product with the rows. Every buffer, and every view
+    of one that a pass reads, is made here; operands come in the order of a plain
+    descent that allocates afresh, so each rounds the same way.
     """
 
     def __init__(self, theta, h: int, inputs: np.ndarray, targets=None, b_out: float = 0.0):
         steps = inputs.size
-        self.inputs, self.targets, self.b_out = inputs, targets, b_out
+        self.targets, self.b_out = targets, b_out
         self.theta = theta = np.array(theta)
         self.grad = np.empty_like(theta)
         self.grads = _views(self.grad, h)
-        self.w_h, self.w_x, self.b, self.w_out = _views(theta, h)
-        self.w_h_t, self.scale = self.w_h.T, _sigmoid_row_scale(h)
-        self.half, self.gate_theta = np.empty_like(self.scale), theta[: self.scale.size]
-        half_w_h, half_w_x, half_b, _ = _views(self.half, h)
-        self.half_weights = (half_w_h, half_w_x.reshape(4, h), half_b.reshape(4, h))
+        self.weights, self.w_out = _views(theta, h)
+        self.w_h_t, self.scale = self.weights[:, 2:].T, _sigmoid_row_scale(h)
+        self.half = np.empty_like(self.weights)
 
         gates = np.empty((steps, 4, h))
-        cells, hiddens = np.zeros((2, steps + 1, h))  # row k: the state step k starts from
-        self.h_prev, self.h_next = hiddens[:-1], hiddens[1:]
+        states = np.zeros((steps + 1, h + 2))  # row k: step k's [x; 1; h]
+        states[:-1, 0], states[:, 1] = inputs, 1.0
+        self.states, self.h_next = states[:-1], states[1:, 2:]
+        cells = np.zeros((steps + 1, h))  # row k: the cell state step k starts from
         tanh_cells, dc_of_dh, self.dh = np.empty((3, steps, h))
         self.outputs, self.d_out = np.empty((2, steps))
         self.dz = np.empty((steps, 4 * h))
@@ -245,10 +238,9 @@ class _Descent:
         self.dc_of_dh_flat = dc_of_dh.ravel()
 
         acts = gates.reshape(steps, 4 * h)
-        c_prev, h_prev = [None, *cells[1:-1]], [None, *hiddens[1:-1]]  # step 0: zero state
+        c_prev = [None, *cells[1:-1]]  # step 0: zero state
         self.forward_steps = list(
-            zip(inputs.tolist(), acts, map(_gate_views, gates), c_prev, cells[1:], tanh_cells,
-                h_prev, hiddens[1:])
+            zip(self.states, acts, map(_gate_views, gates), c_prev, cells[1:], tanh_cells, self.h_next)
         )
         dz, partner = self.dz.reshape(steps, 4, h), self.partner
         self.backward_steps = list(
@@ -257,12 +249,10 @@ class _Descent:
 
     def forward(self) -> np.ndarray:
         """The output after each input, from zero state."""
-        np.multiply(self.gate_theta, self.scale, self.half)
-        w_h, w_x, b = self.half_weights
-        for x, act, views, c_prev, c, tc, h_prev, hidden in self.forward_steps:
-            if h_prev is not None:
-                np.dot(w_h, h_prev, act)
-            _gates(views, x, w_x, b, c_prev, c, tc, hidden)
+        half = np.multiply(self.weights, self.scale, self.half)
+        for state, act, views, c_prev, c, tc, hidden in self.forward_steps:
+            np.dot(half, state, act)
+            _gates(views, c_prev, c, tc, hidden)
         np.dot(self.h_next, self.w_out, self.outputs)
         self.outputs += self.b_out
         return self.outputs
@@ -315,10 +305,8 @@ class _Descent:
                 np.dot(w_h_t, dz_row, dh_next)
                 np.multiply(dc, forget, dc_next)
 
-        g_w_h, g_w_x, g_b, g_w_out = self.grads
-        np.dot(self.inputs, self.dz, g_w_x)
-        np.dot(self.dz_t, self.h_prev, g_w_h)
-        np.add.reduce(self.dz, axis=0, out=g_b)
+        g_weights, g_w_out = self.grads
+        np.dot(self.dz_t, self.states, g_weights)
         np.dot(d_out, self.h_next, g_w_out)
         self.b_out_grad = float(d_out.sum())
         return loss
@@ -375,7 +363,8 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
             prev_loss = loss
             if stalled >= _PATIENCE:
                 break
-    arrays = [view.copy() for view in (descent.w_x, descent.w_h, descent.b, descent.w_out)]
+    weights = descent.weights
+    arrays = [view.copy() for view in (weights[:, 0], weights[:, 2:], weights[:, 1], descent.w_out)]
     for array in arrays:
         array.flags.writeable = False
     model = LstmModel(*arrays, b_out=descent.b_out, norm_mean=mean, norm_std=std)
@@ -387,7 +376,7 @@ def _step_weights(model: LstmModel) -> np.ndarray:
     ``np.dot`` with a state's ``[x; 1; h]`` rows gives its pre-activations, ``w_x * x + b`` included."""
     h = model.hidden_units
     with np.errstate(under="ignore"):
-        return np.column_stack((model.w_x, model.b, model.w_h)) * _sigmoid_row_scale(h)[-4 * h :, None]
+        return np.column_stack((model.w_x, model.b, model.w_h)) * _sigmoid_row_scale(h)
 
 
 def _workspace(n: int, h: int) -> tuple:
@@ -399,7 +388,7 @@ def _workspace(n: int, h: int) -> tuple:
     states[:, 1] = 1.0
     columns = [[(s[2 : h + 2, r], s[2:, r]) for r in range(n)] for s in states]
     sets = zip(states[:, 0], states[:, : h + 2], states[:, 2 : h + 2], states[:, h + 2 :], columns)
-    return (act, *_gate_views(act.reshape(4, h, n))[1:6]), tuple(sets)
+    return (act, *_gate_views(act.reshape(4, h, n))[1:]), tuple(sets)
 
 
 def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = None) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _shown
 
 __all__ = ["aare"]
 
@@ -58,7 +58,7 @@ def aare(
         with contextlib.suppress(OverflowError):  # an int past the float range stays one
             epsilon = float(epsilon)  # a numpy scalar would make the score its own type
     if type(epsilon) is not float or not 0 < epsilon < math.inf:  # NaN fails too
-        raise ValueError(f"epsilon must be a real number, positive and finite, got {epsilon!r}")
+        raise ValueError(f"epsilon must be a real number, positive and finite, got {_shown(epsilon)}")
     if type(observed) is tuple and type(predicted) is tuple and len(observed) == len(predicted) != 0:
         score = _score(observed, predicted, epsilon)
         if score is not None:
@@ -126,7 +126,7 @@ def _floats(window: Sequence[float], name: str) -> tuple[float, ...]:
             raise TypeError  # iterated, it would give characters or ints
         return tuple([_float(v, item) for v in (window.tolist() if isinstance(window, np.ndarray) else window)])
     except TypeError:
-        raise ValueError(f"{name} must be a one-dimensional sequence of numbers, got {window!r}") from None
+        raise ValueError(f"{name} must be a one-dimensional sequence of numbers, got {_shown(window)}") from None
 
 
 def _unit_of(score: float) -> float:

@@ -226,7 +226,7 @@ def running_threshold(history) -> float:
 
 def descent(model, inputs, targets=None):
     """A ``forecaster._Descent`` on a copy of the model's current weights."""
-    theta = np.concatenate((model.w_h.ravel(), model.w_x, model.b, model.w_out))
+    theta = np.concatenate((np.column_stack((model.w_x, model.b, model.w_h)).ravel(), model.w_out))
     inputs = np.asarray(inputs, dtype=float)
     return forecaster._Descent(theta, model.hidden_units, inputs, targets, model.b_out)
 
@@ -240,26 +240,26 @@ def loss_and_grads(model, inputs, targets):
     """Mean squared error and its gradients, as a dict keyed by weight name."""
     workspace = descent(model, inputs, targets)
     loss = workspace.loss_and_grads()
-    w_h, w_x, b, w_out = workspace.grads
-    return loss, {"w_x": w_x, "w_h": w_h, "b": b, "w_out": w_out, "b_out": workspace.b_out_grad}
+    weights, w_out = workspace.grads
+    grads = {"w_x": weights[:, 0], "w_h": weights[:, 2:], "b": weights[:, 1], "w_out": w_out}
+    return loss, {**grads, "b_out": workspace.b_out_grad}
 
 
 def plain_forward(model, inputs) -> np.ndarray:
     """The descent's forward pass with no shortcut for the zero start state:
-    every step, step 0 included, adds ``w_h`` times the previous hidden state
-    and runs ``_gates`` with the previous cell state, both zero at step 0.
-    The gate weights are halved by copy, apart from ``_Descent``'s vector."""
+    every step makes a fresh ``[x; 1; h]`` array, takes one ``np.dot`` of the
+    weights ``[w_x | b | w_h]`` with it and runs ``_gates`` with the previous
+    cell state, both states zero at step 0. The sigmoid gates' rows are
+    halved by copy, apart from ``_Descent``'s vector."""
     h = model.hidden_units
-    w_h, w_x, b = (np.array(w) for w in (model.w_h, model.w_x, model.b))
-    for w in (w_h, w_x, b):
-        w[: 3 * h] *= 0.5
-    w_x, b = w_x.reshape(4, h), b.reshape(4, h)
+    weights = np.column_stack((model.w_x, model.b, model.w_h))
+    weights[: 3 * h] *= 0.5
     hidden, cell = np.zeros(h), np.zeros(h)
     hiddens = []
     for x in np.asarray(inputs, dtype=float).tolist():
-        act = np.matmul(w_h, hidden).reshape(4, h)
+        act = np.dot(weights, np.concatenate(([x, 1.0], hidden))).reshape(4, h)
         c_prev, (cell, tanh_cell, hidden) = cell, np.empty((3, h))
-        forecaster._gates(forecaster._gate_views(act), x, w_x, b, c_prev, cell, tanh_cell, hidden)
+        forecaster._gates(forecaster._gate_views(act), c_prev, cell, tanh_cell, hidden)
         hiddens.append(hidden)
     outputs = np.matmul(np.array(hiddens), model.w_out)
     outputs += model.b_out
@@ -300,7 +300,8 @@ def init_model(config) -> forecaster.LstmModel:
     normalization statistics."""
     h = config.hidden_units
     theta = forecaster._initial_theta(h, config.seed)
-    w_h, w_x, b, w_out = (view.copy() for view in forecaster._views(theta, h))
+    weights, w_out = forecaster._views(theta, h)
+    w_x, b, w_h, w_out = (view.copy() for view in (weights[:, 0], weights[:, 1], weights[:, 2:], w_out))
     return forecaster.LstmModel(w_x=w_x, w_h=w_h, b=b, w_out=w_out, b_out=0.0)
 
 

@@ -91,6 +91,8 @@ class TestPhaseOf:
             phase_of(-1, 3)
         with pytest.raises(ValueError):
             phase_of(0, 1)
+        with pytest.raises(ValueError, match="^time index must be >= 0, got a value too long to print"):
+            phase_of(-(10**5000), 3)
 
 
 class TestConfig:
@@ -126,6 +128,24 @@ class TestConfig:
     def test_a_field_of_the_wrong_type_is_a_config_error_naming_it(self, make, name, bad):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             make(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "make,name,error",
+        [
+            (DetectorConfig, "look_back", ConfigError),
+            (DetectorConfig, "epsilon", ConfigError),
+            (LstmConfig, "hidden_units", ConfigError),
+            (LstmConfig, "max_epochs", ConfigError),
+            (LstmConfig, "seed", ConfigError),
+            (functools.partial(aare, [1.0], [1.0]), "epsilon", ValueError),
+        ],
+        ids=["look_back", "epsilon", "hidden_units", "max_epochs", "seed", "aare-epsilon"],
+    )
+    def test_an_int_too_long_to_print_is_refused_naming_its_field(self, make, name, error):
+        # Each message formatted the value, which raised a raw ValueError:
+        # "Exceeds the limit (4300 digits) for integer string conversion".
+        with pytest.raises(error, match=f"^{name} must be .*, got a value too long to print \\(int\\)$"):
+            make(**{name: -(10**5000)})
 
     @pytest.mark.parametrize("bad", ["x", {}, DetectorConfig()], ids=["str", "dict", "DetectorConfig"])
     def test_an_engine_config_that_is_no_lstm_config_is_a_config_error(self, bad):
@@ -309,7 +329,7 @@ class TestStepValidation:
         assert without_timing(records) == without_timing(expected)
 
     @pytest.mark.parametrize("stamped_first", [False, True])
-    @pytest.mark.parametrize("bad", ["2020-01-01", 5, 1.0], ids=["str", "int", "float"])
+    @pytest.mark.parametrize("bad", ["2020-01-01", 5, 1.0, 10**5000], ids=["str", "int", "float", "int-too-long-to-print"])
     def test_a_timestamp_that_is_no_datetime_is_refused_and_leaves_no_trace(self, bad, stamped_first):
         # Stored, such a timestamp would break the next stamped step's ordering check.
         detector = Detector(engine=LstmEngine(FAST_LSTM))

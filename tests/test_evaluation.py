@@ -207,10 +207,12 @@ class TestTimingStats:
             evaluate_run([], [T0])
 
     def test_negative_time_rejected(self):
-        with pytest.raises(DataError):
-            summarize_run([make_record(0, decision_time=-1.0)])
-        with pytest.raises(DataError):
-            evaluate_run([make_record(k, decision_time=-1.0) for k in range(10)], [T0])
+        # An int too long to print once escaped as a raw ValueError from the message.
+        for bad in (-1.0, -(10**5000)):
+            with pytest.raises(DataError, match="non-negative"):
+                summarize_run([make_record(0, decision_time=bad)])
+            with pytest.raises(DataError, match="non-negative"):
+                evaluate_run([make_record(k, decision_time=bad) for k in range(10)], [T0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, bad):
@@ -299,6 +301,12 @@ class TestSpans:
         # Checked even when no label would ever use the span.
         with pytest.raises(ConfigError, match=span):
             evaluate_run(unread_records(), labels, **{span: value})
+
+    @pytest.mark.parametrize("value", [-(10**400), Fraction(-(10**400))], ids=["int", "fraction"])
+    def test_a_negative_span_past_the_float_range_breaks_the_non_negative_rule(self, value):
+        # A negative int past the float range was "longer than a time span can be".
+        with pytest.raises(ConfigError, match="^grace_minutes must be a finite, non-negative number of minutes"):
+            evaluate_run(unread_records(), [T0], grace_minutes=value)
 
     @pytest.mark.parametrize("value", [np.float32(60), np.int64(5), Fraction(1, 2)])
     def test_a_real_number_that_is_no_float_is_read_as_one(self, value):

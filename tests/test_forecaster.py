@@ -344,8 +344,8 @@ class TestDescent:
 
     @pytest.mark.parametrize("hidden_units", [1, 3, 4, 10, 32])
     def test_forward_equals_the_plain_forward_bit_for_bit(self, hidden_units):
-        # Step 0 skips the recurrent products and the forget term of the
-        # zero start state; the plain forward computes them.
+        # Step 0 skips the forget term of the zero start state; the plain
+        # forward computes it, and takes each step's product on a fresh array.
         rng = np.random.default_rng(67 + hidden_units)
         for look_back in range(2, 18):
             for _ in range(6):
