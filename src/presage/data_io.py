@@ -307,7 +307,7 @@ def write_summary(summary: RunSummary, config: DetectorConfig, seed: int, path: 
             "look_back": config.look_back,
             "predict_forward": 1,
             "seed": seed,
-            "epsilon": float(config.epsilon),
+            "epsilon": config.epsilon,
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -22,7 +22,6 @@ where b is the look-back count and t the zero-based point index.
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass
 from datetime import datetime
@@ -31,7 +30,7 @@ from typing import Protocol, Sequence
 from . import forecaster, scoring
 from .errors import ConfigError, DataError, OrderingError, _shown
 from .forecaster import LstmConfig, _check_types
-from .scoring import _WELFORD_EMPTY, DEFAULT_EPSILON, _float, _welford_add, _welford_std
+from .scoring import _EPSILON_RULE, _WELFORD_EMPTY, DEFAULT_EPSILON, _float, _real, _welford_add, _welford_std
 
 __all__ = [
     "Phase",
@@ -102,12 +101,7 @@ class DetectorConfig:
         _check_types(self)
         if self.look_back < 2:
             raise ConfigError(f"look_back must be >= 2, got {_shown(self.look_back)}")
-        try:
-            finite = math.isfinite(self.epsilon)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not (finite and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive and finite, got {_shown(self.epsilon)}")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, ConfigError, _EPSILON_RULE, above=True))
 
 
 @dataclass(slots=True)

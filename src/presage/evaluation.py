@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence
 
 from .detector import DetectionRecord, Phase, Verdict, _check_order
-from .errors import ConfigError, DataError, _shown
-from .scoring import _WELFORD_EMPTY, _welford_add, _welford_std
+from .errors import ConfigError, DataError
+from .scoring import _WELFORD_EMPTY, _real, _welford_add, _welford_std
 
 __all__ = [
     "LeadStatus",
@@ -113,16 +112,13 @@ def _checked(
 
 
 def _span(minutes: float, name: str) -> timedelta:
-    """``minutes`` as a time span: a real number but no ``bool``, finite,
-    non-negative and within what a ``timedelta`` holds, else ``ConfigError``."""
-    try:  # through float(), since timedelta refuses numpy scalars and fractions
-        if (isinstance(minutes, numbers.Real) and not isinstance(minutes, bool)
-                and math.isfinite(value := float(minutes)) and value >= 0):
-            return timedelta(minutes=value)
-    except OverflowError:  # also an int past the float range, which may be negative
-        if minutes > 0:
-            raise ConfigError(f"{name} is longer than a time span can be") from None
-    raise ConfigError(f"{name} must be a finite, non-negative number of minutes, got {_shown(minutes)}")
+    """``minutes`` as a time span: read by ``scoring._real`` (so a numpy scalar or a
+    fraction is its float), then within what a ``timedelta`` holds, else ``ConfigError``."""
+    value = _real(minutes, ConfigError, f"{name} must be a finite, non-negative number of minutes, got ")
+    try:
+        return timedelta(minutes=value)
+    except OverflowError:
+        raise ConfigError(f"{name} is longer than a time span can be") from None
 
 
 def summarize_run(records: Iterable[DetectionRecord]) -> RunSummary:
@@ -130,20 +126,20 @@ def summarize_run(records: Iterable[DetectionRecord]) -> RunSummary:
     points, retrains, anomalies, and the decision-time mean and std
     (Welford's update). Each record's ``phase`` says whether it was scored.
 
-    A negative or non-finite decision time is a ``DataError``.
+    A decision time is read by ``scoring._real``: a numpy scalar is its
+    float, and a ``bool``, a negative or a non-finite time is a ``DataError``.
     """
     retrains = scored = 0
     timing = _WELFORD_EMPTY
     anomalies = []
     for record in records:
-        if not 0 <= record.decision_time < math.inf:  # NaN fails too
-            raise DataError(
-                f"record at index {record.time_index}: decision times must be "
-                f"finite and non-negative, got {_shown(record.decision_time)}"
-            )
+        seconds = record.decision_time
+        if not (type(seconds) is float and 0 <= seconds < math.inf):  # NaN fails too
+            seconds = _real(seconds, DataError, f"record at index {record.time_index}: "
+                            "decision times must be finite and non-negative, got ")
         retrains += record.retrained
         scored += record.phase is Phase.BOOTSTRAP or record.phase is Phase.DETECTING
-        timing = _welford_add(timing, record.decision_time)
+        timing = _welford_add(timing, seconds)
         if record.verdict is Verdict.ANOMALY:
             anomalies.append(record)
     total, mean = timing[:2]

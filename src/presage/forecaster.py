@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from operator import is_
 from typing import Sequence
@@ -64,13 +63,12 @@ _HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (`
 
 
 def _check_types(config) -> None:
-    """The type rule of every config: ``ConfigError`` naming a field declared ``int`` that
-    holds no ``int`` or ``float`` that holds no real number (a ``bool`` is neither)."""
+    """The int rule of every config: ``ConfigError`` naming a field declared ``int`` that holds
+    no ``int`` (a ``bool`` is none). A ``float`` field is its config's to read, by ``scoring._real``."""
     for spec in fields(config):
         value = getattr(config, spec.name)
-        kind, what = {"int": (int, "an integer"), "float": (numbers.Real, "a real number")}[spec.type]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{spec.name} must be {what}, got {_shown(value)}")
+        if spec.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{spec.name} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ __all__ = ["aare"]
 #: near-zero observations yield a large-but-finite relative error.
 DEFAULT_EPSILON = 1e-8
 
+#: The rule ``aare`` and ``DetectorConfig`` hold ``epsilon`` to, as ``_real`` states it.
+_EPSILON_RULE = "epsilon must be a real number, positive and finite, got "
+
 #: Scores past this magnitude or below its inverse are taken in units of a power
 #: of two, so that their squared deviations neither overflow nor underflow (Chan,
 #: Golub & LeVeque, 1983). Scaling by a power of two is exact: others change no bit.
@@ -54,11 +57,8 @@ def aare(
         A non-negative, finite relative-error score; one past the float
         range, or a NaN or inf in either window, is a ``DataError``.
     """
-    if type(epsilon) is not float and isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool):
-        with contextlib.suppress(OverflowError):  # an int past the float range stays one
-            epsilon = float(epsilon)  # a numpy scalar would make the score its own type
     if type(epsilon) is not float or not 0 < epsilon < math.inf:  # NaN fails too
-        raise ValueError(f"epsilon must be a real number, positive and finite, got {_shown(epsilon)}")
+        epsilon = _real(epsilon, ValueError, _EPSILON_RULE, above=True)  # a numpy scalar would type the score
     if type(observed) is tuple and type(predicted) is tuple and len(observed) == len(predicted) != 0:
         score = _score(observed, predicted, epsilon)
         if score is not None:
@@ -114,6 +114,17 @@ def _float(number, what: str, t: int | None = None) -> float:
     if not math.isfinite(real):
         raise DataError(f"{what.format(t)} is not finite: {real}")
     return real
+
+
+def _real(value, error: type[Exception], rule: str, above: bool = False) -> float:
+    """The one rule for a real number: ``float(value)`` if ``value`` is real, no ``bool``, finite and
+    ``>= 0`` (``> 0`` when ``above``), else ``error(rule + _shown(value))``. Past the float range is not finite."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            real = float(value)
+            if (0 < real if above else 0 <= real) and real < math.inf:  # NaN fails too
+                return real
+    raise error(rule + _shown(value))
 
 
 def _floats(window: Sequence[float], name: str) -> tuple[float, ...]:

@@ -156,7 +156,7 @@ class TestConfig:
     @pytest.mark.parametrize("epsilon", [10**400, 2**1024 - 1, Fraction(10**400)], ids=["1e400", "2**1024-1", "fraction"])
     def test_an_epsilon_past_the_float_range_is_a_config_error_naming_it(self, epsilon):
         # math.isfinite raised a raw OverflowError for an int it cannot convert.
-        with pytest.raises(ConfigError, match="^epsilon must be positive and finite, got "):
+        with pytest.raises(ConfigError, match="^epsilon must be a real number, positive and finite, got "):
             DetectorConfig(epsilon=epsilon)
         assert DetectorConfig(epsilon=int(sys.float_info.max)).epsilon == sys.float_info.max
 
@@ -202,9 +202,10 @@ class TestConfig:
         assert without_timing(read_report(tmp_path / "report.csv")) == numpy_run
 
     def test_any_real_number_fills_a_real_field(self):
-        assert DetectorConfig(epsilon=np.float64(1e-6)).epsilon == 1e-6
-        assert DetectorConfig(epsilon=1).epsilon == 1
-        assert DetectorConfig(epsilon=np.float32(0.5)).epsilon == 0.5
+        # Each was kept as given, so every aare call took its slow conversion path.
+        for epsilon in (np.float64(1e-6), 1, np.float32(0.5), Fraction(1, 2)):
+            kept = DetectorConfig(epsilon=epsilon).epsilon
+            assert type(kept) is float and kept == float(epsilon)
 
 
 class TestPhaseSchedule:

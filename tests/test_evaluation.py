@@ -1,5 +1,8 @@
 import math
+import re
+import warnings
 from datetime import datetime, timedelta, timezone
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +224,27 @@ class TestTimingStats:
             summarize_run([make_record(0), make_record(1, decision_time=bad)])
         with pytest.raises(DataError, match="finite"):
             evaluate_run([make_record(k, decision_time=bad) for k in range(10)], [T0])
+
+    @pytest.mark.parametrize(
+        "bad", [10**400, True, Decimal("0.001"), "1", 1 + 0j], ids=["int-1e400", "bool", "decimal", "str", "complex"]
+    )
+    def test_a_time_that_is_no_finite_real_number_is_a_data_error(self, bad):
+        # 10**400 escaped as a raw OverflowError from _welford_add, True was read
+        # as 1 s, and the others escaped as a raw TypeError.
+        message = f"^record at index 1: decision times must be finite and non-negative, got {re.escape(repr(bad))}$"
+        with pytest.raises(DataError, match=message):
+            summarize_run([make_record(0), make_record(1, decision_time=bad)])
+        with pytest.raises(DataError, match=message):
+            evaluate_run([make_record(k, decision_time=bad if k == 1 else 0.0) for k in range(10)], [T0])
+
+    def test_a_numpy_time_is_read_as_its_float(self):
+        # An np.float32 time once made the mean an np.float32, and _unit_of's
+        # compare with 2.0**400 overflowed in a cast to float32, with a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarize_run([make_record(0, decision_time=np.float32(0.5)), make_record(1, decision_time=1.5)])
+        assert type(summary.avg_decision_time) is float and type(summary.std_decision_time) is float
+        assert (summary.avg_decision_time, summary.std_decision_time) == (1.0, 0.5)
 
     def test_generator_input(self):
         records = (
