@@ -8,14 +8,15 @@ milliseconds. Everything runs on plain numpy in float64.
 
 Gate layout: weight and bias vectors stack the four gates in the order
 (input, forget, output, candidate), each slice of length ``hidden_units``.
-Training and forecasting hold the gate weights as one ``(4H, H + 2)`` matrix
-``[w_x | b | w_h]``: a step's pre-activations, input and bias terms included,
-are one ``np.dot`` with its ``[x; 1; h]`` state. A step works gate-major, one
-leading entry per gate, so the sigmoid gates are one contiguous block and each
-gate product is an operation on equal contiguous shapes. The matrix has the
-sigmoid gates' rows halved beforehand, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2``;
-halving by a power of two is exact, so forecasts and trained models are
-bit-identical to unscaled weights scaled inside the step.
+Training, the model and forecasting hold the gate weights as one ``(4H, H + 2)``
+matrix ``[w_x | b | w_h]``: a step's pre-activations, input and bias terms
+included, are one ``np.dot`` with its ``[x; 1; h]`` state. A step works
+gate-major, one leading entry per gate, so the sigmoid gates are one contiguous
+block and each gate product is an operation on equal contiguous shapes. A step
+halves the sigmoid gates' rows beforehand (the model holds them unhalved), since
+``sigmoid(z) = (1 + tanh(z / 2)) / 2``; halving by a power of two is exact, so
+forecasts and trained models are bit-identical to unscaled weights scaled
+inside the step.
 
 Training runs all the epochs of a ``train`` call through one workspace,
 ``_Descent``, which starts from initial weights drawn once per configuration.
@@ -98,18 +99,17 @@ class LstmConfig:
 class LstmModel:
     """Weights of the one-hidden-layer LSTM plus normalization stats.
 
-    ``w_x`` holds the input weights of the four stacked gates, ``w_h``
-    the recurrent weights, ``b`` the gate biases, ``w_out``/``b_out``
-    the linear output layer. ``norm_mean``/``norm_std`` are the
-    statistics of the window the model was trained on; raw values are
-    z-scored with them before entering the network and forecasts are
-    mapped back afterwards. A frozen value: ``train`` returns its arrays
-    read-only, and ``dataclasses.replace`` makes a changed model.
+    ``weights`` is the ``(4H, H + 2)`` gate matrix ``[w_x | b | w_h]``, unhalved:
+    column 0 the input weights of the four stacked gates, column 1 their biases,
+    the rest the recurrent weights, the columns a model built by hand stacks in
+    this order. ``w_out``/``b_out`` are the linear output layer.
+    ``norm_mean``/``norm_std`` are the statistics of the window the model was
+    trained on; raw values are z-scored with them before entering the network
+    and forecasts are mapped back afterwards. A frozen value: ``train`` returns
+    its arrays read-only, and ``dataclasses.replace`` makes a changed model.
     """
 
-    w_x: np.ndarray  # (4H,)
-    w_h: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
+    weights: np.ndarray  # (4H, H + 2)
     w_out: np.ndarray  # (H,)
     b_out: float
     norm_mean: float = 0.0
@@ -149,7 +149,7 @@ def _sigmoid_row_scale(h: int) -> np.ndarray:
     the candidate's; read-only. The forecast step and the descent both halve
     their ``[w_x | b | w_h]`` weights by one multiply with it: exact unless a
     halved value is subnormal, an underflow as harmless as the step's own and
-    ignored where it is (``train``, ``_step_weights``)."""
+    ignored where it is (``train``, ``predict_next``)."""
     scale = np.repeat((0.5, 1.0), (3 * h, h))[:, None]
     scale.flags.writeable = False
     return scale
@@ -361,20 +361,11 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
             prev_loss = loss
             if stalled >= _PATIENCE:
                 break
-    weights = descent.weights
-    arrays = [view.copy() for view in (weights[:, 0], weights[:, 2:], weights[:, 1], descent.w_out)]
+    arrays = [view.copy() for view in (descent.weights, descent.w_out)]
     for array in arrays:
         array.flags.writeable = False
     model = LstmModel(*arrays, b_out=descent.b_out, norm_mean=mean, norm_std=std)
     return TrainOutcome(model=model, epochs_used=epoch)
-
-
-def _step_weights(model: LstmModel) -> np.ndarray:
-    """A forecast step's ``(4H, H + 2)`` weights ``[w_x | b | w_h]``, the sigmoid gates' rows halved: one
-    ``np.dot`` with a state's ``[x; 1; h]`` rows gives its pre-activations, ``w_x * x + b`` included."""
-    h = model.hidden_units
-    with np.errstate(under="ignore"):
-        return np.column_stack((model.w_x, model.b, model.w_h)) * _sigmoid_row_scale(h)
 
 
 def _workspace(n: int, h: int) -> tuple:
@@ -460,7 +451,9 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     n, h = len(values), model.hidden_units
     silent = replace(model, w_out=np.zeros(h), b_out=0.0)  # partial windows give no forecast
     padded = (None,) * (n - 1) + values  # before its first value, every suffix of a window is empty
-    slot = [(silent, (_step_weights(model), *_workspace(n, h)), padded[: n - 1], 0, 0)]
+    with np.errstate(under="ignore"):  # the step's weights: the sigmoid gates' rows halved
+        weights = model.weights * _sigmoid_row_scale(h)
+    slot = [(silent, (weights, *_workspace(n, h)), padded[: n - 1], 0, 0)]
     for k in range(n - 1):
         _predict_next(silent, padded[k : k + n], slot)
     slot[0] = (model, *slot[0][1:])

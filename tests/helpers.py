@@ -224,9 +224,14 @@ def running_threshold(history) -> float:
     return state[1] + 3.0 * scoring._welford_std(state)
 
 
+def gate_weights(w_x, w_h, b) -> np.ndarray:
+    """The ``(4H, H + 2)`` gate matrix ``[w_x | b | w_h]`` of a hand-built model."""
+    return np.column_stack((w_x, b, w_h))
+
+
 def descent(model, inputs, targets=None):
     """A ``forecaster._Descent`` on a copy of the model's current weights."""
-    theta = np.concatenate((np.column_stack((model.w_x, model.b, model.w_h)).ravel(), model.w_out))
+    theta = np.concatenate((model.weights.ravel(), model.w_out))
     inputs = np.asarray(inputs, dtype=float)
     return forecaster._Descent(theta, model.hidden_units, inputs, targets, model.b_out)
 
@@ -241,8 +246,7 @@ def loss_and_grads(model, inputs, targets):
     workspace = descent(model, inputs, targets)
     loss = workspace.loss_and_grads()
     weights, w_out = workspace.grads
-    grads = {"w_x": weights[:, 0], "w_h": weights[:, 2:], "b": weights[:, 1], "w_out": w_out}
-    return loss, {**grads, "b_out": workspace.b_out_grad}
+    return loss, {"weights": weights, "w_out": w_out, "b_out": workspace.b_out_grad}
 
 
 def plain_forward(model, inputs) -> np.ndarray:
@@ -252,7 +256,7 @@ def plain_forward(model, inputs) -> np.ndarray:
     cell state, both states zero at step 0. The sigmoid gates' rows are
     halved by copy, apart from ``_Descent``'s vector."""
     h = model.hidden_units
-    weights = np.column_stack((model.w_x, model.b, model.w_h))
+    weights = model.weights.copy()
     weights[: 3 * h] *= 0.5
     hidden, cell = np.zeros(h), np.zeros(h)
     hiddens = []
@@ -273,7 +277,7 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
         return loss_and_grads(model, inputs, targets)[0]
 
     grads = {}
-    for name in ("w_x", "w_h", "b", "w_out"):
+    for name in ("weights", "w_out"):
         arr = getattr(model, name)
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
@@ -300,14 +304,13 @@ def init_model(config) -> forecaster.LstmModel:
     normalization statistics."""
     h = config.hidden_units
     theta = forecaster._initial_theta(h, config.seed)
-    weights, w_out = forecaster._views(theta, h)
-    w_x, b, w_h, w_out = (view.copy() for view in (weights[:, 0], weights[:, 1], weights[:, 2:], w_out))
-    return forecaster.LstmModel(w_x=w_x, w_h=w_h, b=b, w_out=w_out, b_out=0.0)
+    weights, w_out = (view.copy() for view in forecaster._views(theta, h))
+    return forecaster.LstmModel(weights=weights, w_out=w_out, b_out=0.0)
 
 
 def reference_train(window, config):
     """``forecaster.train`` as a plain loop, the oracle for its workspace: each
-    epoch takes fresh gradients from ``loss_and_grads`` and updates the five
+    epoch takes fresh gradients from ``loss_and_grads`` and updates the three
     parameters one by one. The paper's fixed settings, learning rate 0.15,
     early-stopping patience 3 and threshold 1e-4, and the floor of the std,
     1e-12 of max |value|, are written out here, not read from the library."""
@@ -321,14 +324,12 @@ def reference_train(window, config):
         normed = (raw - mean) / std
     inputs, targets = normed[:-1], normed[1:]
     model = dataclasses.replace(init_model(config), norm_mean=mean, norm_std=std)
-    w_x, w_h, b, w_out = model.w_x, model.w_h, model.b, model.w_out  # written in place
+    weights, w_out = model.weights, model.w_out  # written in place
     lr, prev_loss, stalled = 0.15, None, 0
     with np.errstate(under="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             loss, grads = loss_and_grads(model, inputs, targets)
-            w_x -= lr * grads["w_x"]
-            w_h -= lr * grads["w_h"]
-            b -= lr * grads["b"]
+            weights -= lr * grads["weights"]
             w_out -= lr * grads["w_out"]
             model = dataclasses.replace(model, b_out=model.b_out - lr * grads["b_out"])
             if prev_loss is not None:
@@ -347,6 +348,7 @@ def reference_forward(model, inputs):
     for very negative ``z``, which still gives the right limit 0.
     """
     h = model.hidden_units
+    w_x, b, w_h = model.weights[:, 0], model.weights[:, 1], model.weights[:, 2:]
 
     def sigmoid(z):
         with np.errstate(over="ignore"):
@@ -356,7 +358,7 @@ def reference_forward(model, inputs):
     cell = np.zeros(h)
     outputs = []
     for x in inputs:
-        z = model.w_x * x + model.w_h @ hidden + model.b
+        z = w_x * x + w_h @ hidden + b
         i_g, f_g, o_g = sigmoid(z[:h]), sigmoid(z[h : 2 * h]), sigmoid(z[2 * h : 3 * h])
         cell = f_g * cell + i_g * np.tanh(z[3 * h :])
         hidden = o_g * np.tanh(cell)
@@ -379,7 +381,7 @@ def reference_predict(model, window):
     if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
     n, h = len(normed), model.hidden_units
-    weights = np.column_stack((model.w_x, model.b, model.w_h))
+    weights = model.weights.copy()
     with np.errstate(under="ignore"):
         weights[: 3 * h] *= 0.5  # sigmoid(z) = (1 + tanh(z / 2)) / 2
     hidden = cell = np.zeros((h, n))

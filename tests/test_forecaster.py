@@ -18,6 +18,7 @@ from presage.scoring import aare
 from helpers import (
     descent,
     finite_difference_grads,
+    gate_weights,
     init_model,
     loss_and_grads,
     max_relative_gradient_error,
@@ -32,9 +33,7 @@ from helpers import (
 
 def models_equal(a: LstmModel, b: LstmModel) -> bool:
     return (
-        np.array_equal(a.w_x, b.w_x)
-        and np.array_equal(a.w_h, b.w_h)
-        and np.array_equal(a.b, b.b)
+        np.array_equal(a.weights, b.weights)
         and np.array_equal(a.w_out, b.w_out)
         and a.b_out == b.b_out
         and a.norm_mean == b.norm_mean
@@ -44,9 +43,11 @@ def models_equal(a: LstmModel, b: LstmModel) -> bool:
 
 def zero_model(hidden_units=4) -> LstmModel:
     return LstmModel(
-        w_x=np.zeros(4 * hidden_units),
-        w_h=np.zeros((4 * hidden_units, hidden_units)),
-        b=np.zeros(4 * hidden_units),
+        weights=gate_weights(
+            w_x=np.zeros(4 * hidden_units),
+            w_h=np.zeros((4 * hidden_units, hidden_units)),
+            b=np.zeros(4 * hidden_units),
+        ),
         w_out=np.zeros(hidden_units),
         b_out=0.0,
     )
@@ -54,9 +55,11 @@ def zero_model(hidden_units=4) -> LstmModel:
 
 def random_model(rng, hidden_units=6, weight=0.5) -> LstmModel:
     return LstmModel(
-        w_x=rng.uniform(-weight, weight, 4 * hidden_units),
-        w_h=rng.uniform(-weight, weight, (4 * hidden_units, hidden_units)),
-        b=rng.uniform(-weight, weight, 4 * hidden_units),
+        weights=gate_weights(
+            w_x=rng.uniform(-weight, weight, 4 * hidden_units),
+            w_h=rng.uniform(-weight, weight, (4 * hidden_units, hidden_units)),
+            b=rng.uniform(-weight, weight, 4 * hidden_units),
+        ),
         w_out=rng.uniform(-weight, weight, hidden_units),
         b_out=float(rng.uniform(-weight, weight)),
     )
@@ -129,21 +132,26 @@ class TestInitModel:
     def test_shapes_and_biases(self):
         h = 10
         model = init_model(LstmConfig(hidden_units=h))
-        assert model.w_x.shape == (4 * h,)
-        assert model.w_h.shape == (4 * h, h)
-        assert model.b.shape == (4 * h,)
+        assert model.weights.shape == (4 * h, h + 2)
         assert model.w_out.shape == (h,)
-        # forget-gate bias starts at 1, everything else at 0
-        assert np.all(model.b[h : 2 * h] == 1.0)
-        assert np.all(model.b[:h] == 0.0) and np.all(model.b[2 * h :] == 0.0)
+        # forget-gate bias (column 1, rows H:2H) starts at 1, everything else at 0
+        b = model.weights[:, 1]
+        assert np.all(b[h : 2 * h] == 1.0)
+        assert np.all(b[:h] == 0.0) and np.all(b[2 * h :] == 0.0)
         assert model.b_out == 0.0
         assert (model.norm_mean, model.norm_std) == (0.0, 1.0)
+
+    def test_the_model_holds_one_gate_matrix(self):
+        names = [spec.name for spec in dataclasses.fields(LstmModel)]
+        assert names == ["weights", "w_out", "b_out", "norm_mean", "norm_std"]
+        with pytest.raises(TypeError):
+            LstmModel(w_x=np.zeros(4), w_h=np.zeros((4, 1)), b=np.zeros(4), w_out=np.zeros(1), b_out=0.0)
 
     def test_weights_within_init_bounds(self):
         h = 16
         model = init_model(LstmConfig(hidden_units=h, seed=3))
         bound = 0.5 / np.sqrt(h)
-        for arr in (model.w_x, model.w_h, model.w_out):
+        for arr in (model.weights[:, 0], model.weights[:, 2:], model.w_out):
             assert np.all(np.abs(arr) <= bound)
 
     def test_weights_are_drawn_once_per_config_and_cached_read_only(self):
@@ -156,9 +164,9 @@ class TestInitModel:
         drawn.append(rng.uniform(-bound, bound, h))
         for _ in range(2):
             model = init_model(LstmConfig(hidden_units=h, seed=seed))
-            for array, expected in zip((model.w_x, model.w_h, model.w_out), drawn):
+            for array, expected in zip((model.weights[:, 0], model.weights[:, 2:], model.w_out), drawn):
                 assert array.tobytes() == expected.tobytes()
-            for array in (model.w_x, model.w_h, model.b, model.w_out):
+            for array in (model.weights, model.w_out):
                 assert array.flags.writeable and not np.shares_memory(array, cached)
                 array[...] = 0.0  # the next model is drawn as before
 
@@ -278,7 +286,7 @@ class TestTrain:
 def assert_same_outcome(outcome, expected):
     """Equal bit for bit: weights, output bias, norm stats and epochs."""
     got, want = outcome.model, expected.model
-    for name in ("w_x", "w_h", "b", "w_out"):
+    for name in ("weights", "w_out"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     for name in ("b_out", "norm_mean", "norm_std"):
         assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
@@ -381,7 +389,7 @@ class TestDescent:
         config = LstmConfig(hidden_units=5, seed=2)
         h = config.hidden_units
         first, second = (train([10.0, 20.0, 15.0], config).model for _ in range(2))
-        shapes = {"w_x": (4 * h,), "w_h": (4 * h, h), "b": (4 * h,), "w_out": (h,)}
+        shapes = {"weights": (4 * h, h + 2), "w_out": (h,)}
         arrays = []
         for model in (first, second):
             for name, shape in shapes.items():
@@ -398,7 +406,7 @@ class TestDescent:
         inputs, targets = np.array([0.5, -1.0, 0.25]), np.array([-1.0, 0.25, 2.0])
         first = loss_and_grads(model, inputs, targets)[1]
         second = loss_and_grads(model, inputs, targets)[1]
-        for name in ("w_x", "w_h", "b", "w_out"):
+        for name in ("weights", "w_out"):
             assert np.array_equal(first[name], second[name])
             assert not np.shares_memory(first[name], second[name])
 
@@ -532,7 +540,7 @@ class TestPredictNext:
                 assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
             for window in windows:
                 model = train(window, LstmConfig(seed=3)).model
-                assert all(np.isfinite(w).all() for w in (model.w_x, model.w_h, model.b, model.w_out, model.b_out))
+                assert all(np.isfinite(w).all() for w in (model.weights, model.w_out, model.b_out))
 
 
 def subnormal_weights_model(seed: int) -> LstmModel:
@@ -677,17 +685,20 @@ class TestSuffixStates:
         [
             lambda m: dataclasses.replace(m, norm_mean=m.norm_mean + 0.25),
             lambda m: dataclasses.replace(m, norm_std=m.norm_std * 1.5),
-            lambda m: dataclasses.replace(m, w_h=m.w_h.copy()),
-            lambda m: dataclasses.replace(m, w_x=m.w_x.copy()),
-            lambda m: dataclasses.replace(m, b=m.b.copy()),
+            lambda m: dataclasses.replace(m, weights=m.weights.copy()),
+            lambda m: dataclasses.replace(m, w_out=m.w_out.copy()),
+            lambda m: dataclasses.replace(m, b_out=m.b_out + 0.25),
             copy.copy,
         ],
-        ids=["norm_mean", "norm_std", "w_h", "w_x", "b", "copy"],
+        ids=["norm_mean", "norm_std", "weights", "w_out", "b_out", "copy"],
     )
     def test_changed_model_recomputes_from_zero(self, change):
         model, series, memo = self._primed()
         model = change(model)
-        assert_forecast(model, series[1:5], predict_next(model, tuple(series[1:5]), memo))
+        window = tuple(series[1:5])
+        forecast = predict_next(model, window, memo)
+        assert forecast == reference_predict(model, window)[0]  # cold: the poisoned states are not read
+        assert_forecast(model, series[1:5], forecast)
 
     def test_candidate_after_a_recheck_starts_from_zero(self):
         # A level shift makes the detector recheck and swap in the candidate.
@@ -741,7 +752,7 @@ class TestSuffixStates:
 
     def test_trained_arrays_are_read_only(self):
         model = train([10.0, 20.0, 30.0], LstmConfig(seed=1)).model
-        for weights in (model.w_x, model.w_h, model.b, model.w_out):
+        for weights in (model.weights, model.w_out):
             with pytest.raises(ValueError):
                 weights[0] += 1.0
 
@@ -757,7 +768,7 @@ class TestSuffixStates:
         # Zeros leave every state at zero; 1e308 is 10 model-stds out, which
         # saturates the gates, and 100 times the hidden state overflows at std 1e307.
         h = 4
-        model = LstmModel(w_x=np.ones(4 * h), w_h=np.zeros((4 * h, h)), b=np.zeros(4 * h),
+        model = LstmModel(gate_weights(w_x=np.ones(4 * h), w_h=np.zeros((4 * h, h)), b=np.zeros(4 * h)),
                           w_out=np.full(h, 100.0), b_out=0.0, norm_std=1e307)
         w, slot = (0.0, 0.0, 0.0), [None]
         assert predict_next(model, w, slot) == 0.0
@@ -787,8 +798,8 @@ class TestSuffixStates:
         rng = np.random.default_rng(71)
         h, refused = 4, 0
         for _ in range(300):
-            model = LstmModel(w_x=rng.uniform(-3, 3, 4 * h), w_h=rng.uniform(-1, 1, (4 * h, h)),
-                              b=np.zeros(4 * h), w_out=np.full(h, 30.0), b_out=0.0, norm_std=1e307)
+            weights = gate_weights(w_x=rng.uniform(-3, 3, 4 * h), w_h=rng.uniform(-1, 1, (4 * h, h)), b=np.zeros(4 * h))
+            model = LstmModel(weights, w_out=np.full(h, 30.0), b_out=0.0, norm_std=1e307)
             window = tuple(rng.choice([-1e307, 0.0, 1e307], 3).tolist())
             expected = outcome(lambda: reference_predict(model, window)[0])
             assert outcome(lambda: predict_next(model, window, [None])) == expected
@@ -880,7 +891,7 @@ class TestWorkspace:
                 # slides, a gap, a repeat, and at 8 a new key of the same length
                 for start in [0, 1, 2, 3, 5, 6, 7, 7, 8, 9]:
                     if start == 8:
-                        model = dataclasses.replace(model, w_x=model.w_x.copy())
+                        model = dataclasses.replace(model, weights=model.weights.copy())
                     last = slot[0]
                     window = tuple(series[start : start + look_back])
                     assert_same_as_reference(model, window, slot)
