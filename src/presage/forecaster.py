@@ -20,10 +20,13 @@ inside the step.
 
 Training runs all the epochs of a ``train`` call through one workspace,
 ``_Descent``, which starts from initial weights drawn once per configuration.
-Its weights are views of one flat vector, and its buffers, and the views of
-them that a pass reads, are made once and reused by every epoch. Trained models
-are bit-identical to those of a plain descent that allocates afresh
-(``tests/helpers.reference_train`` and ``plain_forward``).
+Its weights, ``b_out`` included, are views of one flat vector, and its buffers,
+and the views of them that a pass reads, are made once and reused by every
+epoch. The forward pass writes each cell and its tanh straight into the
+gate-major block of what the gate errors multiply, and scalar operands are 0-d
+arrays, so an epoch is about 50 numpy calls and none takes a Python float. Trained
+models are bit-identical to those of a plain descent that allocates afresh
+(``tests/helpers.reference_train``, ``plain_forward`` and ``plain_loss_and_grads``).
 
 A forecast step takes the product with the ``[x; 1; h]`` rows of states whose
 columns are the window's suffixes. A memo that the caller owns makes the next
@@ -58,9 +61,10 @@ __all__ = [
 _CONSTANT_STD = 1e-12
 
 # The paper's fixed training settings: learning rate, early-stopping patience and threshold.
-_LEARNING_RATE, _PATIENCE, _EARLY_STOP_DELTA = 0.15, 3, 1e-4
+_LEARNING_RATE, _PATIENCE, _EARLY_STOP_DELTA = np.array(0.15), 3, 1e-4
 
-_HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a Python float (``_gates``)
+# A ufunc takes a 0-d array faster than a Python float (``_gates``, ``_Descent``).
+_HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 
 
 def _check_types(config) -> None:
@@ -130,27 +134,28 @@ class TrainOutcome:
 def _initial_theta(h: int, seed: int) -> np.ndarray:
     """The initial weights of ``h`` units, drawn once per ``h`` and ``seed``
     and laid out flat like ``_Descent.theta``; read-only. Weights are uniform
-    in ±0.5/sqrt(h); biases are zero but the forget gate's, which start at 1
-    so the cell state is initially retained."""
+    in ±0.5/sqrt(h); biases are zero, ``b_out`` too, but the forget gate's,
+    which start at 1 so the cell state is initially retained."""
     rng = np.random.default_rng(seed)
     scale = 0.5 / np.sqrt(h)
     w_x = rng.uniform(-scale, scale, 4 * h)
     w_h = rng.uniform(-scale, scale, (4 * h, h))
     b = np.zeros(4 * h)
     b[h : 2 * h] = 1.0
-    theta = np.concatenate((np.column_stack((w_x, b, w_h)).ravel(), rng.uniform(-scale, scale, h)))
+    theta = np.concatenate((np.column_stack((w_x, b, w_h)).ravel(), rng.uniform(-scale, scale, h), [0.0]))
     theta.flags.writeable = False
     return theta
 
 
 @functools.lru_cache(maxsize=32)
 def _sigmoid_row_scale(h: int) -> np.ndarray:
-    """A ``(4H, 1)`` column of ½ on the sigmoid gates' (i, f, o) rows and 1 on
+    """A ``(4H, H + 2)`` array of ½ on the sigmoid gates' (i, f, o) rows and 1 on
     the candidate's; read-only. The forecast step and the descent both halve
-    their ``[w_x | b | w_h]`` weights by one multiply with it: exact unless a
-    halved value is subnormal, an underflow as harmless as the step's own and
-    ignored where it is (``train``, ``predict_next``)."""
-    scale = np.repeat((0.5, 1.0), (3 * h, h))[:, None]
+    their ``[w_x | b | w_h]`` weights by one multiply with it, in the shape the
+    multiply writes, since a broadcast costs more: exact unless a halved value is
+    subnormal, an underflow as harmless as the step's own and ignored where it
+    is (``train``, ``predict_next``)."""
+    scale = np.repeat((0.5, 1.0), (3 * h, h))[:, None].repeat(h + 2, 1)
     scale.flags.writeable = False
     return scale
 
@@ -187,62 +192,66 @@ def _gates(views, c_prev, c, tc, hidden) -> None:
 
 
 def _views(flat: np.ndarray, h: int) -> list:
-    """The ``(4H, H + 2)`` gate weights ``[w_x | b | w_h]`` and ``w_out``: views
-    of a flat vector laid out like ``_Descent.theta``."""
+    """The ``(4H, H + 2)`` gate weights ``[w_x | b | w_h]``, ``w_out`` and a 0-d
+    ``b_out``: views of a flat vector laid out like ``_Descent.theta``."""
     n = 4 * h * (h + 2)
-    return [flat[:n].reshape(4 * h, h + 2), flat[n:]]
+    return [flat[:n].reshape(4 * h, h + 2), flat[n:-1], flat[..., -1]]
 
 
 class _Descent:
     """The workspace of one training call, built once and used by every epoch.
 
-    ``theta`` is a copy of the flat vector of ``h`` units' ``[w_x | b | w_h]``
-    and ``w_out``, held as views; ``grad`` has its layout and ``b_out`` is a
-    float, so an update is ``grad *= lr; theta -= grad``. Row k of ``states`` is
-    step k's ``[x; 1; h]``, x and 1 written here: a step's pre-activations are
-    one ``np.dot`` with the halved weights, as in a forecast, and the gate
-    weights' gradient is one product with the rows. Every buffer, and every view
-    of one that a pass reads, is made here; operands come in the order of a plain
-    descent that allocates afresh, so each rounds the same way.
+    ``theta`` is a copy of the flat vector of ``h`` units' ``[w_x | b | w_h]``,
+    ``w_out`` and ``b_out``, held as views, ``b_out`` a 0-d one; ``grad`` has its
+    layout, so an update is ``grad *= lr; theta -= grad``. Row k of ``states`` is
+    step k's ``[x; 1; h]``, x and 1 written here: a step's pre-activations are one
+    ``np.dot`` with the halved weights, as in a forecast, and the gate weights'
+    gradient is one product with the rows. The forward pass writes each step's
+    cell and its tanh straight into the gate-major ``partners``, whose blocks are
+    what each gate's derivative multiplies: g, the previous cell (zero at step 0),
+    tanh of the cell and i. Every buffer, and every view of one that a pass reads,
+    is made here; the halving scale has the weights' shape and a scalar operand is
+    a 0-d array, since numpy takes a broadcast or a Python float more slowly.
+    Operands come in the order of a plain descent that allocates afresh, so each
+    rounds the same way (``tests/helpers.plain_loss_and_grads``).
     """
 
-    def __init__(self, theta, h: int, inputs: np.ndarray, targets=None, b_out: float = 0.0):
+    def __init__(self, theta, h: int, inputs: np.ndarray, targets=None):
         steps = inputs.size
-        self.targets, self.b_out = targets, b_out
+        self.targets, self.steps = targets, np.array(float(steps))
         self.theta = theta = np.array(theta)
         self.grad = np.empty_like(theta)
         self.grads = _views(self.grad, h)
-        self.weights, self.w_out = _views(theta, h)
-        self.w_h_t, self.scale = self.weights[:, 2:].T, _sigmoid_row_scale(h)
+        self.weights, self.w_out, self.b_out = _views(theta, h)
+        self.w_h_t, self.w_out_row, self.scale = self.weights[:, 2:].T, self.w_out[None], _sigmoid_row_scale(h)
         self.half = np.empty_like(self.weights)
 
         gates = np.empty((steps, 4, h))
         states = np.zeros((steps + 1, h + 2))  # row k: step k's [x; 1; h]
         states[:-1, 0], states[:, 1] = inputs, 1.0
         self.states, self.h_next = states[:-1], states[1:, 2:]
-        cells = np.zeros((steps + 1, h))  # row k: the cell state step k starts from
-        tanh_cells, dc_of_dh, self.dh = np.empty((3, steps, h))
-        self.outputs, self.d_out = np.empty((2, steps))
+        self.dc_of_dh, self.dh = np.empty((2, steps, h))
+        self.outputs, self.d_out, self.squares = np.empty((3, steps))
         self.dz = np.empty((steps, 4 * h))
         self.d_out_column, self.dz_t = self.d_out[:, None], self.dz.T
         self.dc, self.dc_next, self.dh_next = np.empty((3, h))
-        # the activations and the gate errors' factors, gate-major
-        self.by_gate, self.partner_by_gate = by_gate, partners = np.empty((2, 4, steps * h))
-        self.act_rows, self.partner_rows = tuple(by_gate), tuple(partners)
-        self.gates_by_gate = (by_gate.reshape(4, steps, h), gates.transpose(1, 0, 2))
-        self.partner = np.empty((steps, 4, h))
-        self.partner_by_step = partners.reshape(4, steps, h).transpose(1, 0, 2)
-        self.c_prev_flat, self.tc_flat = cells[:-1].ravel(), tanh_cells.ravel()
-        self.dc_of_dh_flat = dc_of_dh.ravel()
+        # gate-major (4, steps, H) blocks: the activations, their derivatives and partners
+        by_gate, derivs, partners = np.zeros((3, 4, steps, h))
+        self.partner_product = derivs, partners
+        self.gates_by_gate, self.partners_of_i_g = (by_gate, gates.transpose(1, 0, 2)), (partners[::3], by_gate[3::-3])
+        self.sigmoids, self.candidate = (by_gate[:3], derivs[:3]), (by_gate[3], derivs[3])
+        self.tanh_cells, self.output_gate = partners[2], by_gate[2]
+        self.partner, self.partner_by_step = np.empty((steps, 4, h)), derivs.transpose(1, 0, 2)
 
-        acts = gates.reshape(steps, 4 * h)
-        c_prev = [None, *cells[1:-1]]  # step 0: zero state
+        # step k's cell is step k + 1's c_prev, the last step's goes to scratch; step 0 starts from zero state
+        cells = [*partners[1, 1:], np.empty(h)]
         self.forward_steps = list(
-            zip(self.states, acts, map(_gate_views, gates), c_prev, cells[1:], tanh_cells, self.h_next)
+            zip(self.states, gates.reshape(steps, 4 * h), map(_gate_views, gates), [None, *cells[:-1]], cells,
+                partners[2], self.h_next)
         )
         dz, partner = self.dz.reshape(steps, 4, h), self.partner
         self.backward_steps = list(
-            zip(range(steps), self.dh, dc_of_dh, partner, partner[:, 2], dz, dz[:, 2], self.dz, gates[:, 1])
+            zip(range(steps), self.dh, self.dc_of_dh, partner, partner[:, 2], dz, dz[:, 2], self.dz, gates[:, 1])
         )[::-1]
 
     def forward(self) -> np.ndarray:
@@ -252,42 +261,39 @@ class _Descent:
             np.dot(half, state, act)
             _gates(views, c_prev, c, tc, hidden)
         np.dot(self.h_next, self.w_out, self.outputs)
-        self.outputs += self.b_out
+        np.add(self.outputs, self.b_out, self.outputs)
         return self.outputs
 
     def loss_and_grads(self) -> float:
         """The mean squared error of a forward pass, with its gradients by BPTT
-        written into ``grad`` and ``b_out_grad``. The backward loop only carries
-        the recurrent error; the parameter gradients are matrix products over the
-        gate errors ``dz``."""
+        written into ``grad``. The backward loop only carries the recurrent
+        error; the parameter gradients are matrix products over the gate errors
+        ``dz``."""
         d_out = np.subtract(self.forward(), self.targets, self.d_out)
-        loss = float((d_out**2).sum() / d_out.size)
-        d_out *= 2.0
-        d_out /= d_out.size
+        loss = float(np.add.reduce(np.square(d_out, self.squares))) / d_out.size
+        np.multiply(d_out, _TWO, d_out)
+        np.divide(d_out, self.steps, d_out)
 
         # dz = deriv * partner * (dc on i, f, g; dh on o), where d act / d z is
-        # s(1 - s) on the sigmoid gates i, f, o and 1 - g^2 on g, and a gate's
-        # partner is what it multiplies: g for i, c_prev for f, tanh(c) for o,
-        # i for g. The per-gate work runs on gate-major copies, one contiguous
-        # block per gate: a call on a strided slice costs about three times more.
-        act, part = self.by_gate, self.partner_by_gate
-        i, _, o, g = self.act_rows
-        part_i, part_f, part_o, part_g = self.partner_rows
+        # s(1 - s) on the sigmoid gates i, f, o and 1 - g^2 on g. The per-gate
+        # work runs on gate-major blocks, one contiguous block per gate: a call
+        # on a strided slice costs about three times more.
+        derivs, partners = self.partner_product
         np.copyto(*self.gates_by_gate)
-        np.subtract(1.0, act, part)
-        part *= act
-        np.square(g, part_g)
-        np.subtract(1.0, part_g, part_g)
-        part_i *= g
-        part_f *= self.c_prev_flat
-        part_o *= self.tc_flat
-        part_g *= i
+        np.copyto(*self.partners_of_i_g)
+        sigmoids, sigmoid_derivs = self.sigmoids
+        np.subtract(_ONE, sigmoids, sigmoid_derivs)
+        np.multiply(sigmoid_derivs, sigmoids, sigmoid_derivs)
+        g, g_deriv = self.candidate
+        np.square(g, g_deriv)
+        np.subtract(_ONE, g_deriv, g_deriv)
+        np.multiply(derivs, partners, derivs)
         np.copyto(self.partner, self.partner_by_step)
-        dc_of_dh = self.dc_of_dh_flat
-        np.square(self.tc_flat, dc_of_dh)
-        np.subtract(1.0, dc_of_dh, dc_of_dh)
-        dc_of_dh *= o
-        np.multiply(self.d_out_column, self.w_out, self.dh)
+        dc_of_dh = self.dc_of_dh
+        np.square(self.tanh_cells, dc_of_dh)
+        np.subtract(_ONE, dc_of_dh, dc_of_dh)
+        np.multiply(dc_of_dh, self.output_gate, dc_of_dh)
+        np.multiply(self.d_out_column, self.w_out_row, self.dh)
 
         w_h_t, dc, dc_next, dh_next = self.w_h_t, self.dc, self.dc_next, self.dh_next
         last = d_out.size - 1
@@ -303,17 +309,16 @@ class _Descent:
                 np.dot(w_h_t, dz_row, dh_next)
                 np.multiply(dc, forget, dc_next)
 
-        g_weights, g_w_out = self.grads
+        g_weights, g_w_out, g_b_out = self.grads
         np.dot(self.dz_t, self.states, g_weights)
         np.dot(d_out, self.h_next, g_w_out)
-        self.b_out_grad = float(d_out.sum())
+        np.add.reduce(d_out, 0, None, g_b_out)
         return loss
 
-    def update(self, lr: float) -> None:
-        """One gradient step: per element ``w -= lr * g``."""
-        self.grad *= lr
-        self.theta -= self.grad
-        self.b_out -= lr * self.b_out_grad
+    def update(self, lr: np.ndarray) -> None:
+        """One gradient step with a 0-d learning rate: per element ``w -= lr * g``."""
+        np.multiply(self.grad, lr, self.grad)
+        np.subtract(self.theta, self.grad, self.theta)
 
 
 def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
@@ -364,7 +369,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     arrays = [view.copy() for view in (descent.weights, descent.w_out)]
     for array in arrays:
         array.flags.writeable = False
-    model = LstmModel(*arrays, b_out=descent.b_out, norm_mean=mean, norm_std=std)
+    model = LstmModel(*arrays, b_out=float(descent.b_out), norm_mean=mean, norm_std=std)
     return TrainOutcome(model=model, epochs_used=epoch)
 
 

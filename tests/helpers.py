@@ -231,9 +231,9 @@ def gate_weights(w_x, w_h, b) -> np.ndarray:
 
 def descent(model, inputs, targets=None):
     """A ``forecaster._Descent`` on a copy of the model's current weights."""
-    theta = np.concatenate((model.weights.ravel(), model.w_out))
+    theta = np.concatenate((model.weights.ravel(), model.w_out, [model.b_out]))
     inputs = np.asarray(inputs, dtype=float)
-    return forecaster._Descent(theta, model.hidden_units, inputs, targets, model.b_out)
+    return forecaster._Descent(theta, model.hidden_units, inputs, targets)
 
 
 def run(model, inputs) -> np.ndarray:
@@ -245,8 +245,8 @@ def loss_and_grads(model, inputs, targets):
     """Mean squared error and its gradients, as a dict keyed by weight name."""
     workspace = descent(model, inputs, targets)
     loss = workspace.loss_and_grads()
-    weights, w_out = workspace.grads
-    return loss, {"weights": weights, "w_out": w_out, "b_out": workspace.b_out_grad}
+    weights, w_out, b_out = workspace.grads
+    return loss, {"weights": weights, "w_out": w_out, "b_out": float(b_out)}
 
 
 def plain_forward(model, inputs) -> np.ndarray:
@@ -268,6 +268,66 @@ def plain_forward(model, inputs) -> np.ndarray:
     outputs = np.matmul(np.array(hiddens), model.w_out)
     outputs += model.b_out
     return outputs
+
+
+def plain_loss_and_grads(model, inputs, targets):
+    """``loss_and_grads`` as backpropagation through time on fresh arrays, one
+    gate at a time, the oracle for the descent's backward pass. Each product
+    and sum is taken in ``_Descent``'s order, so the results are equal bit for
+    bit: step 0's cell is ``i * g``, since the start state is zero; a gate's
+    error is (its derivative times its partner) times the cell error, or the
+    hidden error for the output gate, where the sigmoid gates' derivative is
+    ``(1 - s) * s``, the candidate's ``1 - g**2`` and the partners are g, the
+    previous cell, tanh of the cell and i. The recurrent errors go back through
+    the unhalved ``w_h``; the weight gradients are ``np.dot`` products over the
+    steps, with the ``[x; 1; h]`` rows and the hidden states each taken as a
+    slice of one array, as the descent lays them out."""
+    h, steps = model.hidden_units, len(inputs)
+    weights = model.weights.copy()
+    weights[: 3 * h] *= 0.5
+    states = np.zeros((steps + 1, h + 2))
+    acts, cells, tanh_cells = [], [np.zeros(h)], []
+    for k, x in enumerate(np.asarray(inputs, dtype=float).tolist()):
+        states[k, :2] = x, 1.0
+        act = np.tanh(np.dot(weights, states[k].copy())).reshape(4, h)
+        act[:3] = act[:3] * 0.5 + 0.5
+        i, f, o, g = act
+        cell = i * g if k == 0 else f * cells[k] + i * g
+        tanh_cell = np.tanh(cell)
+        states[k + 1, 2:] = o * tanh_cell
+        acts.append(act)
+        cells.append(cell)
+        tanh_cells.append(tanh_cell)
+    hiddens = states[1:, 2:]
+    outputs = np.dot(hiddens, model.w_out) + model.b_out
+    d_out = outputs - np.asarray(targets, dtype=float)
+    loss = float(np.sum(d_out**2) / steps)
+    d_out = d_out * 2.0 / steps
+
+    dz = np.empty((steps, 4 * h))
+    w_h_t = model.weights[:, 2:].T
+    dh_next = dc_next = None
+    for k in reversed(range(steps)):
+        i, f, o, g = acts[k]
+        dh = d_out[k] * model.w_out
+        if dh_next is not None:
+            dh = dh + dh_next
+        dc = dh * ((1.0 - tanh_cells[k] ** 2) * o)
+        if dc_next is not None:
+            dc = dc + dc_next
+        dz[k] = np.concatenate(
+            (
+                (1.0 - i) * i * g * dc,
+                (1.0 - f) * f * cells[k] * dc,
+                (1.0 - o) * o * tanh_cells[k] * dh,
+                (1.0 - g**2) * i * dc,
+            )
+        )
+        if k:
+            dh_next = np.dot(w_h_t, dz[k])
+            dc_next = dc * f
+    grads = {"weights": np.dot(dz.T, states[:-1]), "w_out": np.dot(d_out, hiddens), "b_out": float(np.sum(d_out))}
+    return loss, grads
 
 
 def finite_difference_grads(model, inputs, targets, step=1e-5):
@@ -304,7 +364,7 @@ def init_model(config) -> forecaster.LstmModel:
     normalization statistics."""
     h = config.hidden_units
     theta = forecaster._initial_theta(h, config.seed)
-    weights, w_out = (view.copy() for view in forecaster._views(theta, h))
+    weights, w_out, _ = (view.copy() for view in forecaster._views(theta, h))
     return forecaster.LstmModel(weights=weights, w_out=w_out, b_out=0.0)
 
 

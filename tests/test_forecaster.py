@@ -24,6 +24,7 @@ from helpers import (
     max_relative_gradient_error,
     outcome,
     plain_forward,
+    plain_loss_and_grads,
     reference_forward,
     reference_predict,
     reference_train,
@@ -169,6 +170,14 @@ class TestInitModel:
             for array in (model.weights, model.w_out):
                 assert array.flags.writeable and not np.shares_memory(array, cached)
                 array[...] = 0.0  # the next model is drawn as before
+
+    @pytest.mark.parametrize("h", [1, 4, 10])
+    def test_the_sigmoid_row_scale_has_the_gate_matrix_shape(self, h):
+        # The forecast step and the descent multiply the weights by it without a broadcast.
+        scale = forecaster._sigmoid_row_scale(h)
+        assert forecaster._sigmoid_row_scale(h) is scale and not scale.flags.writeable
+        assert scale.shape == init_model(LstmConfig(hidden_units=h)).weights.shape == (4 * h, h + 2)
+        assert np.all(scale[: 3 * h] == 0.5) and np.all(scale[3 * h :] == 1.0)
 
     def test_cached_weights_keep_configs_apart(self):
         window = [10.0, 20.0, 15.0]
@@ -384,6 +393,32 @@ class TestDescent:
         with np.errstate(all="raise", under="ignore"):
             for model in (init_model(config), trained):
                 assert_forward_is_plain(model, inputs)
+
+    @pytest.mark.parametrize("hidden_units", [1, 4, 10, 32])
+    def test_loss_and_gradients_equal_plain_backpropagation_bit_for_bit(self, hidden_units):
+        rng = np.random.default_rng(71 + hidden_units)
+        for look_back in range(2, 18):
+            for weight in (0.5, 3.0):
+                model = random_model(rng, hidden_units, weight)
+                inputs, targets = 2.0 * rng.standard_normal((2, look_back - 1))
+                (loss, grads), (want_loss, want) = (
+                    compute(model, inputs, targets) for compute in (loss_and_grads, plain_loss_and_grads)
+                )
+                assert loss.hex() == want_loss.hex()
+                for name in ("weights", "w_out", "b_out"):
+                    assert np.asarray(grads[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+
+    @pytest.mark.parametrize("hidden_units", [1, 3, 10])
+    def test_two_passes_of_one_workspace_give_the_same_loss_and_gradients(self, hidden_units):
+        # The second pass starts from every buffer the first one left, the zero
+        # start state's partner row of the forget gate included.
+        rng = np.random.default_rng(83 + hidden_units)
+        for look_back in range(2, 7):
+            model = random_model(rng, hidden_units)
+            inputs, targets = 2.0 * rng.standard_normal((2, look_back - 1))
+            workspace = descent(model, inputs, targets)
+            first, second = ((workspace.loss_and_grads(), workspace.grad.copy()) for _ in range(2))
+            assert first[0].hex() == second[0].hex() and first[1].tobytes() == second[1].tobytes()
 
     def test_trained_arrays_are_read_only_copies_of_their_own(self):
         config = LstmConfig(hidden_units=5, seed=2)
