@@ -28,18 +28,18 @@ arrays, so an epoch is about 50 numpy calls and none takes a Python float. Train
 models are bit-identical to those of a plain descent that allocates afresh
 (``tests/helpers.reference_train``, ``plain_forward`` and ``plain_loss_and_grads``).
 
-A forecast step takes the product with the ``[x; 1; h]`` rows of states whose
-columns are the window's suffixes. A memo that the caller owns makes the next
-window's forecast that one step on its new value; a cold forecast feeds its
-window through it a value at a time. Forecasts are bit-identical to steps on
-fresh arrays (``tests/helpers.reference_predict``).
+A forecast step is the product with the ``[x; 1; h]`` rows of states whose columns
+are the window's suffixes, then ``_gates``, as in training. A memo that the caller
+owns makes the next window's forecast that one step on its new value; a cold
+forecast runs ``_step`` over its window first. Forecasts are bit-identical to steps
+on fresh arrays (``tests/helpers.reference_predict``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import is_
 from typing import Sequence
 
@@ -166,17 +166,17 @@ def _gate_views(act: np.ndarray) -> tuple:
 
 
 def _gates(views, c_prev, c, tc, hidden) -> None:
-    """One training step from its pre-activations, in place.
+    """One step, a training step's or a forecast's, from its pre-activations, in place.
 
-    ``views`` are ``_gate_views(act)``, built once per buffer, where ``act`` holds the
-    gate-major ``(4, H)`` pre-activations (i, f, o, g) of weights whose sigmoid-gate
-    rows were halved. The step turns ``act`` into the activations with one ``tanh`` over
-    all four gates, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can
-    overflow. The cell state, its tanh and the hidden state go into ``c``, ``tc`` and
-    ``hidden``. ``c_prev`` None is the zero state: the cell is ``i * g``, the full
-    step's value bit for bit but for the sign of a zero cell. ``out`` goes positionally
-    here and in the callers, as a keyword costs more, and the halves go as a 0-d array:
-    numpy converts and promotes a Python float per call.
+    ``views`` are ``_gate_views(act)``, built once per buffer, where ``act`` holds the gate-major
+    ``(4, H)`` pre-activations (i, f, o, g), ``(4, H, n)`` for a forecast's n columns, of weights
+    whose sigmoid-gate rows were halved. The step turns ``act`` into the activations with one
+    ``tanh`` over all four gates, since ``sigmoid(z) = (1 + tanh(z / 2)) / 2`` and nothing can
+    overflow. The cell state, its tanh and the hidden state go into ``c``, ``tc`` and ``hidden``;
+    a forecast passes its hidden rows as both ``tc`` and ``hidden``, the bits of ``hidden *= o``.
+    ``c_prev`` None is the zero state: the cell is ``i * g``, the full step's value bit for bit
+    but for the sign of a zero cell. ``out`` goes positionally here and in the callers, as a
+    keyword costs more, and the halves go as a 0-d array: numpy converts and promotes a Python float per call.
     """
     act, sigmoids, i, f, o, g = views
     np.tanh(act, act)
@@ -374,15 +374,26 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
 
 
 def _workspace(n: int, h: int) -> tuple:
-    """What a forecast step over n columns writes: the ``(4H, n)`` pre-activations and their gate-major
-    views, and two sets of states, each a ``(2H + 2, n)`` array whose rows are ``x``, 1, the hidden and the
-    cell state. A set is views of its x row, its ``[x; 1; h]`` rows, its hidden and cell rows, and per
+    """What a forecast step over n columns writes: the ``(4H, n)`` pre-activations with their gate-major
+    ``_gate_views``, and two sets of states, each a ``(2H + 2, n)`` array whose rows are ``x``, 1, the hidden
+    and the cell state. A set is views of its x row, its ``[x; 1; h]`` rows, its hidden and cell rows, and per
     column r the hidden column a forecast reads and the state column it then zeroes."""
     act, states = np.empty((4 * h, n)), np.zeros((2, 2 * h + 2, n))
     states[:, 1] = 1.0
     columns = [[(s[2 : h + 2, r], s[2:, r]) for r in range(n)] for s in states]
     sets = zip(states[:, 0], states[:, : h + 2], states[:, 2 : h + 2], states[:, h + 2 :], columns)
-    return (act, *_gate_views(act.reshape(4, h, n))[1:]), tuple(sets)
+    return (act, _gate_views(act.reshape(4, h, n))), tuple(sets)
+
+
+def _step(work, k: int, x: float) -> list:
+    """Step set k of ``work``, ``(weights, *_workspace)``, by ``x`` into the other set; its columns."""
+    weights, (act, views), sets = work
+    x_row, inputs, _, c_prev, _ = sets[k]
+    _, _, hidden, cell, columns = sets[1 - k]
+    x_row.fill(x)
+    np.dot(weights, inputs, act)
+    _gates(views, c_prev, cell, hidden, hidden)
+    return columns
 
 
 def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = None) -> float:
@@ -404,68 +415,52 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
     one step: only the new value is normalized and checked, one ``np.dot``
     advances every column by it, and column r, which now spans the whole window,
     gives the forecast and is zeroed to the empty suffix's state; r + 1 (mod b)
-    is carried, so nothing shifts. Any other window is read by ``_floats`` and
-    fed through that step a value at a time from zero states and r = 0, in a
-    local slot whose zero states hold for a suffix of ``None`` placeholders; its
-    first n - 1 values step a copy of the model with no output weights, since a
-    partial window's output is no forecast and must not overflow. A step fills
-    set k's x row and writes only into the other set, and the slot is replaced
-    only when a forecast returns, so a call that raises leaves it usable. The
-    model's arrays must not be written in place.
+    is carried, so nothing shifts. Any other window is read by ``_floats``, and
+    ``_step`` feeds all but its last value from zero states, zeroing column k
+    after value k; the last value takes the forecast step at r = n - 1. A step
+    fills set k's x row and writes only into the other set, and the slot is
+    replaced only when a forecast returns, so a call that raises leaves it
+    usable; a step that raises on underflow is run again by ``_step`` with
+    underflow ignored. The model's arrays must not be written in place.
     """
     mean, std = model.norm_mean, model.norm_std
     last = None if memo is None else memo[0]  # (model, (weights, *workspace), window[1:], k, r)
     if (last is not None and last[0] is model and type(window) is tuple and len(window) == len(last[2]) + 1
             and type(window[-1]) is float and all(map(is_, window, last[2]))):  # not ==: 3+0j == 3.0
-        # The one forecast step, inline: a step function would cost a call, a loop a feed.
         x = (window[-1] - mean) / std  # std is not 0: the cold path below refuses it
         if not math.isfinite(x):
             raise DataError("prediction window contains non-finite values, raw or normalized")
-        _, (weights, (act, sigmoids, i, f, o, g), sets), _, k, r = last
-        x_row, inputs, _, c_prev, _ = sets[k]  # the carried set: the step writes the other
-        _, _, hidden, cell, columns = sets[1 - k]
-        try:
-            x_row.fill(x)
-            np.dot(weights, inputs, act)
-            np.tanh(act, act)
-            sigmoids *= _HALF
-            sigmoids += _HALF
-            np.multiply(f, c_prev, cell)
-            cell += i * g
-            np.tanh(cell, hidden)
-            hidden *= o
-            output = float(model.w_out.dot(columns[r][0])) + model.b_out
-        except FloatingPointError:
-            # Only a caller that makes numpy raise gets here. Underflow is as harmless as in train, and the
-            # step wrote only into the set not carried: it runs again with underflow ignored (errstate costs 5%).
-            if np.geterr()["under"] == "ignore":
-                raise
-            with np.errstate(under="ignore"):
-                return _predict_next(model, window, memo)
-        forecast = output * std + mean
-        if not math.isfinite(forecast):
-            raise DataError(f"forecast overflows: {forecast}")
-        columns[r][1].fill(0.0)  # column r now holds the empty suffix's state
-        memo[0] = (model, last[1], window[1:], 1 - k, (r + 1) % len(window))
-        return forecast
-    values = _floats(window, "prediction window")
-    if not values:
-        raise ValueError("prediction window must be non-empty")
-    if not std or not all(math.isfinite((v - mean) / std) for v in values):  # refused before any step
-        raise DataError("prediction window contains non-finite values, raw or normalized")
-    n, h = len(values), model.hidden_units
-    silent = replace(model, w_out=np.zeros(h), b_out=0.0)  # partial windows give no forecast
-    padded = (None,) * (n - 1) + values  # before its first value, every suffix of a window is empty
-    with np.errstate(under="ignore"):  # the step's weights: the sigmoid gates' rows halved
-        weights = model.weights * _sigmoid_row_scale(h)
-    slot = [(silent, (weights, *_workspace(n, h)), padded[: n - 1], 0, 0)]
-    for k in range(n - 1):
-        _predict_next(silent, padded[k : k + n], slot)
-    slot[0] = (model, *slot[0][1:])
-    forecast = _predict_next(model, values, slot)
+        _, work, _, k, r = last
+    else:
+        window = _floats(window, "prediction window")
+        if not window:
+            raise ValueError("prediction window must be non-empty")
+        if not std or not all(math.isfinite((v - mean) / std) for v in window):  # refused before any step
+            raise DataError("prediction window contains non-finite values, raw or normalized")
+        n, h = len(window), model.hidden_units
+        with np.errstate(under="ignore"):  # the step's weights: the sigmoid gates' rows halved
+            work = (model.weights * _sigmoid_row_scale(h), *_workspace(n, h))
+            for k, v in enumerate(window[:-1]):  # a partial window's output is no forecast: none is taken
+                _step(work, k & 1, (v - mean) / std)[k][1].fill(0.0)
+        x, k, r = (window[-1] - mean) / std, (n - 1) & 1, n - 1
+    weights, (act, views), sets = work  # the forecast step, inline: through ``_step`` it costs a call
+    x_row, inputs, _, c_prev, _ = sets[k]  # the carried set: the step writes the other
+    _, _, hidden, cell, columns = sets[1 - k]
+    try:
+        x_row.fill(x)
+        np.dot(weights, inputs, act)
+        _gates(views, c_prev, cell, hidden, hidden)
+        output = float(model.w_out.dot(columns[r][0])) + model.b_out
+    except FloatingPointError:
+        # numpy raised: underflow is harmless, and the step wrote only the set not carried (errstate costs 5%)
+        if np.geterr()["under"] == "ignore":
+            raise
+        with np.errstate(under="ignore"):
+            output = float(model.w_out.dot(_step(work, k, x)[r][0])) + model.b_out
+    forecast = output * std + mean
+    if not math.isfinite(forecast):
+        raise DataError(f"forecast overflows: {forecast}")
+    columns[r][1].fill(0.0)  # column r now holds the empty suffix's state
     if memo is not None:
-        memo[0] = slot[0]
+        memo[0] = (model, work, window[1:], 1 - k, (r + 1) % len(window))
     return forecast
-
-
-_predict_next = predict_next  # re-entry: a wrapper of ``predict_next`` sees one call per forecast

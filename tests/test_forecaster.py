@@ -602,6 +602,36 @@ class TestUnderflow:
         assert forecasts[0] == forecasts[1]
         assert any(f != 0.0 for f in forecasts[0])
 
+    @pytest.mark.parametrize("make", [subnormal_weights_model, tiny_values_model])
+    def test_a_step_that_raises_runs_again_without_reentering_predict_next(self, make, monkeypatch):
+        # A wrapper of predict_next sees one call per forecast. A warm slide
+        # steps inline, and the retry of a step that numpy raised on goes
+        # through _step, not back through predict_next or its warm branch.
+        calls = dict.fromkeys(["predict_next", "_step"], 0)
+
+        def counting(name, inner):
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(forecaster, name, counting(name, getattr(forecaster, name)))
+        series = [3e-11, -2e-10, 1e-10, 5e-11, -4e-11, 2e-10, 0.0]
+        warm_steps = []
+        for scope in (contextlib.nullcontext(), np.errstate(all="raise")):
+            model, memo = make(59), [None]
+            calls.update(predict_next=0, _step=0)
+            with scope:
+                forecaster.predict_next(model, tuple(series[:3]), memo)
+                cold_steps = calls["_step"]
+                for k in range(1, 5):
+                    forecaster.predict_next(model, tuple(series[k : k + 3]), memo)
+            assert calls["predict_next"] == 5
+            warm_steps.append(calls["_step"] - cold_steps)
+        assert warm_steps[0] == 0 < warm_steps[1]
+
     def test_train(self):
         window = [1e300, 1e-10, -1e300]  # 1e-10 normalizes to about 8e-311
         outcomes = []
