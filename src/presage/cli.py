@@ -16,8 +16,8 @@ from typing import Sequence
 from .data_io import (
     ReportWriter, read_labels, read_report, read_series, write_evaluation, write_summary
 )
-from .detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict
-from .errors import ConfigError, DataError, PresageError
+from .detector import Detector, DetectorConfig, LstmEngine, Verdict
+from .errors import ConfigError, PresageError
 from .evaluation import (
     DEFAULT_GRACE_MINUTES, DEFAULT_PRE_WINDOW_MINUTES, _span, evaluate_run, summarize_run
 )
@@ -131,13 +131,6 @@ def _check_outputs(inputs: list[Path], outputs: list[Path]):
                 raise ConfigError(f"output {output} would overwrite {other}")
 
 
-def _infer_look_back(records) -> int:
-    for record in records:
-        if record.phase is Phase.WARMUP:
-            return record.time_index + 1
-    raise DataError("cannot infer look-back from the report (no warmup rows)")
-
-
 def run_evaluate(args: argparse.Namespace) -> int:
     spans = {"pre_window_minutes": args.pre_window, "grace_minutes": args.grace}
     for name, minutes in spans.items():  # before the report is read, like the paths
@@ -146,9 +139,8 @@ def run_evaluate(args: argparse.Namespace) -> int:
     _check_outputs([args.report, args.labels], [summary_path])
     records = read_report(args.report)
     labels = read_labels(args.labels, args.dataset_key)
-    params = {**spans, "look_back": _infer_look_back(records), "dataset_key": args.dataset_key}
     summary = evaluate_run(records, labels, **spans)
-    write_evaluation(summary, params, summary_path)
+    write_evaluation(summary, {**spans, "dataset_key": args.dataset_key}, summary_path)
 
     for result in summary.lead_times:
         line = f"label {result.label_timestamp.isoformat(sep=' ')}  {result.status.value}"

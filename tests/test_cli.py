@@ -164,7 +164,7 @@ class TestDetect:
     def test_unsupported_horizon_is_a_usage_error(self, tmp_path, spike_csv, capsys):
         # The horizon and the LSTM's tuning are not options: the CLI runs the
         # paper's configuration, which the run summary then names in full.
-        # evaluate reads the look-back from the report's warm-up rows.
+        # evaluate takes no look-back: it scores each report row as written.
         report = tmp_path / "r.csv"
         removed = [
             ["--predict-forward", "2"],
@@ -263,7 +263,7 @@ class TestEvaluate:
         assert len(payload["labels"]) == 1
         assert payload["labels"][0]["status"] != "missed"
         assert payload["false_warnings"] == 0
-        assert payload["params"]["look_back"] == 3  # inferred from the report
+        assert set(payload["params"]) == {"pre_window_minutes", "grace_minutes", "dataset_key"}
         out = capsys.readouterr().out
         assert "label" in out and "false warnings" in out and "retraining ratio" in out
 
@@ -416,9 +416,26 @@ class TestEvaluate:
         assert code == 1
         assert "preparation ramp" in err and "Traceback" not in err
 
+    def test_report_cut_past_its_ramp_is_scored_as_the_whole(self, tmp_path, spike_report):
+        # A tail slice keeps no warm-up row; it is scored as it stands.
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([spike_timestamps()[SPIKE_SHIFT_INDEX].isoformat(sep=" ")]))
+        lines = spike_report.read_text().splitlines(keepends=True)
+        tail = tmp_path / "tail.csv"
+        tail.write_text("".join([lines[0], *lines[1 + 149:]]))  # rows 149.. of 0..299
+
+        def evaluation(report):
+            path = report.with_suffix(".eval.json")
+            assert main(["evaluate", "--report", str(report), "--labels", str(labels)]) == 0
+            return json.loads(path.read_text())
+
+        whole, cut = evaluation(spike_report), evaluation(tail)
+        assert cut["labels"] == whole["labels"] and cut["labels"][0]["status"] != "missed"
+        assert cut["false_warnings"] == whole["false_warnings"]
+
     @pytest.mark.parametrize(
         "rows, message",
-        [(2, "cannot infer look-back from the report (no warmup rows)"),
+        [(2, "run of 2 points never left the preparation ramp"),
          (4, "run of 4 points never left the preparation ramp")],
         ids=["collecting-only", "ramp-only"],
     )
@@ -549,7 +566,6 @@ GOLDEN_EVALUATION = {
     "params": {
         "pre_window_minutes": 10.0,
         "grace_minutes": 3.0,
-        "look_back": 3,
         "dataset_key": None,
     },
 }

@@ -5,8 +5,9 @@ most one ``error:`` line, leave its input files byte for byte as they were,
 and, when it fails, write no summary. The mutations are those of a hand-run
 fuzz: cells replaced by tokens that once broke a reader (``nan``, ``1e400``,
 full-width digits, NUL, a byte-order mark, ``24:00``, year 9999, ...), rows
-duplicated, deleted, truncated, swapped or inserted, other encodings and
-line endings, and label files of every shape.
+duplicated, deleted, truncated, swapped or inserted, the rows after the
+header cut up to some index, other encodings and line endings, and label
+files of every shape.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ TOKENS = st.sampled_from(
 ) | st.text(max_size=8)
 EDITS = st.lists(
     st.tuples(
-        st.sampled_from(["cell", "duplicate", "delete", "truncate", "swap", "insert"]),
+        st.sampled_from(["cell", "duplicate", "delete", "truncate", "swap", "insert", "head"]),
         st.integers(0, 10**6),
         st.integers(0, 10**6),
         TOKENS,
@@ -66,6 +67,8 @@ def mutate(lines: list[str], edits) -> list[str]:
             del lines[i]
         elif kind == "truncate":
             lines[i] = lines[i][: j % (len(lines[i]) + 1)]
+        elif kind == "head":  # keep line 0, drop lines 1..i
+            del lines[1 : i + 1]
         elif kind == "swap":
             j %= len(lines)
             lines[i], lines[j] = lines[j], lines[i]
