@@ -60,8 +60,8 @@ __all__ = [
 # relative, so that no unit changes a bit, and a floor, so a window just under it scales like one over it.
 _CONSTANT_STD = 1e-12
 
-# The paper's fixed training settings: learning rate, early-stopping patience and threshold.
-_LEARNING_RATE, _PATIENCE, _EARLY_STOP_DELTA = np.array(0.15), 3, 1e-4
+# The paper's fixed training settings: hidden units, learning rate, early-stopping patience and threshold.
+_HIDDEN_UNITS, _LEARNING_RATE, _PATIENCE, _EARLY_STOP_DELTA = 10, np.array(0.15), 3, 1e-4
 
 # A ufunc takes a 0-d array faster than a Python float (``_gates``, ``_Descent``).
 _HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
@@ -80,19 +80,16 @@ def _check_types(config) -> None:
 class LstmConfig:
     """Hyperparameters for training the look-back forecaster.
 
-    Defaults mirror the streaming detector's reference setup: 10 hidden units
-    and at most 50 epochs, a cap that may be raised. The learning rate and the
-    early-stopping rule are the paper's fixed settings (``train``).
+    The default cap mirrors the streaming detector's reference setup: at most
+    50 epochs, a cap that may be raised. The 10 hidden units, the learning rate
+    and the early-stopping rule are the paper's constants (``train``).
     """
 
-    hidden_units: int = 10
     max_epochs: int = 50
     seed: int = 42
 
     def __post_init__(self):
         _check_types(self)
-        if self.hidden_units < 1:
-            raise ConfigError(f"hidden_units must be >= 1, got {_shown(self.hidden_units)}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {_shown(self.max_epochs)}")
         if self.seed < 0:
@@ -350,7 +347,7 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
     if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normed).all()):
         raise DataError("training window is too large to normalize: its mean or spread overflows")
 
-    h = config.hidden_units
+    h = _HIDDEN_UNITS
     descent = _Descent(_initial_theta(h, config.seed), h, normed[:-1], normed[1:])
     prev_loss, stalled = None, 0
     # A value close to the mean of a window with a huge spread normalizes to a

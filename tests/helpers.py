@@ -358,20 +358,19 @@ def finite_difference_grads(model, inputs, targets, step=1e-5):
     return grads
 
 
-def init_model(config) -> forecaster.LstmModel:
+def init_model(config, h=forecaster._HIDDEN_UNITS) -> forecaster.LstmModel:
     """The model ``forecaster.train`` starts from, in fresh writable arrays:
-    the weights of ``forecaster._initial_theta``, ``b_out`` 0 and identity
-    normalization statistics."""
-    h = config.hidden_units
+    the weights of ``forecaster._initial_theta`` for ``h`` units (the paper's
+    10 by default), ``b_out`` 0 and identity normalization statistics."""
     theta = forecaster._initial_theta(h, config.seed)
     weights, w_out, _ = (view.copy() for view in forecaster._views(theta, h))
     return forecaster.LstmModel(weights=weights, w_out=w_out, b_out=0.0)
 
 
-def reference_train(window, config):
-    """``forecaster.train`` as a plain loop, the oracle for its workspace: each
-    epoch takes fresh gradients from ``loss_and_grads`` and updates the three
-    parameters one by one. The paper's fixed settings, learning rate 0.15,
+def reference_train(window, config, h=forecaster._HIDDEN_UNITS):
+    """``forecaster.train`` as a plain loop of ``h`` units, the oracle for its
+    workspace: each epoch takes fresh gradients from ``loss_and_grads`` and
+    updates the three parameters one by one. The paper's fixed settings, learning rate 0.15,
     early-stopping patience 3 and threshold 1e-4, and the floor of the std,
     1e-12 of max |value|, are written out here, not read from the library."""
     raw = np.asarray(window, dtype=float)
@@ -383,7 +382,7 @@ def reference_train(window, config):
         std = max(std, 1e-12 * scale) or 1.0  # floored relative to max |value|, in any unit
         normed = (raw - mean) / std
     inputs, targets = normed[:-1], normed[1:]
-    model = dataclasses.replace(init_model(config), norm_mean=mean, norm_std=std)
+    model = dataclasses.replace(init_model(config, h), norm_mean=mean, norm_std=std)
     weights, w_out = model.weights, model.w_out  # written in place
     lr, prev_loss, stalled = 0.15, None, 0
     with np.errstate(under="ignore"):

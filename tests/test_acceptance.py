@@ -175,7 +175,7 @@ def test_criterion_5_phase_guards_and_quiet_preparation():
             assert phase_of(t, look_back) is expected
 
     rng = np.random.default_rng(55)
-    fast = LstmConfig(hidden_units=4, max_epochs=10, seed=DETECTOR_SEED)
+    fast = LstmConfig(max_epochs=10, seed=DETECTOR_SEED)
     for _ in range(100):
         look_back = int(rng.integers(2, 7))
         series = rng.uniform(5, 95, 3 * look_back + 6)

@@ -405,17 +405,6 @@ class TestEvaluate:
         assert "decision times must be finite" in err and "Traceback" not in err
         assert not summary_path.exists()
 
-    def test_report_shorter_than_the_ramp_exits_one(self, tmp_path, spike_report, capsys):
-        short = tmp_path / "short.csv"
-        short.write_text("".join(spike_report.read_text().splitlines(keepends=True)[:5]))
-        labels = tmp_path / "labels.json"
-        labels.write_text("[]")
-        capsys.readouterr()
-        code = main(["evaluate", "--report", str(short), "--labels", str(labels)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "preparation ramp" in err and "Traceback" not in err
-
     def test_report_cut_past_its_ramp_is_scored_as_the_whole(self, tmp_path, spike_report):
         # A tail slice keeps no warm-up row; it is scored as it stands.
         labels = tmp_path / "labels.json"

@@ -48,9 +48,9 @@ from helpers import (
     write_records,
 )
 
-# Small network for tests that exercise the state machine rather than
+# Few epochs for tests that exercise the state machine rather than
 # the forecaster itself.
-FAST_LSTM = LstmConfig(hidden_units=4, max_epochs=15, seed=42)
+FAST_LSTM = LstmConfig(max_epochs=15, seed=42)
 
 
 def phase_oracle(t, b):
@@ -118,9 +118,10 @@ class TestConfig:
             (DetectorConfig, "look_back", True),
             (DetectorConfig, "epsilon", "1"),
             (DetectorConfig, "epsilon", True),  # was kept, and written as true into a run summary
-            (LstmConfig, "hidden_units", 2.5),
             (LstmConfig, "max_epochs", 7.5),
+            (LstmConfig, "max_epochs", True),  # would train for one epoch
             (LstmConfig, "seed", 1.5),
+            (LstmConfig, "seed", False),  # would seed with 0
             (DetectorConfig, "epsilon", False),
             (DetectorConfig, "epsilon", None),
         ],
@@ -134,12 +135,11 @@ class TestConfig:
         [
             (DetectorConfig, "look_back", ConfigError),
             (DetectorConfig, "epsilon", ConfigError),
-            (LstmConfig, "hidden_units", ConfigError),
             (LstmConfig, "max_epochs", ConfigError),
             (LstmConfig, "seed", ConfigError),
             (functools.partial(aare, [1.0], [1.0]), "epsilon", ValueError),
         ],
-        ids=["look_back", "epsilon", "hidden_units", "max_epochs", "seed", "aare-epsilon"],
+        ids=["look_back", "epsilon", "max_epochs", "seed", "aare-epsilon"],
     )
     def test_an_int_too_long_to_print_is_refused_naming_its_field(self, make, name, error):
         # Each message formatted the value, which raised a raw ValueError:
@@ -619,17 +619,15 @@ class TestEngineMemo:
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(
         look_back=st.integers(2, 6),
-        hidden_units=st.integers(1, 12),
         seed=st.integers(0, 2**16),
         shift=st.floats(-25.0, 25.0),
         dips=st.lists(st.tuples(st.integers(15, 79), st.floats(-40.0, 40.0)), max_size=4),
     )
-    @example(look_back=3, hidden_units=4, seed=0, shift=25.0, dips=[(60, 40.0)])  # shift_and_dip()
-    def test_records_equal_those_of_forecasts_without_a_memo(self, look_back, hidden_units, seed, shift, dips):
-        lstm = dataclasses.replace(FAST_LSTM, hidden_units=hidden_units)
+    @example(look_back=3, seed=0, shift=25.0, dips=[(60, 40.0)])  # shift_and_dip()
+    def test_records_equal_those_of_forecasts_without_a_memo(self, look_back, seed, shift, dips):
         config = DetectorConfig(look_back=look_back)
         series = shift_and_dip(seed, shift=shift, dips=dips)
-        warm_detector, cold_detector = Detector(config, LstmEngine(lstm)), Detector(config, ColdEngine(lstm))
+        warm_detector, cold_detector = (Detector(config, engine(FAST_LSTM)) for engine in (LstmEngine, ColdEngine))
         warm = [warm_detector.step(v) for v in series]
         cold = [cold_detector.step(v) for v in series]
         for verdict in {r.verdict.value for r in warm if r.retrained}:
@@ -1083,7 +1081,7 @@ ANY_STAMP = half_plain(
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(steps=st.lists(st.tuples(ANY_VALUE, ANY_STAMP), max_size=24))
 def test_a_step_raises_only_input_errors_and_fails_whole(steps):
-    detector = Detector(DetectorConfig(look_back=2), LstmEngine(LstmConfig(hidden_units=2, max_epochs=3)))
+    detector = Detector(DetectorConfig(look_back=2), LstmEngine(LstmConfig(max_epochs=3)))
     for k in range(12):  # enough scores for a spike to be rechecked
         detector.step(50.0 + math.sin(k / 3))
     for value, stamp in steps:

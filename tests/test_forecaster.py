@@ -90,19 +90,16 @@ def extreme_cases(seed=31):
 class TestConfig:
     def test_defaults_are_valid(self):
         config = LstmConfig()
-        assert (config.hidden_units, config.max_epochs, config.seed) == (10, 50, 42)
+        assert (config.max_epochs, config.seed) == (50, 42)
 
     def test_each_setting_is_a_named_field(self):
         # A new knob shows up here as an edit; the paper's fixed settings are no fields.
-        assert [f.name for f in dataclasses.fields(LstmConfig)] == [
-            "hidden_units", "max_epochs", "seed"
-        ]
+        assert [f.name for f in dataclasses.fields(LstmConfig)] == ["max_epochs", "seed"]
         assert [f.name for f in dataclasses.fields(DetectorConfig)] == ["look_back", "epsilon"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"hidden_units": 0},
             {"max_epochs": 0},
             {"seed": -1},
         ],
@@ -111,10 +108,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             LstmConfig(**kwargs)
 
-    def test_the_early_stopping_threshold_is_no_field(self):
-        # It is the paper's fixed 1e-4, a constant like the learning rate and the patience.
+    @pytest.mark.parametrize(
+        "kwargs", [{"early_stop_delta": 1e-4}, {"hidden_units": 10}], ids=["early_stop_delta", "hidden_units"]
+    )
+    def test_the_early_stopping_threshold_is_no_field(self, kwargs):
+        # The paper's fixed 1e-4 and 10 units are constants, like the learning rate and the patience.
         with pytest.raises(TypeError):
-            LstmConfig(early_stop_delta=1e-4)
+            LstmConfig(**kwargs)
 
     def test_larger_epoch_cap_allowed_explicitly(self):
         assert LstmConfig(max_epochs=200).max_epochs == 200
@@ -132,7 +132,7 @@ class TestInitModel:
 
     def test_shapes_and_biases(self):
         h = 10
-        model = init_model(LstmConfig(hidden_units=h))
+        model = init_model(LstmConfig(), h)
         assert model.weights.shape == (4 * h, h + 2)
         assert model.w_out.shape == (h,)
         # forget-gate bias (column 1, rows H:2H) starts at 1, everything else at 0
@@ -150,7 +150,7 @@ class TestInitModel:
 
     def test_weights_within_init_bounds(self):
         h = 16
-        model = init_model(LstmConfig(hidden_units=h, seed=3))
+        model = init_model(LstmConfig(seed=3), h)
         bound = 0.5 / np.sqrt(h)
         for arr in (model.weights[:, 0], model.weights[:, 2:], model.w_out):
             assert np.all(np.abs(arr) <= bound)
@@ -164,7 +164,7 @@ class TestInitModel:
         drawn = [rng.uniform(-bound, bound, 4 * h), rng.uniform(-bound, bound, (4 * h, h))]
         drawn.append(rng.uniform(-bound, bound, h))
         for _ in range(2):
-            model = init_model(LstmConfig(hidden_units=h, seed=seed))
+            model = init_model(LstmConfig(seed=seed), h)
             for array, expected in zip((model.weights[:, 0], model.weights[:, 2:], model.w_out), drawn):
                 assert array.tobytes() == expected.tobytes()
             for array in (model.weights, model.w_out):
@@ -176,7 +176,7 @@ class TestInitModel:
         # The forecast step and the descent multiply the weights by it without a broadcast.
         scale = forecaster._sigmoid_row_scale(h)
         assert forecaster._sigmoid_row_scale(h) is scale and not scale.flags.writeable
-        assert scale.shape == init_model(LstmConfig(hidden_units=h)).weights.shape == (4 * h, h + 2)
+        assert scale.shape == init_model(LstmConfig(), h).weights.shape == (4 * h, h + 2)
         assert np.all(scale[: 3 * h] == 0.5) and np.all(scale[3 * h :] == 1.0)
 
     def test_cached_weights_keep_configs_apart(self):
@@ -184,7 +184,12 @@ class TestInitModel:
         first = train(window, LstmConfig(seed=3))
         assert_same_outcome(train(window, LstmConfig(seed=3)), first)
         assert not models_equal(train(window, LstmConfig(seed=4)).model, first.model)
-        wider = train(window, LstmConfig(hidden_units=11, seed=3)).model
+
+    def test_cached_weights_keep_widths_apart(self, monkeypatch):
+        window = [10.0, 20.0, 15.0]
+        first = train(window, LstmConfig(seed=3))
+        monkeypatch.setattr(forecaster, "_HIDDEN_UNITS", 11)
+        wider = train(window, LstmConfig(seed=3)).model
         assert wider.hidden_units == 11 and not models_equal(wider, first.model)
 
 
@@ -202,7 +207,7 @@ class TestForward:
         assert np.all(outputs(zero_model(), [1.0, -2.0, 3.0]) == 0.0)
 
     def test_one_output_per_input(self):
-        model = init_model(LstmConfig(hidden_units=3, seed=0))
+        model = init_model(LstmConfig(seed=0), 3)
         assert outputs(model, [0.1, 0.2, 0.3]).shape == (3,)
 
     def test_matches_textbook_recurrence(self):
@@ -316,17 +321,19 @@ class TestDescent:
     builds everything afresh each epoch must give the same model."""
 
     @pytest.mark.parametrize("hidden_units", [1, 4, 10, 32])
-    def test_matches_the_plain_loop_for_every_look_back(self, hidden_units):
+    def test_matches_the_plain_loop_for_every_look_back(self, hidden_units, monkeypatch):
+        # The paper's width is a constant, but the descent is width-generic; other widths are set through it.
+        monkeypatch.setattr(forecaster, "_HIDDEN_UNITS", hidden_units)
         rng = np.random.default_rng(61)
         for look_back in range(2, 18):
             for scale in (1e-5, 1.0, 1e5):
                 window = scale * (3.0 + rng.standard_normal(look_back))
-                config = LstmConfig(hidden_units=hidden_units, seed=int(rng.integers(100)))
-                assert_same_outcome(train(window, config), reference_train(window, config))
+                config = LstmConfig(seed=int(rng.integers(100)))
+                assert_same_outcome(train(window, config), reference_train(window, config, hidden_units))
 
     def test_matches_the_plain_loop_with_other_settings(self):
         window = [4.0, 2.0, 7.0, 5.0]
-        config = LstmConfig(hidden_units=3, seed=4)
+        config = LstmConfig(seed=4)
         assert_same_outcome(train(window, config), reference_train(window, config))
         # Under a raised cap the loss stalls partway through training, at epoch 883.
         early = LstmConfig(max_epochs=1000)
@@ -421,9 +428,8 @@ class TestDescent:
             assert first[0].hex() == second[0].hex() and first[1].tobytes() == second[1].tobytes()
 
     def test_trained_arrays_are_read_only_copies_of_their_own(self):
-        config = LstmConfig(hidden_units=5, seed=2)
-        h = config.hidden_units
-        first, second = (train([10.0, 20.0, 15.0], config).model for _ in range(2))
+        h = forecaster._HIDDEN_UNITS
+        first, second = (train([10.0, 20.0, 15.0], LstmConfig(seed=2)).model for _ in range(2))
         shapes = {"weights": (4 * h, h + 2), "w_out": (h,)}
         arrays = []
         for model in (first, second):
@@ -782,7 +788,7 @@ class TestSuffixStates:
         rng = np.random.default_rng(0)
         series = 50 + 3 * np.sin(np.arange(40) / 4) + rng.normal(0, 0.3, 40)
         series[30:] += 25.0
-        engine = LoggingEngine(LstmConfig(hidden_units=4, max_epochs=15, seed=42))
+        engine = LoggingEngine(LstmConfig(max_epochs=15, seed=42))
         detector = Detector(engine=engine)
         records = [detector.step(v) for v in series]
         swaps = [r.time_index for r in records if r.retrained and r.verdict is Verdict.NORMAL]
