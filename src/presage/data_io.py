@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .detector import DetectionRecord, DetectorConfig, Phase, Verdict, _check_order
-from .errors import DataError, DatasetKeyError, OrderingError
+from .errors import DataError, OrderingError
 from .evaluation import EvaluationSummary, RunSummary
 
 __all__ = [
@@ -180,9 +180,9 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> list[dateti
 
     The file is either a map from dataset keys to label entries (the
     combined-labels layout, the documented default) or a plain list of
-    timestamps, in which case the key is ignored and the whole list is
-    returned. An entry's ``signs`` are checked like its anomalies and then
-    dropped: they are not scored.
+    timestamps, returned whole with the key ignored. A map read without a
+    key, or one that lacks it, is a ``DataError`` naming the available keys.
+    An entry's ``signs`` are checked like its anomalies, then dropped unscored.
     """
     path = Path(path)
     try:
@@ -197,12 +197,12 @@ def read_labels(path: str | Path, dataset_key: str | None = None) -> list[dateti
         raise DataError(f"{path}: labels must be a JSON list or object")
 
     if dataset_key is None:
-        raise DatasetKeyError(
+        raise DataError(
             f"{path} is a map of dataset keys to labels: pass --dataset-key "
             f"with one of {sorted(payload)}"
         )
     if dataset_key not in payload:
-        raise DatasetKeyError(
+        raise DataError(
             f"{path}: dataset key {dataset_key!r} not found; "
             f"available: {sorted(payload)}"
         )

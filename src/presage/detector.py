@@ -40,7 +40,6 @@ __all__ = [
     "ForecastEngine",
     "LstmEngine",
     "Detector",
-    "phase_of",
 ]
 
 
@@ -62,12 +61,8 @@ _DETECTING = Phase.DETECTING
 _PENDING, _NORMAL, _ANOMALY = Verdict.PENDING, Verdict.NORMAL, Verdict.ANOMALY
 
 
-def phase_of(t: int, look_back: int) -> Phase:
-    """Phase of time index ``t`` under look-back count ``look_back``."""
-    if look_back < 2:
-        raise ValueError(f"look_back must be >= 2, got {_shown(look_back)}")
-    if t < 0:
-        raise ValueError(f"time index must be >= 0, got {_shown(t)}")
+def _phase_of(t: int, look_back: int) -> Phase:
+    """Phase of time index ``t >= 0`` under a checked look-back count ``look_back >= 2``."""
     if t < look_back - 1:
         return Phase.COLLECTING
     if t < 2 * look_back - 1:
@@ -221,7 +216,7 @@ class Detector:
         test: score, threshold, recheck if the score is above it, forecast. Its
         windows are tuples of the floats read once where they entered, which
         ``scoring.aare`` takes as they are and the engine's memo knows by
-        identity; only the 2b+1 ramp points ask ``phase_of`` for their phase.
+        identity; only the 2b+1 ramp points ask ``_phase_of`` for their phase.
         """
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1
@@ -254,7 +249,7 @@ class Detector:
             verdict = _NORMAL if aare_value <= thd else _ANOMALY
             forecast = _float(self.engine.predict(model, window), "forecast at t={}", t + 1)
         else:  # the 2b+1 ramp points: collecting, warm-up, bootstrap
-            phase = phase_of(t, b)
+            phase = _phase_of(t, b)
             aare_value = thd = forecast = None
             welford = history
             verdict = _PENDING

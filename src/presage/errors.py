@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all presage modules."""
 
-__all__ = ["PresageError", "ConfigError", "DataError", "OrderingError", "DatasetKeyError"]
+__all__ = ["PresageError", "ConfigError", "DataError", "OrderingError"]
 
 
 class PresageError(Exception):
@@ -17,10 +17,6 @@ class DataError(PresageError, ValueError):
 
 class OrderingError(DataError):
     """Timestamps or records arrived out of order."""
-
-
-class DatasetKeyError(PresageError, LookupError):
-    """A requested dataset key is absent from a label map."""
 
 
 def _shown(value) -> str:

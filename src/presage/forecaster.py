@@ -7,7 +7,7 @@ model no longer explains the data, so training must finish in
 milliseconds. Everything runs on plain numpy in float64.
 
 Gate layout: weight and bias vectors stack the four gates in the order
-(input, forget, output, candidate), each slice of length ``hidden_units``.
+(input, forget, output, candidate), each slice of length H, the hidden width.
 Training, the model and forecasting hold the gate weights as one ``(4H, H + 2)``
 matrix ``[w_x | b | w_h]``: a step's pre-activations, input and bias terms
 included, are one ``np.dot`` with its ``[x; 1; h]`` state. A step works
@@ -115,10 +115,6 @@ class LstmModel:
     b_out: float
     norm_mean: float = 0.0
     norm_std: float = 1.0
-
-    @property
-    def hidden_units(self) -> int:
-        return self.w_out.size
 
 
 @dataclass(frozen=True)
@@ -434,7 +430,7 @@ def predict_next(model: LstmModel, window: Sequence[float], memo: list | None = 
             raise ValueError("prediction window must be non-empty")
         if not std or not all(math.isfinite((v - mean) / std) for v in window):  # refused before any step
             raise DataError("prediction window contains non-finite values, raw or normalized")
-        n, h = len(window), model.hidden_units
+        n, h = len(window), model.w_out.size
         with np.errstate(under="ignore"):  # the step's weights: the sigmoid gates' rows halved
             work = (model.weights * _sigmoid_row_scale(h), *_workspace(n, h))
             for k, v in enumerate(window[:-1]):  # a partial window's output is no forecast: none is taken

@@ -233,7 +233,7 @@ def descent(model, inputs, targets=None):
     """A ``forecaster._Descent`` on a copy of the model's current weights."""
     theta = np.concatenate((model.weights.ravel(), model.w_out, [model.b_out]))
     inputs = np.asarray(inputs, dtype=float)
-    return forecaster._Descent(theta, model.hidden_units, inputs, targets)
+    return forecaster._Descent(theta, model.w_out.size, inputs, targets)
 
 
 def run(model, inputs) -> np.ndarray:
@@ -255,7 +255,7 @@ def plain_forward(model, inputs) -> np.ndarray:
     weights ``[w_x | b | w_h]`` with it and runs ``_gates`` with the previous
     cell state, both states zero at step 0. The sigmoid gates' rows are
     halved by copy, apart from ``_Descent``'s vector."""
-    h = model.hidden_units
+    h = model.w_out.size
     weights = model.weights.copy()
     weights[: 3 * h] *= 0.5
     hidden, cell = np.zeros(h), np.zeros(h)
@@ -282,7 +282,7 @@ def plain_loss_and_grads(model, inputs, targets):
     the unhalved ``w_h``; the weight gradients are ``np.dot`` products over the
     steps, with the ``[x; 1; h]`` rows and the hidden states each taken as a
     slice of one array, as the descent lays them out."""
-    h, steps = model.hidden_units, len(inputs)
+    h, steps = model.w_out.size, len(inputs)
     weights = model.weights.copy()
     weights[: 3 * h] *= 0.5
     states = np.zeros((steps + 1, h + 2))
@@ -406,7 +406,7 @@ def reference_forward(model, inputs):
     Gates use ``1 / (1 + exp(-z))`` directly; ``exp`` may overflow to inf
     for very negative ``z``, which still gives the right limit 0.
     """
-    h = model.hidden_units
+    h = model.w_out.size
     w_x, b, w_h = model.weights[:, 0], model.weights[:, 1], model.weights[:, 2:]
 
     def sigmoid(z):
@@ -439,7 +439,7 @@ def reference_predict(model, window):
     normed = [(float(v) - mean) / std for v in np.asarray(window, dtype=float).tolist()]
     if not all(map(math.isfinite, normed)):
         raise DataError("prediction window contains non-finite values, raw or normalized")
-    n, h = len(normed), model.hidden_units
+    n, h = len(normed), model.w_out.size
     weights = model.weights.copy()
     with np.errstate(under="ignore"):
         weights[: 3 * h] *= 0.5  # sigmoid(z) = (1 + tanh(z / 2)) / 2

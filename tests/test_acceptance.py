@@ -17,7 +17,7 @@ import pytest
 
 from presage.cli import main
 from presage.data_io import read_labels, read_series
-from presage.detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict, phase_of
+from presage.detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict, _phase_of
 from presage.evaluation import LeadStatus, evaluate_run, summarize_run
 from presage.forecaster import LstmConfig
 from presage.scoring import aare
@@ -172,7 +172,7 @@ def test_criterion_5_phase_guards_and_quiet_preparation():
                 if t >= look_back - 1
                 else Phase.COLLECTING
             )
-            assert phase_of(t, look_back) is expected
+            assert _phase_of(t, look_back) is expected
 
     rng = np.random.default_rng(55)
     fast = LstmConfig(max_epochs=10, seed=DETECTOR_SEED)

@@ -13,7 +13,7 @@ import pytest
 
 from presage.cli import build_parser, main
 from presage.data_io import read_report, read_series, write_summary
-from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict, phase_of
+from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict, _phase_of
 from presage.evaluation import summarize_run
 from presage.forecaster import LstmConfig
 
@@ -568,7 +568,7 @@ def golden_records():
             k,
             timestamp=GOLDEN_START + k * GOLDEN_TICK,
             value=50.0 + k,
-            phase=phase_of(k, 3),
+            phase=_phase_of(k, 3),
             verdict=(
                 Verdict.PENDING if k < 7 else (Verdict.ANOMALY if k in (8, 10) else Verdict.NORMAL)
             ),

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from presage.detector import DetectorConfig, Verdict, phase_of
+from presage.detector import DetectorConfig, Verdict, _phase_of
 from presage.errors import ConfigError, DataError
 from presage.evaluation import evaluate_run, summarize_run
 from presage.scoring import aare
@@ -26,7 +26,7 @@ SECONDS = timedelta(seconds=20)
 # A look-back-3 ramp, then a report inside half a minute either side of T0:
 # a pre-window or grace of half a minute reaches it, one of 0 does not.
 RECORDS = [
-    *(make_record(k, phase=phase_of(k, 3)) for k in range(5)),
+    *(make_record(k, phase=_phase_of(k, 3)) for k in range(5)),
     make_record(5, timestamp=T0 - SECONDS, verdict=Verdict.ANOMALY),
     make_record(6, timestamp=T0 + SECONDS, verdict=Verdict.ANOMALY),
 ]
