@@ -276,6 +276,14 @@ class TestTrain:
         assert train([-(2.0**-40)] * 3, LstmConfig(seed=1)).model.norm_std == 2.0**-40 * 1e-12
         assert train([0.0, 0.0, 0.0], LstmConfig(seed=1)).model.norm_std == 1.0
 
+    def test_short_window_rejected(self):
+        with pytest.raises(ValueError):
+            train([1.0], LstmConfig())
+
+    def test_non_finite_window_rejected(self):
+        with pytest.raises(DataError):
+            train([1.0, float("inf"), 2.0], LstmConfig())
+
     def test_overflowing_spread_taken_in_units_of_the_largest_value(self):
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -542,12 +550,16 @@ class TestPredictNext:
         assert first == second
 
     def test_empty_window_rejected(self):
+        with pytest.raises(ValueError):
+            predict_next(zero_model(), [])
         model, memo = zero_model(), [None]
         predict_next(model, [5.0], memo)  # a memo whose window suffix is empty
         with pytest.raises(ValueError, match="must be non-empty"):
             predict_next(model, [], memo)
 
     def test_non_finite_window_rejected(self):
+        with pytest.raises(DataError):
+            predict_next(zero_model(), [1.0, float("nan"), 2.0])
         model = dataclasses.replace(zero_model(), norm_std=0.0)
         with pytest.raises(DataError):
             predict_next(model, [1.0, 2.0])
@@ -808,6 +820,12 @@ class TestSuffixStates:
                 assert not states[:, r - 1].any()
             for _, inputs, *_ in memo[0][1][2]:  # the constant row that multiplies b
                 assert (inputs[1] == 1.0).all()
+
+    def test_trained_arrays_are_read_only(self):
+        model = train([10.0, 20.0, 30.0], LstmConfig(seed=1)).model
+        for weights in (model.weights, model.w_out):
+            with pytest.raises(ValueError):
+                weights[0] += 1.0
 
     def test_overflowing_forecast_rejected_and_memo_kept(self):
         model, series, memo = self._primed()

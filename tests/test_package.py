@@ -31,3 +31,12 @@ def test_every_public_definition_is_in_its_modules_all(name):
         and obj.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+def test_names_no_caller_needs_stay_out_of_the_package():
+    # The phase schedule is the detector's own, a missing dataset key is a
+    # DataError, and a model's width is its w_out.size.
+    assert {"phase_of", "DatasetKeyError"} & set(presage.__all__) == set()
+    assert not hasattr(presage.detector, "phase_of")
+    assert not hasattr(presage.errors, "DatasetKeyError")
+    assert not hasattr(presage.LstmModel, "hidden_units")
