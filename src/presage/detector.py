@@ -127,9 +127,10 @@ class ForecastEngine(Protocol):
 
     ``train`` fits a model to a look-back window of raw values and returns
     it; ``predict`` forecasts the raw value following ``window`` with a
-    previously returned model, as a real number (NaN or inf fails the step).
-    Implementations must be deterministic for replayability. An engine may
-    keep caches, but its outputs depend only on ``(model, window)``.
+    previously returned model, as a real number that is no ``bool`` (text,
+    NaN or inf fails the step). Implementations must be deterministic for
+    replayability. An engine may keep caches, but its outputs depend only on
+    ``(model, window)``.
     """
 
     def train(self, window: Sequence[float]) -> object: ...
@@ -210,7 +211,7 @@ class Detector:
         forecast that is no real number (a complex one too) or a timestamp that
         is neither ``None`` nor a ``datetime``, and any exception an engine
         raises leave the detector as it was. A value is read by ``scoring._float``,
-        as window items are, so text such as ``"1.5"`` or ``b"2"`` is accepted.
+        as window items and settings are, so text, a ``bool`` or a ``Decimal`` is refused.
 
         A detecting point (t > 2b) takes one straight-line branch with no phase
         test: score, threshold, recheck if the score is above it, forecast. Its

@@ -96,40 +96,36 @@ def _score(obs: tuple, pred: tuple, epsilon: float) -> float | None:
 
 
 def _float(number, what: str, t: int | None = None) -> float:
-    """``number`` as a finite float, named in errors as ``what.format(t)``, which is
-    built only when the read fails. An exact finite ``float`` returns first; anything
-    else goes through ``float()``, so text such as ``"1.5"`` is read. A value that
-    is no real number is a ``ValueError``; an int past the float range, NaN or inf
-    is a ``DataError``."""
+    """``number`` as a finite float, named in errors as ``what.format(t)``, built only
+    when the read fails. An exact finite ``float`` returns first. Anything that is no
+    ``numbers.Real`` or is a ``bool`` (text, a ``Decimal``, a 0-d array) is a ``ValueError``,
+    as for a setting; a real past the float range, NaN or inf is a ``DataError``."""
     if type(number) is float and math.isfinite(number):
         return number
+    if not isinstance(number, numbers.Real) or isinstance(number, bool):
+        raise ValueError(f"{what.format(t)} must be a real number, got {_shown(number)}")
     try:
-        if isinstance(number, numbers.Complex) and not isinstance(number, numbers.Real):
-            raise TypeError  # numpy's float() would keep the real part, with a warning
         real = float(number)
     except OverflowError:
         raise DataError(f"{what.format(t)} is past the float range") from None
-    except (TypeError, ValueError):
-        raise ValueError(f"{what.format(t)} must be a real number, got {number!r}") from None
     if not math.isfinite(real):
         raise DataError(f"{what.format(t)} is not finite: {real}")
     return real
 
 
 def _real(value, error: type[Exception], rule: str, above: bool = False) -> float:
-    """The one rule for a real number: ``float(value)`` if ``value`` is real, no ``bool``, finite and
-    ``>= 0`` (``> 0`` when ``above``), else ``error(rule + _shown(value))``. Past the float range is not finite."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
-            real = float(value)
-            if (0 < real if above else 0 <= real) and real < math.inf:  # NaN fails too
-                return real
+    """The one rule for a real number: ``_float(value)`` if that reads it and it is ``>= 0``
+    (``> 0`` when ``above``), else ``error(rule + _shown(value))``."""
+    with contextlib.suppress(ValueError):  # a DataError is one
+        real = _float(value, "")
+        if 0 < real if above else 0 <= real:
+            return real
     raise error(rule + _shown(value))
 
 
 def _floats(window: Sequence[float], name: str) -> tuple[float, ...]:
-    """``window`` as a tuple of finite floats, each item read by ``_float``; text,
-    a number or a 0-d array is a ``ValueError`` naming the window. An ndarray
+    """``window`` as a tuple of finite floats, each item read by ``_float``; a window
+    that is text, a number or a 0-d array is a ``ValueError`` naming it. An ndarray
     becomes nested lists first, so a nested item is refused as no real number."""
     item = f"{name} item"
     try:

@@ -162,6 +162,17 @@ def threshold(history: Sequence[float]) -> float:
     return unit * (mu + 3.0 * sigma)
 
 
+def phase_oracle(t, b) -> Phase:
+    """Independent restatement of the phase guards."""
+    if t >= 2 * b + 1:
+        return Phase.DETECTING
+    if t >= 2 * b - 1:
+        return Phase.BOOTSTRAP
+    if t >= b - 1:
+        return Phase.WARMUP
+    return Phase.COLLECTING
+
+
 def reference_detector(values, engine, config: DetectorConfig = DetectorConfig(), ties=None) -> list[DetectionRecord]:
     """The paper's detection loop written plainly, the oracle for ``Detector``:
     the error scores in a list, the threshold from it by the two-pass
@@ -178,14 +189,7 @@ def reference_detector(values, engine, config: DetectorConfig = DetectorConfig()
     scores, forecasts, model, records = [], {}, None, []
     for t, value in enumerate(values):
         window = values[max(t - b + 1, 0) : t + 1]
-        if t < b - 1:
-            phase = Phase.COLLECTING
-        elif t < 2 * b - 1:
-            phase = Phase.WARMUP
-        elif t < 2 * b + 1:
-            phase = Phase.BOOTSTRAP
-        else:
-            phase = Phase.DETECTING
+        phase = phase_oracle(t, b)
         score = limit = None
         verdict, retrained = Verdict.PENDING, False
         if phase in (Phase.BOOTSTRAP, Phase.DETECTING):

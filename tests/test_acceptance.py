@@ -17,7 +17,7 @@ import pytest
 
 from presage.cli import main
 from presage.data_io import read_labels, read_series
-from presage.detector import Detector, DetectorConfig, LstmEngine, Phase, Verdict, _phase_of
+from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict, _phase_of
 from presage.evaluation import LeadStatus, evaluate_run, summarize_run
 from presage.forecaster import LstmConfig
 from presage.scoring import aare
@@ -37,6 +37,7 @@ from helpers import (
     max_relative_gradient_error,
     missing_dataset_reason,
     mtsf_path,
+    phase_oracle,
     running_threshold,
     spike_timestamps,
     spike_values,
@@ -163,16 +164,7 @@ def test_criterion_4_threshold_oracle_equivalence():
 def test_criterion_5_phase_guards_and_quiet_preparation():
     for look_back in range(2, 7):
         for t in range(0, 101):
-            expected = (
-                Phase.DETECTING
-                if t >= 2 * look_back + 1
-                else Phase.BOOTSTRAP
-                if t >= 2 * look_back - 1
-                else Phase.WARMUP
-                if t >= look_back - 1
-                else Phase.COLLECTING
-            )
-            assert _phase_of(t, look_back) is expected
+            assert _phase_of(t, look_back) is phase_oracle(t, look_back)
 
     rng = np.random.default_rng(55)
     fast = LstmConfig(max_epochs=10, seed=DETECTOR_SEED)

@@ -1,4 +1,6 @@
-"""One rule for a real number, held at every site that reads one: ``scoring._real``.
+"""One rule for a real number, held at every setting that reads one: ``scoring._real``,
+which is ``scoring._float``, the reader of values, forecasts and window items too,
+plus a range check.
 
 Each site reads a real number that is no ``bool`` and is finite and in range
 as its float, so the call gives what it gives for that float; anything else
