@@ -29,7 +29,7 @@ from typing import Protocol, Sequence
 
 from . import forecaster, scoring
 from .errors import ConfigError, DataError, OrderingError, _shown
-from .forecaster import LstmConfig, _check_types
+from .forecaster import LstmConfig, _int
 from .scoring import _EPSILON_RULE, _WELFORD_EMPTY, DEFAULT_EPSILON, _float, _real, _welford_add, _welford_std
 
 __all__ = [
@@ -61,17 +61,6 @@ _DETECTING = Phase.DETECTING
 _PENDING, _NORMAL, _ANOMALY = Verdict.PENDING, Verdict.NORMAL, Verdict.ANOMALY
 
 
-def _phase_of(t: int, look_back: int) -> Phase:
-    """Phase of time index ``t >= 0`` under a checked look-back count ``look_back >= 2``."""
-    if t < look_back - 1:
-        return Phase.COLLECTING
-    if t < 2 * look_back - 1:
-        return Phase.WARMUP
-    if t < 2 * look_back + 1:
-        return Phase.BOOTSTRAP
-    return Phase.DETECTING
-
-
 def _check_order(previous: datetime, timestamp: datetime, where: str = "", *args) -> None:
     """The one rule for consecutive timestamps: ``DataError`` if they differ in
     timezone awareness, ``OrderingError`` if ``timestamp`` comes earlier. Each
@@ -93,9 +82,7 @@ class DetectorConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        _check_types(self)
-        if self.look_back < 2:
-            raise ConfigError(f"look_back must be >= 2, got {_shown(self.look_back)}")
+        _int(self.look_back, "look_back", 2)
         object.__setattr__(self, "epsilon", _real(self.epsilon, ConfigError, _EPSILON_RULE, above=True))
 
 
@@ -217,7 +204,7 @@ class Detector:
         test: score, threshold, recheck if the score is above it, forecast. Its
         windows are tuples of the floats read once where they entered, which
         ``scoring.aare`` takes as they are and the engine's memo knows by
-        identity; only the 2b+1 ramp points ask ``_phase_of`` for their phase.
+        identity; only the 2b+1 ramp points test ``t`` again, for their phase.
         """
         t, buffer, forecasts, history, model, last_timestamp = self._state
         t += 1
@@ -250,7 +237,7 @@ class Detector:
             verdict = _NORMAL if aare_value <= thd else _ANOMALY
             forecast = _float(self.engine.predict(model, window), "forecast at t={}", t + 1)
         else:  # the 2b+1 ramp points: collecting, warm-up, bootstrap
-            phase = _phase_of(t, b)
+            phase = Phase.COLLECTING if t < b - 1 else Phase.WARMUP if t < 2 * b - 1 else Phase.BOOTSTRAP
             aare_value = thd = forecast = None
             welford = history
             verdict = _PENDING

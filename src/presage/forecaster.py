@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import is_
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, _shown
-from .scoring import _floats
+from .scoring import _floats, _unit_of
 
 __all__ = [
     "LstmConfig",
@@ -67,13 +67,13 @@ _HIDDEN_UNITS, _LEARNING_RATE, _PATIENCE, _EARLY_STOP_DELTA = 10, np.array(0.15)
 _HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 
 
-def _check_types(config) -> None:
-    """The int rule of every config: ``ConfigError`` naming a field declared ``int`` that holds
-    no ``int`` (a ``bool`` is none). A ``float`` field is its config's to read, by ``scoring._real``."""
-    for spec in fields(config):
-        value = getattr(config, spec.name)
-        if spec.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(f"{spec.name} must be an integer, got {_shown(value)}")
+def _int(value, name: str, least: int) -> None:
+    """The int rule of every config field declared ``int``: ``ConfigError`` naming ``name`` if ``value`` is
+    no ``int`` (a ``bool`` is none), then if it is below ``least``. A ``float`` field is read by ``scoring._real``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,8 @@ class LstmConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_types(self)
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {_shown(self.max_epochs)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {_shown(self.seed)}")
+        _int(self.max_epochs, "max_epochs", 1)
+        _int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,12 +333,15 @@ def train(window: Sequence[float], config: LstmConfig) -> TrainOutcome:
         mean = float(raw.mean())
         std = float(raw.std())
         scale = float(np.abs(raw).max())
-        if math.isinf(std):  # the squared deviations overflowed: take them in units of scale
-            std = scale * float((raw / scale).std())
+        unit = _unit_of(scale)  # a power of two: a statistic that overflows is taken in it, bit for bit in any unit
+        if math.isinf(mean):
+            mean = unit * float((raw / unit).mean())
+        if math.isinf(std):
+            std = unit * float((raw / unit).std())
         std = max(std, _CONSTANT_STD * scale) or 1.0
         normed = (raw - mean) / std
-    if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(normed).all()):
-        raise DataError("training window is too large to normalize: its mean or spread overflows")
+    if not (math.isfinite(std) and np.isfinite(normed).all()):
+        raise DataError("training window is too large to normalize: its deviations from the mean overflow")
 
     h = _HIDDEN_UNITS
     descent = _Descent(_initial_theta(h, config.seed), h, normed[:-1], normed[1:])

@@ -381,8 +381,11 @@ def reference_train(window, config, h=forecaster._HIDDEN_UNITS):
     with np.errstate(all="ignore"):
         mean, std = float(raw.mean()), float(raw.std())
         scale = float(np.abs(raw).max())
-        if math.isinf(std):  # the squares overflowed: take them in units of max |value|
-            std = scale * float((raw / scale).std())
+        unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)  # the largest power of two not above max |value|
+        if math.isinf(mean):  # the sum overflowed: take it in the unit
+            mean = unit * float((raw / unit).mean())
+        if math.isinf(std):  # the squares overflowed: take them in the unit
+            std = unit * float((raw / unit).std())
         std = max(std, 1e-12 * scale) or 1.0  # floored relative to max |value|, in any unit
         normed = (raw - mean) / std
     inputs, targets = normed[:-1], normed[1:]

@@ -13,7 +13,7 @@ import pytest
 
 from presage.cli import build_parser, main
 from presage.data_io import read_report, read_series, write_summary
-from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict, _phase_of
+from presage.detector import Detector, DetectorConfig, LstmEngine, Verdict
 from presage.evaluation import summarize_run
 from presage.forecaster import LstmConfig
 
@@ -21,6 +21,7 @@ from helpers import (
     SPIKE_SHIFT_INDEX,
     SPIKE_START,
     make_record,
+    phase_oracle,
     spike_timestamps,
     spike_values,
     write_records,
@@ -568,7 +569,7 @@ def golden_records():
             k,
             timestamp=GOLDEN_START + k * GOLDEN_TICK,
             value=50.0 + k,
-            phase=_phase_of(k, 3),
+            phase=phase_oracle(k, 3),
             verdict=(
                 Verdict.PENDING if k < 7 else (Verdict.ANOMALY if k in (8, 10) else Verdict.NORMAL)
             ),

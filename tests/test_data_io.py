@@ -16,7 +16,7 @@ from presage.data_io import (
     read_series,
     write_summary,
 )
-from presage.detector import DetectionRecord, DetectorConfig, Phase, Verdict, _phase_of
+from presage.detector import DetectionRecord, DetectorConfig, Phase, Verdict
 from presage.errors import DataError, OrderingError
 from presage.evaluation import summarize_run
 
@@ -25,6 +25,7 @@ from helpers import (
     LABELS_PATH,
     MTSF_KEY,
     make_record,
+    phase_oracle,
     reference_report_bytes,
     write_records,
     write_series_csv,
@@ -476,7 +477,7 @@ class TestReport:
 class TestSummary:
     def test_retraining_ratio_denominator(self):
         records = [
-            make_record(k, retrained=(k < 38), decision_time=0.002, phase=_phase_of(k, 3))
+            make_record(k, retrained=(k < 38), decision_time=0.002, phase=phase_oracle(k, 3))
             for k in range(4032)
         ]
         summary = summarize_run(records)

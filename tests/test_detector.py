@@ -26,7 +26,6 @@ from presage.detector import (
     LstmEngine,
     Phase,
     Verdict,
-    _phase_of,
 )
 from presage.errors import ConfigError, DataError, OrderingError
 from presage.forecaster import LstmConfig
@@ -52,29 +51,6 @@ from helpers import (
 # Few epochs for tests that exercise the state machine rather than
 # the forecaster itself.
 FAST_LSTM = LstmConfig(max_epochs=15, seed=42)
-
-
-class TestPhaseOf:
-    @pytest.mark.parametrize(
-        "t,b,expected",
-        [
-            (0, 3, Phase.COLLECTING),
-            (1, 3, Phase.COLLECTING),
-            (2, 3, Phase.WARMUP),
-            (4, 3, Phase.WARMUP),
-            (5, 3, Phase.BOOTSTRAP),
-            (6, 3, Phase.BOOTSTRAP),
-            (7, 3, Phase.DETECTING),
-            (100, 3, Phase.DETECTING),
-        ],
-    )
-    def test_reference_points(self, t, b, expected):
-        assert _phase_of(t, b) is expected
-
-    def test_matches_guard_oracle_exhaustively(self):
-        for b in range(2, 7):
-            for t in range(0, 101):
-                assert _phase_of(t, b) is phase_oracle(t, b)
 
 
 class TestConfig:
@@ -106,10 +82,15 @@ class TestConfig:
             (LstmConfig, "seed", False),  # would seed with 0
             (DetectorConfig, "epsilon", False),
             (DetectorConfig, "epsilon", None),
+            # Both mistyped and out of range: an int field's type is checked first.
+            (DetectorConfig, "look_back", 1.5),
+            (LstmConfig, "max_epochs", 0.5),
+            (LstmConfig, "seed", -0.5),
         ],
     )
     def test_a_field_of_the_wrong_type_is_a_config_error_naming_it(self, make, name, bad):
-        with pytest.raises(ConfigError, match=f"^{name} must be"):
+        rule = "must be" if name == "epsilon" else "must be an integer"
+        with pytest.raises(ConfigError, match=f"^{name} {rule}"):
             make(**{name: bad})
 
     @pytest.mark.parametrize(
@@ -697,7 +678,8 @@ class TestOverflow:
         return outcomes
 
     def test_window_too_large_to_normalize_is_rejected_then_the_stream_goes_on(self):
-        outcomes = self._step_all([50.0, 1.7e308, 1.7e308] + [50.0 + k for k in range(12)])
+        # The last value of the third window is further than the float range from the window's mean.
+        outcomes = self._step_all([1.7e308, 1.7e308, -1.7e308] + [50.0 + k for k in range(12)])
         assert outcomes[2] is None
         records = outcomes[:2] + outcomes[3:]
         assert [r.time_index for r in records] == list(range(len(records)))
@@ -779,17 +761,22 @@ class TestUnitFree:
     """RePAD needs no domain knowledge, so the unit a series is written in
     changes no record: AARE is relative, ``epsilon`` is in the series' units,
     and ``train`` z-scores each window with its std floored relative to its
-    magnitude. Scaling by a power of two is exact, so every bit holds."""
+    magnitude, taking a mean or std that overflows in a power-of-two unit.
+    Scaling by a power of two is exact, so every bit holds."""
 
     @pytest.mark.parametrize(
         "shape, power",
-        [("bursty", p) for p in (-80, -40, -20, 20, 40, 80)] + [(s, p) for s in ("flat", "offset") for p in (-40, 40)],
+        [("bursty", p) for p in (-80, -40, -20, 20, 40, 80)] + [(s, p) for s in ("flat", "offset") for p in (-40, 40)]
+        + [("bursty", 520), ("bursty", 1017), ("flat", 1017)],
     )
     def test_a_series_scaled_by_a_power_of_two_gives_the_same_records(self, shape, power):
         # At 2**-40 the spread of a calm bursty window, about 4e-13, was below the
         # absolute floor 1e-12: every such window trained as a constant, and
         # 20 verdicts or retrained flags differed. A constant window's std was 1
         # in any unit, so the flat and offset series parted at every power.
+        # At 2**520 the squared deviations overflow, and were taken in units of
+        # max |value|, no power of two: most records parted by a bit. At 2**1017
+        # a window's sum overflows too, and most steps raised a DataError.
         scale, unscaled = 2.0**power, bursty_replay(1.0, shape)
         assert sum(r.retrained for r in unscaled) > 0  # the recheck path ran
         assert bursty_replay(scale, shape) == [

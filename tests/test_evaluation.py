@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from presage.data_io import read_labels, read_series
-from presage.detector import Detector, DetectorConfig, Verdict, _phase_of
+from presage.detector import Detector, DetectorConfig, Verdict
 from presage.errors import ConfigError, DataError, OrderingError
 from presage.evaluation import (
     LeadStatus,
@@ -17,7 +17,7 @@ from presage.evaluation import (
     summarize_run,
 )
 
-from helpers import PerfectEngine, make_record
+from helpers import PerfectEngine, make_record, phase_oracle
 
 T0 = datetime(2021, 6, 1, 0, 0)
 MIN = timedelta(minutes=1)
@@ -34,7 +34,7 @@ def normal_at(ts, index=0):
 # The look-back-3 preparation ramp of 5 points, as untimed records in the
 # phases such a detector writes: ahead of the records under test, which are
 # scored points, it lets ``evaluate_run`` score any of them.
-RAMP = [make_record(k, phase=_phase_of(k, 3)) for k in range(5)]
+RAMP = [make_record(k, phase=phase_oracle(k, 3)) for k in range(5)]
 
 
 def score(records, labels, **spans):
@@ -172,9 +172,9 @@ class TestFalseWarnings:
 
 class TestRetrainingRatio:
     def test_reference_denominators(self):
-        records = [make_record(k, retrained=k < 38, phase=_phase_of(k, 3)) for k in range(4032)]
+        records = [make_record(k, retrained=k < 38, phase=phase_oracle(k, 3)) for k in range(4032)]
         assert summarize_run(records).retraining_ratio == pytest.approx(38 / 4027)
-        records = [make_record(k, retrained=k < 134, phase=_phase_of(k, 3)) for k in range(22695)]
+        records = [make_record(k, retrained=k < 134, phase=phase_oracle(k, 3)) for k in range(22695)]
         summary = summarize_run(records)
         assert summary.retraining_ratio == pytest.approx(134 / 22690)
         assert summary.retraining_ratio == pytest.approx(0.0059, abs=2e-4)
@@ -184,7 +184,7 @@ class TestRetrainingRatio:
         assert summarize_run(records).retraining_ratio == 0.0
 
     def test_run_shorter_than_ramp(self):
-        records = [make_record(k, phase=_phase_of(k, 3)) for k in range(5)]
+        records = [make_record(k, phase=phase_oracle(k, 3)) for k in range(5)]
         assert summarize_run(records).retraining_ratio == 0.0
         with pytest.raises(DataError, match="never left the preparation ramp"):
             evaluate_run(records, [T0])
@@ -248,7 +248,7 @@ class TestTimingStats:
 
     def test_generator_input(self):
         records = (
-            make_record(k, decision_time=0.001 * k, phase=_phase_of(k, 3)) for k in range(10)
+            make_record(k, decision_time=0.001 * k, phase=phase_oracle(k, 3)) for k in range(10)
         )
         summary = summarize_run(records)
         assert (summary.total_points, summary.eligible_points) == (10, 5)
@@ -265,7 +265,7 @@ class TestEvaluateRun:
                 verdict=Verdict.ANOMALY if k == 150 else Verdict.NORMAL,
                 retrained=k in (80, 150),
                 decision_time=0.002,
-                phase=_phase_of(k, 3),
+                phase=phase_oracle(k, 3),
             )
             for k in range(300)
         ]

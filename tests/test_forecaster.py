@@ -285,17 +285,26 @@ class TestTrain:
         with pytest.raises(DataError):
             train([1.0, float("inf"), 2.0], LstmConfig())
 
-    def test_overflowing_spread_taken_in_units_of_the_largest_value(self):
+    def test_overflowing_spread_taken_in_a_power_of_two_unit(self):
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             model = train([1e160, -1e160, 1e160], LstmConfig(seed=1)).model
         assert model.norm_std == pytest.approx(np.std([1.0, -1.0, 1.0]) * 1e160, rel=1e-15)
 
-    def test_overflowing_mean_rejected(self):
+    def test_overflowing_mean_taken_in_a_power_of_two_unit(self):
+        # The sum overflows; the window was once refused as too large to normalize.
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="too large to normalize"):
-                train([1.7e308, 1.7e308, 1.0], LstmConfig())
+            model = train([1.7e308, 1.7e308, 1.0], LstmConfig(seed=1)).model
+        assert model.norm_mean == pytest.approx(1.1333e308, rel=1e-4)
+        assert math.isfinite(model.norm_std)
+
+    def test_overflowing_deviations_rejected(self):
+        # -1.7e308 is about 2.27e308 below the mean, past the float range.
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="too large to normalize: its deviations from the mean overflow"):
+                train([1.7e308, 1.7e308, -1.7e308], LstmConfig())
 
 
 def assert_same_outcome(outcome, expected):
@@ -359,8 +368,8 @@ class TestDescent:
 
     @pytest.mark.parametrize(
         "window",
-        [[5.0, 5.0, 5.0], [1e160, -1e160, 1e160], [50.0, 1.7e308, -1.7e308]],
-        ids=["constant", "overflowing-spread", "subnormal"],
+        [[5.0, 5.0, 5.0], [1e160, -1e160, 1e160], [1.7e308, 1.7e308, 1.0], [50.0, 1.7e308, -1.7e308]],
+        ids=["constant", "overflowing-spread", "overflowing-mean", "subnormal"],
     )
     def test_matches_the_plain_loop_on_edge_windows(self, window):
         config = LstmConfig(seed=7)
