@@ -306,6 +306,30 @@ class TestTrain:
             with pytest.raises(DataError, match="too large to normalize: its deviations from the mean overflow"):
                 train([1.7e308, 1.7e308, -1.7e308], LstmConfig())
 
+    @pytest.mark.parametrize(
+        "window,power,statistic",
+        [([1.5, 1.25, 1.75], 1023, np.mean), ([1.3, -0.7, 0.9], 600, np.std)],
+        ids=["sum-overflows", "squares-overflow"],
+    )
+    def test_a_window_scaled_past_the_overflow_trains_the_same_model(self, window, power, statistic):
+        # The scaled window's statistic overflows when taken directly, so train
+        # takes it in a power-of-two unit: the model is the same, bit for bit,
+        # and only its norm stats carry the scale.
+        scaled = [math.ldexp(v, power) for v in window]
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert math.isinf(statistic(scaled))
+        base = train(window, LstmConfig(seed=3))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = train(scaled, LstmConfig(seed=3))
+        model = dataclasses.replace(
+            base.model,
+            norm_mean=math.ldexp(base.model.norm_mean, power),
+            norm_std=math.ldexp(base.model.norm_std, power),
+        )
+        assert_same_outcome(outcome, dataclasses.replace(base, model=model))
+
 
 def assert_same_outcome(outcome, expected):
     """Equal bit for bit: weights, output bias, norm stats and epochs."""
